@@ -31,7 +31,7 @@ from ..runtime.sycl import (Buffer, LocalAccessor, NdRange, Queue, Range,
                             sycl_read, sycl_read_write, sycl_write)
 from .config import ExecutionPolicy, Query, SearchRequest
 from .patterns import MISMATCH_LUT, CompiledPattern, compile_pattern
-from .records import OffTargetHit, sort_hits
+from .records import OffTargetHit, render_sites, site_strings, sort_hits
 from .workload import QueryWorkload, StageTimings, WorkloadProfile
 
 #: Default device chunk size in bases (the real application sizes chunks
@@ -246,18 +246,18 @@ class SearchAccumulator:
     def _build_hits(chunk: Chunk, cq: CompiledPattern, query: Query,
                     mm_loci: np.ndarray, mm_count: np.ndarray,
                     direction: np.ndarray) -> List[OffTargetHit]:
-        plen = cq.plen
-        out: List[OffTargetHit] = []
-        for lo, mm, d in zip(mm_loci, mm_count, direction):
-            lo = int(lo)
-            window = chunk.data[lo:lo + plen]
-            strand = "+" if d == ord("+") else "-"
-            codes = cq.sequence if strand == "+" else cq.rc_sequence
-            out.append(OffTargetHit.from_site(
-                query=query.sequence, chrom=chunk.chrom,
-                position=chunk.start + lo, strand=strand,
-                mismatches=int(mm), window=window, query_codes=codes))
-        return out
+        if mm_loci.size == 0:
+            return []
+        minus = direction != ord("+")
+        sites = site_strings(render_sites(chunk.data, mm_loci, minus,
+                                          cq.sequence, cq.rc_sequence))
+        positions = (int(chunk.start) + mm_loci.astype(np.int64)).tolist()
+        strands = np.where(minus, "-", "+").tolist()
+        return [OffTargetHit(query=query.sequence, chrom=chunk.chrom,
+                             position=position, strand=strand,
+                             mismatches=mismatches, site=site)
+                for position, strand, mismatches, site
+                in zip(positions, strands, mm_count.tolist(), sites)]
 
 
 @dataclass
@@ -303,19 +303,29 @@ class ResidentChunk:
     packed: Optional[PackedSites] = None
 
 
+#: One chunk's comparer output: an ``(mm_loci, mm_count, direction)``
+#: array triple per query, in query order, loci relative to the chunk.
+Triples = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def empty_triples(n_queries: int) -> Triples:
+    """Comparer output of a chunk without candidate sites."""
+    return [(np.zeros(0, np.uint32), np.zeros(0, np.uint16),
+             np.zeros(0, np.uint8)) for _ in range(n_queries)]
+
+
 def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
                      compiled_queries: Sequence[CompiledPattern],
-                     per_query: Sequence[Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]]
-                     ) -> List[List[OffTargetHit]]:
+                     per_query: Triples) -> List[List[OffTargetHit]]:
     """Render final hits for one resident chunk from comparer triples.
 
     This is the single hit-construction path for resident serving:
     :meth:`_BasePipeline.compare_resident` uses it after running the
-    comparer locally, and the sharded tier's parent uses it (one record
-    at a time) after reading triples back from a result ring — so a
-    hit is rendered identically no matter which process computed the
-    mismatch counts.
+    comparer locally, and the sharded tier's parent uses it after
+    reading triples back from a result ring — so a hit is rendered
+    identically no matter which process computed the mismatch counts.
+    Site text comes from one :func:`~repro.core.records.render_sites`
+    call per query.
     """
     chunk = Chunk(chrom=entry.chrom, start=entry.start,
                   data=entry.data, scan_length=entry.scan_length)
@@ -404,9 +414,6 @@ class _BasePipeline:
         for entry in entries:
             per_query = self.compare_resident_triples(
                 entry, queries, compiled_queries, batched)
-            if per_query is None:
-                results.append([[] for _ in queries])
-                continue
             results.append(build_entry_hits(
                 entry, queries, compiled_queries, per_query))
         return results
@@ -449,23 +456,22 @@ class _BasePipeline:
     def compare_resident_triples(
             self, entry: "ResidentChunk", queries: Sequence[Query],
             compiled_queries: Sequence[CompiledPattern],
-            batched: bool = True
-            ) -> Optional[List[Tuple[np.ndarray, np.ndarray,
-                                     np.ndarray]]]:
+            batched: bool = True) -> Triples:
         """Raw comparer triples for one resident chunk.
 
         Same routing as :meth:`compare_resident` (packed planes when
         present, byte comparer otherwise) but stops before hit
-        construction: returns ``None`` for an entry with no candidate
-        sites, else one ``(mm_loci, mm_count, direction)`` triple per
-        query.  The sharded tier's result rings ship these fixed-width
-        arrays across the process boundary; the parent renders
-        :class:`OffTargetHit` objects from the same triples with
-        :func:`build_entry_hits`, so both sides stay
+        construction: returns one ``(mm_loci, mm_count, direction)``
+        triple per query (empty arrays for an entry with no candidate
+        sites).  The sharded tier's result rings ship these
+        fixed-width arrays across the process boundary, and the
+        variant layer diffs them without building hits; the parent
+        renders :class:`OffTargetHit` objects from the same triples
+        with :func:`build_entry_hits`, so both sides stay
         element-identical.
         """
         if entry.loci.size == 0:
-            return None
+            return empty_triples(len(queries))
         if getattr(entry, "packed", None) is not None:
             return self._compare_resident_mixed(
                 entry, queries, compiled_queries, batched)

@@ -11,10 +11,14 @@ expensive genome scan is amortized across every request that follows.
 
 Results are pinned byte-identical to an offline search: the comparer is
 re-staged from the stored host arrays through the same pipeline entry
-points (:meth:`~repro.core.pipeline._BasePipeline.compare_resident`,
-itself built on ``compare_candidates``), and hits are built by the same
+points (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`,
+itself built on ``compare_candidates``).  Its per-chunk output, one
+``(mm_loci, mm_count, direction)`` array triple per query, is what the
+index hands on: :meth:`GenomeSiteIndex.query_batch` renders it into
+hits through the same
 :meth:`~repro.core.pipeline.SearchAccumulator._build_hits` the chunk
-loop uses.
+loop uses, while :meth:`GenomeSiteIndex.query_batch_with_extras` returns
+the triples themselves, so the variant layer builds no hit objects.
 
 By default the index keeps its candidate windows in the *packed* 2-bit
 resident form (:class:`~repro.core.pipeline.PackedSites` planes packed
@@ -57,7 +61,7 @@ from ..core.bitparallel import (acgtn_only, pack_site_windows,
 from ..core.config import Query
 from ..core.patterns import MISMATCH_LUT, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
-                             ResidentChunk, make_pipeline)
+                             ResidentChunk, Triples, make_pipeline)
 from ..core.records import OffTargetHit
 from ..genome.assembly import Assembly
 from ..observability import faults, tracing
@@ -428,8 +432,7 @@ class GenomeSiteIndex:
     def query_batch_with_extras(
             self, queries: Sequence[Query],
             extras: Sequence[ResidentChunk],
-    ) -> Tuple[List[List[OffTargetHit]],
-               List[List[List[OffTargetHit]]], int]:
+    ) -> Tuple[List[Tuple[ResidentChunk, Triples]], List[Triples], int]:
         """One comparer batch over resident chunks *plus* extras.
 
         ``extras`` are ephemeral, request-scoped resident entries —
@@ -439,11 +442,14 @@ class GenomeSiteIndex:
         is the whole point: searching K haplotypes costs one pass, not
         K+1.
 
-        Returns ``(reference_hits, extra_hits, reference_chunks)``:
-        per-query merged hits over the resident index, then one
-        per-query hit-list group per extra entry (in ``extras``
-        order; positions are relative to each extra's own coordinate
-        frame), and the number of resident chunks scanned.
+        Returns ``(reference, extra_triples, reference_chunks)``:
+        every scanned resident chunk paired with its comparer triples
+        (one ``(mm_loci, mm_count, direction)`` array triple per query,
+        loci relative to the chunk), then the triples of each extra
+        entry in ``extras`` order (in that extra's own coordinate
+        frame), and the number of resident chunks scanned.  No hit
+        objects are built: the variant layer diffs the triples and
+        renders site text only for the rows it reports.
         """
         if not queries:
             raise ValueError(
@@ -469,42 +475,38 @@ class GenomeSiteIndex:
                 self._queries_packed += packed_n
                 self._queries_fallback += len(compiled) - packed_n
 
-        def entry_stream():
-            yield from self._resident_entries()
-            yield from extras
+        def compare(entry: ResidentChunk) -> Triples:
+            return self.pipeline.compare_resident_triples(
+                entry, queries, compiled, batched=True)
 
-        hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        extra_hits: List[List[List[OffTargetHit]]] = []
-        for ei, entry_hits in enumerate(self.pipeline.compare_resident(
-                entry_stream(), queries, compiled, batched=True)):
-            if ei < n_ref:
-                for qi, query_hits in enumerate(entry_hits):
-                    hits[qi].extend(query_hits)
-            else:
-                extra_hits.append(entry_hits)
-        return hits, extra_hits, n_ref
+        reference = [(entry, compare(entry))
+                     for entry in self._resident_entries()]
+        return reference, [compare(entry) for entry in extras], n_ref
 
-    def _resident_entries(self):
-        """Yield non-empty chunks as comparer-ready resident entries.
+    def resident_chunk(self, number: int) -> ResidentChunk:
+        """Chunk ``number`` as a comparer-ready resident entry.
 
         Chunk bases were cached (as zero-copy views over the assembly)
         at build/load time, so no per-batch ``assembly.fetch`` happens
         on the serving hot path; in packed mode the resident 2-bit
         planes ride along for the bit-parallel comparer.
         """
-        for entry in self._chunks:
-            if entry.loci.size == 0:
-                continue
-            data = entry.data
-            if data is None:  # pre-cache index state (defensive)
-                data = self.assembly.fetch(entry.chrom, entry.start,
-                                           entry.start + entry.length)
-                entry.data = data
-            yield ResidentChunk(chrom=entry.chrom, start=entry.start,
-                                scan_length=entry.scan_length,
-                                data=data, loci=entry.loci,
-                                flags=entry.flags,
-                                packed=entry.packed)
+        entry = self._chunks[number]
+        data = entry.data
+        if data is None:  # pre-cache index state (defensive)
+            data = self.assembly.fetch(entry.chrom, entry.start,
+                                       entry.start + entry.length)
+            entry.data = data
+        return ResidentChunk(chrom=entry.chrom, start=entry.start,
+                             scan_length=entry.scan_length, data=data,
+                             loci=entry.loci, flags=entry.flags,
+                             packed=entry.packed)
+
+    def _resident_entries(self):
+        """Yield every non-empty chunk through :meth:`resident_chunk`."""
+        for number, entry in enumerate(self._chunks):
+            if entry.loci.size:
+                yield self.resident_chunk(number)
 
     def comparer_stats(self) -> Dict[str, object]:
         """Comparer-mode introspection for the ``stats`` server op."""

@@ -4,15 +4,53 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.patterns import reverse_complement
+from repro.core.patterns import PatternError, reverse_complement
 from repro.core.records import (HEADER, OffTargetHit, read_hits,
-                                sort_hits, write_hits)
+                                render_sites, site_strings, sort_hits,
+                                write_hits)
 from repro.genome.fasta import sequence_to_array
 
 
 def seq(text):
     return sequence_to_array(text)
+
+
+#: IUPAC code -> the concrete bases it stands for, and its complement.
+BASES = {"A": "A", "C": "C", "G": "G", "T": "T", "R": "AG", "Y": "CT",
+         "M": "AC", "K": "GT", "W": "AT", "S": "CG", "B": "CGT",
+         "D": "AGT", "H": "ACT", "V": "ACG", "N": "ACGT"}
+COMPLEMENT = dict(zip("ACGTRYMKWSBDHVN", "TGCAYRKMWSVHDBN"))
+
+
+def counts_as_mismatch(code: str, base: str) -> bool:
+    """Listing 1, one position: query ``code`` against genome byte
+    ``base``.  A concrete code mismatches anything but itself (in either
+    case); an ambiguity code mismatches only concrete bases it excludes;
+    ``N`` is never compared."""
+    if code == "N":
+        return False
+    if code in "ACGT":
+        return base.upper() != code
+    return base.upper() in "ACGT" and base.upper() not in BASES[code]
+
+
+def render_one(window: str, strand: str, query: str) -> str:
+    """The site column for one hit, written out base by base."""
+    if strand == "+":
+        compared = query
+        display = list(window)
+        flags = [counts_as_mismatch(c, b)
+                 for c, b in zip(compared, window)]
+    else:
+        compared = "".join(COMPLEMENT[c] for c in reversed(query))
+        flags = [counts_as_mismatch(c, b)
+                 for c, b in zip(compared, window)][::-1]
+        display = [COMPLEMENT[b.upper()] for b in reversed(window)]
+    return "".join(c.lower() if flag and "A" <= c <= "Z" else c
+                   for c, flag in zip(display, flags))
 
 
 class TestFromSite:
@@ -46,6 +84,36 @@ class TestFromSite:
                                      seq("ACGT"))
         # N is not a letter change candidate for lowercase (N stays N).
         assert hit.site[1] in ("N", "n")
+
+
+class TestRenderSites:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_per_base_rendering(self, data):
+        """Both strands, IUPAC query codes, genome N, soft-masked
+        lowercase and non-IUPAC bytes (which only a ``-`` window
+        rejects)."""
+        plen = data.draw(st.integers(1, 12), label="plen")
+        genome = data.draw(st.text("ACGTNacgtnRYKMryX*", min_size=plen,
+                                   max_size=plen + 40), label="genome")
+        query = data.draw(st.text("".join(BASES), min_size=plen,
+                                  max_size=plen), label="query")
+        rows = data.draw(st.lists(st.tuples(
+            st.integers(0, len(genome) - plen), st.sampled_from("+-")),
+            max_size=10), label="rows")
+        loci = np.array([locus for locus, _ in rows], dtype=np.uint32)
+        minus = np.array([strand == "-" for _, strand in rows],
+                         dtype=bool)
+        rc = "".join(COMPLEMENT[c] for c in reversed(query))
+        args = (seq(genome), loci, minus, seq(query), seq(rc))
+        try:
+            expected = [render_one(genome[lo:lo + plen], strand, query)
+                        for lo, strand in rows]
+        except KeyError:  # a - window holds a non-IUPAC byte
+            with pytest.raises(PatternError):
+                render_sites(*args)
+            return
+        assert site_strings(render_sites(*args)) == expected
 
 
 class TestIO:

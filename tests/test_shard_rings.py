@@ -242,10 +242,9 @@ class TestGatherRegressions:
             worker.process.join(timeout=5.0)
             worker.process = None
             specs = [(q.sequence, q.max_mismatches) for q in QUERIES]
-            compiled = [compile_pattern(q.sequence) for q in QUERIES]
             with tier._batch_lock:
                 collected = tier._gather(0, list(QUERIES), specs,
-                                         compiled, False, [worker])
+                                         False, [worker])
             assert 0 in collected
             assert worker.respawns == 1
 
@@ -297,6 +296,9 @@ class TestGatherRegressions:
         probes answer while a batch is in flight."""
         expected = index.query_batch(QUERIES)
         with ShardedSiteIndex(index, shards=2) as tier:
+            # Wait for the workers' task loops first: a spawned worker
+            # takes ~0.6 s to start, as long as the probe window.
+            assert tier.ping(timeout_s=30.0) == {0: True, 1: True}
             tier.inject_worker_delay(0, 1.5)
             results = []
             thread = threading.Thread(
