@@ -16,6 +16,9 @@ python -m pytest -x -q -m fault "$@"
 python -m pytest -x -q tests/test_service.py tests/test_packed_service.py \
     tests/test_shard_rings.py tests/test_router.py tests/test_design.py \
     tests/test_variants.py "$@"
+# Benchmark-harness self-tests: one of them starts a traced server whose
+# layer spans wrap serving functions by name, so renaming one fails here.
+python -m pytest -q perfbench
 python -m repro.service.client --smoke --clients 4 --duration 5 --packed
 python -m repro.service.client --smoke --clients 4 --duration 5 --no-packed
 # Sharded smokes: the result-ring hot path, then a 4-record ring that
