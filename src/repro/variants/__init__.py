@@ -17,10 +17,11 @@ incrementally:
   touches; :func:`~repro.variants.overlay.search_variants` rebuilds
   (finder scan + 2-bit re-pack) only the touched chunks and rides them
   with the resident reference chunks through **one** batched comparer
-  pass, then projects haplotype hits back to reference coordinates so
-  downstream indel shifts cancel and the report is exactly the
+  pass, then projects haplotype sites back to reference coordinates
+  so downstream indel shifts cancel and the report is exactly the
   per-haplotype gained/lost off-targets, with causal-variant
-  provenance.
+  provenance.  The diff runs on the comparer's columnar output; site
+  text is rendered only for the reported events.
 
 The ``variant`` server op, the router fan-out and the client's
 ``variant_search`` all serialize through
