@@ -11,31 +11,24 @@ fault:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m fault
 
 # Query-service tests plus load-generator smokes: packed and byte
-# comparer modes, 2-shard worker-process runs over the result rings
-# (normal and forced-overflow), then a hard failure on any leaked shm
-# segment before the cleanup sweep.
+# comparer modes, then packed with the adaptive scheduler.
 service:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_service.py \
-		tests/test_packed_service.py tests/test_shard_rings.py
+		tests/test_packed_service.py
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
 		--clients 4 --duration 5 --packed
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
 		--clients 4 --duration 5 --no-packed
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
-		--clients 4 --duration 5 --packed --shards 2 --adaptive
-	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
-		--clients 4 --duration 5 --packed --shards 2 --ring-records 4
-	PYTHONPATH=src $(PYTHON) -m repro.service.shards --guard
-	PYTHONPATH=src $(PYTHON) -m repro.service.shards --cleanup
+		--clients 4 --duration 5 --packed --adaptive
 
 # Routing-tier tests plus the fleet smoke: 3 subprocess backends, one
 # induced SIGKILL, one zero-downtime rollover, graceful SIGTERM drain;
 # byte-identity against a single-process server and zero leaked
-# processes/ready files/shm segments are asserted throughout.
+# processes/ready files are asserted throughout.
 router:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_router.py
 	PYTHONPATH=src $(PYTHON) -m repro.service.router --smoke --duration 6
-	PYTHONPATH=src $(PYTHON) -m repro.service.shards --guard
 
 # Guide-design tests plus the design smoke: in-process reference vs a
 # served design request, byte-identity and the single-scan comparer
@@ -46,12 +39,11 @@ design:
 	PYTHONPATH=src $(PYTHON) -m repro.design --smoke
 
 # Variant-aware search tests plus the variants smoke: single-batch
-# comparer accounting, served/sharded byte-identity against the
-# in-process payload, and a TOML enzyme config served end to end.
+# comparer accounting, served byte-identity against the in-process
+# payload, and a TOML enzyme config served end to end.
 variants:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_variants.py
 	PYTHONPATH=src $(PYTHON) -m repro.variants --smoke
-	PYTHONPATH=src $(PYTHON) -m repro.service.shards --guard
 
 # Tier-1 suite plus explicit fault and service passes, one command.
 verify:

@@ -14,29 +14,10 @@ search, as a one-process-per-query deployment would.
 * ``service``: the same genome behind a :class:`GenomeSiteIndex` and
   :class:`OffTargetServer`; the load generator drives it at several
   concurrency levels through real sockets.
-* ``service_sharded``: the same server over a
-  :class:`ShardedSiteIndex` (``--shards`` worker processes mapping the
-  candidate arrays from shared memory), measuring what scatter/gather
-  fan-out buys over the single-process service.  On a single-core host
-  expect parity at best — the report records ``host.cpus`` so the
-  number can be read honestly.
 * ``service_packed``: the single-process service again, but with the
   index in its packed 2-bit resident form, so every micro-batch runs
   the bit-parallel comparer (XOR + odd-bit fold + popcount over
   resident uint64 planes) instead of byte compares.
-  ``shm_segment_bytes`` records the sharded tier's shared-memory
-  footprint in both layouts and the reduction factor.
-* ``service_sharded_rings``: the packed index behind the sharded tier
-  with its shared-memory result rings — workers ship fixed-width hit
-  records instead of pickled hit lists.  The final ``comparer`` stats
-  snapshot records ``result_path`` (ring vs pickle batches),
-  ``ring_high_water`` and ``shards_skipped``.
-* ``service_degraded``: the same sharded construction with
-  ``auto_degrade=True``.  On a single-CPU host the tier routes itself
-  out of the picture at construction and every batch runs in-process,
-  so the honest expectation is parity with ``service_packed`` — the
-  scatter/gather hop is never paid (``speedup_degraded`` records the
-  ratio).
 * ``--router`` (separate pass, merged into the same JSON under
   ``router``): a 3-backend chromosome-partitioned fleet behind
   :class:`OffTargetRouter` vs the same genome on one server.  With
@@ -67,8 +48,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.core.config import Query, SearchRequest
 from repro.core.pipeline import search
 from repro.genome.synthetic import synthetic_assembly
-from repro.service import (GenomeSiteIndex, OffTargetServer,
-                           ShardedSiteIndex)
+from repro.service import GenomeSiteIndex, OffTargetServer
 from repro.service.client import ServiceClient, _percentile
 
 #: The paper's evaluation shape: SpCas9 NRG PAM, 20-nt guides, up to 4
@@ -139,7 +119,7 @@ def bench_baseline(assembly, clients: int, duration_s: float,
 
 def run_bench(scale: float, chunk_size: int, duration_s: float,
               concurrency: list, device: str, max_batch: int,
-              max_wait_ms: float, shards: int) -> dict:
+              max_wait_ms: float) -> dict:
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     build_began = time.perf_counter()
     index = GenomeSiteIndex.build(assembly, PATTERN,
@@ -174,25 +154,6 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     finally:
         handle.stop()
 
-    service_sharded = {}
-    sharded_index = ShardedSiteIndex(index, shards=shards)
-    sharded_server = OffTargetServer(
-        sharded_index, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        max_queue=max(64, 4 * max(concurrency)))
-    sharded_handle = sharded_server.start_background()
-    try:
-        for clients in concurrency:
-            print(f"sharded  @ {clients} clients "
-                  f"({shards} shards) ...", flush=True)
-            queries_by_client = [
-                [QUERY_POOL[i % len(QUERY_POOL)]]
-                for i in range(clients)]
-            service_sharded[str(clients)] = _service_load(
-                sharded_handle, queries_by_client, duration_s)
-    finally:
-        sharded_handle.stop()
-        sharded_index.close()
-
     service_packed = {}
     packed_server = OffTargetServer(
         packed_index, max_batch=max_batch, max_wait_ms=max_wait_ms,
@@ -209,101 +170,17 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     finally:
         packed_handle.stop()
 
-    service_sharded_rings = {}
-    rings_index = ShardedSiteIndex(packed_index, shards=shards)
-    rings_server = OffTargetServer(
-        rings_index, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        max_queue=max(64, 4 * max(concurrency)))
-    rings_handle = rings_server.start_background()
-    try:
-        for clients in concurrency:
-            print(f"rings    @ {clients} clients "
-                  f"({shards} shards, packed) ...", flush=True)
-            queries_by_client = [
-                [QUERY_POOL[i % len(QUERY_POOL)]]
-                for i in range(clients)]
-            service_sharded_rings[str(clients)] = _service_load(
-                rings_handle, queries_by_client, duration_s)
-        rings_stats = rings_index.comparer_stats()
-    finally:
-        rings_handle.stop()
-        rings_index.close()
-
-    service_degraded = {}
-    degraded_index = ShardedSiteIndex(packed_index, shards=shards,
-                                      auto_degrade=True)
-    degraded_server = OffTargetServer(
-        degraded_index, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        max_queue=max(64, 4 * max(concurrency)))
-    degraded_handle = degraded_server.start_background()
-    try:
-        for clients in concurrency:
-            print(f"degrade  @ {clients} clients (auto_degrade"
-                  f"{', degraded' if degraded_index.degraded else ''}"
-                  f") ...", flush=True)
-            queries_by_client = [
-                [QUERY_POOL[i % len(QUERY_POOL)]]
-                for i in range(clients)]
-            service_degraded[str(clients)] = _service_load(
-                degraded_handle, queries_by_client, duration_s)
-        degraded = {"degraded": degraded_index.degraded,
-                    "reason": degraded_index.degrade_reason}
-    finally:
-        degraded_handle.stop()
-        degraded_index.close()
-
-    # Shared-memory footprint of the sharded tier in both layouts
-    # (publication only — no worker processes are spawned).
-    byte_pub = ShardedSiteIndex(index, shards=shards, start=False)
-    try:
-        byte_segments = byte_pub.segment_bytes()
-    finally:
-        byte_pub.close()
-    packed_pub = ShardedSiteIndex(packed_index, shards=shards,
-                                  start=False)
-    try:
-        packed_segments = packed_pub.segment_bytes()
-    finally:
-        packed_pub.close()
-    shm_segment_bytes = {
-        "byte": byte_segments,
-        "packed": packed_segments,
-        "reduction": (byte_segments["total"]
-                      / packed_segments["total"]
-                      if packed_segments["total"] > 0 else None),
-    }
-
     speedup = {
         clients: (service[clients]["throughput_rps"]
                   / baseline[clients]["throughput_rps"]
                   if baseline[clients]["throughput_rps"] > 0 else None)
         for clients in baseline
     }
-    speedup_sharded = {
-        clients: (service_sharded[clients]["throughput_rps"]
-                  / service[clients]["throughput_rps"]
-                  if service[clients]["throughput_rps"] > 0 else None)
-        for clients in service
-    }
     speedup_packed = {
         clients: (service_packed[clients]["throughput_rps"]
                   / service[clients]["throughput_rps"]
                   if service[clients]["throughput_rps"] > 0 else None)
         for clients in service
-    }
-    speedup_rings = {
-        clients: (service_sharded_rings[clients]["throughput_rps"]
-                  / service_packed[clients]["throughput_rps"]
-                  if service_packed[clients]["throughput_rps"] > 0
-                  else None)
-        for clients in service_packed
-    }
-    speedup_degraded = {
-        clients: (service_degraded[clients]["throughput_rps"]
-                  / service_packed[clients]["throughput_rps"]
-                  if service_packed[clients]["throughput_rps"] > 0
-                  else None)
-        for clients in service_packed
     }
     return {
         "host": {"cpus": os.cpu_count()},
@@ -317,28 +194,24 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
             "duration_s": duration_s, "concurrency": concurrency,
             "max_batch": max_batch, "max_wait_ms": max_wait_ms,
             "index_build_s": build_s,
-            "packed_index_build_s": packed_build_s, "shards": shards,
+            "packed_index_build_s": packed_build_s,
         },
         "baseline": baseline,
         "service": service,
-        "service_sharded": service_sharded,
         "service_packed": service_packed,
-        "service_sharded_rings": service_sharded_rings,
-        "service_degraded": service_degraded,
-        "sharded_rings_comparer": rings_stats,
-        "degraded": degraded,
         "speedup_throughput": speedup,
-        "speedup_sharded": speedup_sharded,
         "speedup_packed": speedup_packed,
-        "speedup_rings": speedup_rings,
-        "speedup_degraded": speedup_degraded,
-        "shm_segment_bytes": shm_segment_bytes,
     }
 
 
 def _service_load(handle, queries_by_client, duration_s: float) -> dict:
-    """Like run_load, but each client thread sends its own query list."""
+    """Like run_load, but each client thread sends its own query list.
+
+    A client thread that fails ends; once every thread has joined, the
+    first such exception re-raises.
+    """
     results = []
+    failures = []
     lock = threading.Lock()
     start_gate = threading.Event()
     stop_at_holder = []
@@ -346,15 +219,20 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
     def _worker(queries) -> None:
         completed = 0
         latencies = []
-        with ServiceClient(handle.host, handle.port) as client:
-            start_gate.wait()
-            stop_at = stop_at_holder[0]
-            while time.perf_counter() < stop_at:
-                began = time.perf_counter()
-                client.query(queries)
-                latencies.append(
-                    (time.perf_counter() - began) * 1000.0)
-                completed += 1
+        try:
+            with ServiceClient(handle.host, handle.port) as client:
+                start_gate.wait()
+                stop_at = stop_at_holder[0]
+                while time.perf_counter() < stop_at:
+                    began = time.perf_counter()
+                    client.query(queries)
+                    latencies.append(
+                        (time.perf_counter() - began) * 1000.0)
+                    completed += 1
+        except Exception as exc:  # noqa: BLE001 - re-raised after join
+            with lock:
+                failures.append(exc)
+            return
         with lock:
             results.append((completed, latencies))
 
@@ -368,6 +246,8 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - began
+    if failures:
+        raise failures[0]
 
     with ServiceClient(handle.host, handle.port) as client:
         server_stats = client.stats()
@@ -498,8 +378,6 @@ def main(argv=None) -> int:
                         help="client counts to measure")
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
-    parser.add_argument("--shards", type=int, default=2,
-                        help="worker processes for the sharded run")
     parser.add_argument("--device", default="MI100")
     parser.add_argument("--router", action="store_true",
                         help="run the routed-fleet vs single-server "
@@ -549,8 +427,7 @@ def main(argv=None) -> int:
                        duration_s=args.duration,
                        concurrency=args.concurrency,
                        device=args.device, max_batch=args.max_batch,
-                       max_wait_ms=args.max_wait_ms,
-                       shards=args.shards)
+                       max_wait_ms=args.max_wait_ms)
     existing = {}
     if os.path.exists(path):
         with open(path) as handle:
@@ -566,40 +443,17 @@ def main(argv=None) -> int:
     for clients in report["baseline"]:
         base = report["baseline"][clients]
         serv = report["service"][clients]
-        shard = report["service_sharded"][clients]
         packed = report["service_packed"][clients]
         ratio = report["speedup_throughput"][clients]
-        shard_ratio = report["speedup_sharded"][clients]
         packed_ratio = report["speedup_packed"][clients]
         print(f"{clients:>3} clients: baseline "
               f"{base['throughput_rps']:7.2f} req/s "
               f"(p95 {base['latency_ms']['p95']:7.1f} ms) | service "
               f"{serv['throughput_rps']:7.2f} req/s "
               f"(p95 {serv['latency_ms']['p95']:7.1f} ms) | "
-              f"{ratio:.2f}x | sharded "
-              f"{shard['throughput_rps']:7.2f} req/s "
-              f"({shard_ratio:.2f}x vs service) | packed "
+              f"{ratio:.2f}x | packed "
               f"{packed['throughput_rps']:7.2f} req/s "
               f"({packed_ratio:.2f}x vs service)")
-    for clients in report["service_packed"]:
-        rings = report["service_sharded_rings"][clients]
-        degraded = report["service_degraded"][clients]
-        print(f"{clients:>3} clients: sharded+rings "
-              f"{rings['throughput_rps']:7.2f} req/s "
-              f"({report['speedup_rings'][clients]:.2f}x vs packed) | "
-              f"auto-degrade {degraded['throughput_rps']:7.2f} req/s "
-              f"({report['speedup_degraded'][clients]:.2f}x vs packed)")
-    comparer = report["sharded_rings_comparer"]
-    print(f"ring path: {comparer['result_path']} | high water "
-          f"{comparer['ring_high_water']} / {comparer['ring_records']} "
-          f"records | shards skipped {comparer['shards_skipped']}")
-    degraded = report["degraded"]
-    if degraded["degraded"]:
-        print(f"auto-degrade engaged: {degraded['reason']}")
-    segments = report["shm_segment_bytes"]
-    print(f"shm segments: byte {segments['byte']['total']:,} B -> "
-          f"packed {segments['packed']['total']:,} B "
-          f"({segments['reduction']:.2f}x smaller)")
     print(f"wrote {path}")
     return 0
 

@@ -422,26 +422,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-queue", type=_positive_int, default=64,
                         help="admission-control queue bound; beyond it "
                              "requests are rejected as overloaded")
-    parser.add_argument("--shards", type=_positive_int, default=1,
-                        help="comparer worker processes; >1 partitions "
-                             "the index into shared-memory shards with "
-                             "one process each (responses stay "
-                             "byte-identical)")
-    parser.add_argument("--ring-records", type=_nonnegative_int,
-                        default=None,
-                        help="per-shard result-ring capacity in "
-                             "records (default 65536; 0 disables the "
-                             "rings and every batch takes the pickled "
-                             "fallback path)")
-    parser.add_argument("--auto-degrade", action="store_true",
-                        help="with --shards >1: serve in-process when "
-                             "the host cannot win the scatter/gather "
-                             "hop (single cpu)")
     parser.add_argument("--adaptive", action="store_true",
                         help="let the scheduler retune max_batch from "
-                             "queue depth and latency tails, and "
-                             "route sub-scatter batches to the "
-                             "in-process comparer")
+                             "queue depth and latency tails")
     parser.add_argument("--packed", default=True,
                         action=argparse.BooleanOptionalAction,
                         help="keep candidate windows in the resident "
@@ -564,23 +547,6 @@ def _run_serve(argv: List[str]) -> int:
     print(f"# comparer mode: {mode}"
           + (f" (degraded: {reason})" if reason else ""),
           file=sys.stderr)
-    serving = index
-    if args.shards > 1:
-        from .service.shards import (DEFAULT_RING_RECORDS,
-                                     ShardedSiteIndex)
-        serving = ShardedSiteIndex(
-            index, shards=args.shards,
-            ring_records=(DEFAULT_RING_RECORDS
-                          if args.ring_records is None
-                          else args.ring_records),
-            auto_degrade=args.auto_degrade)
-        if serving.degraded:
-            print(f"# sharded serving degraded: "
-                  f"{serving.degrade_reason}", file=sys.stderr)
-        else:
-            print(f"# sharded serving: {args.shards} worker "
-                  f"processes, {serving.ring_records} ring records "
-                  f"per shard", file=sys.stderr)
     enzymes = []
     if args.enzyme_configs:
         from .enzymes import EnzymeError, load_enzymes
@@ -613,21 +579,20 @@ def _run_serve(argv: List[str]) -> int:
     import signal
     import threading
     if threading.current_thread() is threading.main_thread():
-        # A supervisor's SIGTERM must still remove the ready file and
-        # unlink shared-memory shards; Python's default handler would
-        # kill the process without running any finally block.  Once
-        # the event loop runs, the server's own SIGTERM handler takes
-        # over and drains gracefully first.
+        # A supervisor's SIGTERM must still remove the ready file;
+        # Python's default handler would kill the process without
+        # running any finally block.  Once the event loop runs, the
+        # server's own SIGTERM handler takes over and drains
+        # gracefully first.
         signal.signal(signal.SIGTERM,
                       lambda signum, frame: sys.exit(0))
     reloader = _make_reloader(args, assembly, index.pattern,
                               manifest_path)
     try:
         server = OffTargetServer(
-            serving, host=args.host, port=args.port,
+            index, host=args.host, port=args.port,
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue, adaptive=args.adaptive,
-            direct_below=2 if args.adaptive else 0,
             reloader=reloader,
             request_fault_plan=args.request_fault_inject,
             drain_s=args.drain_s,
@@ -637,12 +602,7 @@ def _run_serve(argv: List[str]) -> int:
     print(f"# serving {index.assembly.name} pattern={index.pattern} "
           f"on {args.host} (max_batch={args.max_batch}, "
           f"max_wait_ms={args.max_wait_ms:g})", file=sys.stderr)
-    try:
-        server.run(duration_s=args.duration_s,
-                   ready_file=args.ready_file)
-    finally:
-        if serving is not index:
-            serving.close()
+    server.run(duration_s=args.duration_s, ready_file=args.ready_file)
     return 0
 
 
@@ -670,15 +630,6 @@ def _make_reloader(args: argparse.Namespace, assembly: Assembly,
                 assembly, pattern, chunk_size=args.chunk_size,
                 api=args.api, device=args.device,
                 max_retries=args.max_retries, packed=args.packed)
-        if args.shards > 1:
-            from .service.shards import (DEFAULT_RING_RECORDS,
-                                         ShardedSiteIndex)
-            index = ShardedSiteIndex(
-                index, shards=args.shards,
-                ring_records=(DEFAULT_RING_RECORDS
-                              if args.ring_records is None
-                              else args.ring_records),
-                auto_degrade=args.auto_degrade)
         return index
 
     return reloader

@@ -285,9 +285,7 @@ class PackedSites:
 class ResidentChunk:
     """One chunk's resident candidate data, ready for the comparer.
 
-    The arrays may be views over ``multiprocessing.shared_memory``
-    segments (the sharded serving tier maps them zero-copy); the
-    comparer entry points only read them, and
+    The comparer entry points only read the arrays, and
     :meth:`_BasePipeline.compare_candidates` re-stages contiguous
     arrays without copying.  When ``packed`` planes are present the
     batched comparer runs bit-parallel over them; ``data`` stays
@@ -319,13 +317,10 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
                      per_query: Triples) -> List[List[OffTargetHit]]:
     """Render final hits for one resident chunk from comparer triples.
 
-    This is the single hit-construction path for resident serving:
-    :meth:`_BasePipeline.compare_resident` uses it after running the
-    comparer locally, and the sharded tier's parent uses it after
-    reading triples back from a result ring — so a hit is rendered
-    identically no matter which process computed the mismatch counts.
-    Site text comes from one :func:`~repro.core.records.render_sites`
-    call per query.
+    This is the hit-construction step of resident serving:
+    :meth:`_BasePipeline.compare_resident` calls it on the triples of
+    :meth:`_BasePipeline.compare_resident_triples`.  Site text comes
+    from one :func:`~repro.core.records.render_sites` call per query.
     """
     chunk = Chunk(chrom=entry.chrom, start=entry.start,
                   data=entry.data, scan_length=entry.scan_length)
@@ -397,8 +392,7 @@ class _BasePipeline:
         order; hits are built by the same
         :meth:`SearchAccumulator._build_hits` the chunk loop uses, so
         concatenating the per-entry lists in chunk order reproduces a
-        full search byte-for-byte.  This is the unit of work one shard
-        worker executes over its shared-memory slice.
+        full search byte-for-byte.
 
         Entries carrying :class:`PackedSites` planes run the
         bit-parallel comparer over the resident 2-bit words instead of
@@ -463,12 +457,10 @@ class _BasePipeline:
         present, byte comparer otherwise) but stops before hit
         construction: returns one ``(mm_loci, mm_count, direction)``
         triple per query (empty arrays for an entry with no candidate
-        sites).  The sharded tier's result rings ship these
-        fixed-width arrays across the process boundary, and the
-        variant layer diffs them without building hits; the parent
-        renders :class:`OffTargetHit` objects from the same triples
-        with :func:`build_entry_hits`, so both sides stay
-        element-identical.
+        sites).  The variant layer diffs these arrays without building
+        hits; :meth:`compare_resident` renders :class:`OffTargetHit`
+        objects from the same triples with :func:`build_entry_hits`,
+        so both stay element-identical.
         """
         if entry.loci.size == 0:
             return empty_triples(len(queries))

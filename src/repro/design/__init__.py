@@ -19,7 +19,7 @@ API:
   top-N come back as :class:`GuideDesignReport` rows.
 
 The same workflow is exposed as the ``design`` op of the query service
-(server, sharded tier and router alike, byte-identical), via
+(server and router alike, byte-identical), via
 ``repro.service.client.ServiceClient.design`` and the ``design`` CLI
 subcommand.  ``python -m repro.design --smoke`` checks a live server's
 ``design`` response against the in-process reference.

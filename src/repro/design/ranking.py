@@ -327,10 +327,9 @@ def design_guides(index, chrom: str, start: int, end: int,
                   = None) -> DesignResult:
     """Enumerate, scan once, rank: the guide-design workflow.
 
-    ``index`` is anything with the resident-index surface
-    (``pattern``, ``assembly``, ``query_batch``) — the in-process
-    :class:`~repro.service.index.GenomeSiteIndex` or the sharded
-    tier.  All unique candidate queries go through exactly one
+    ``index`` is a :class:`~repro.service.index.GenomeSiteIndex` or
+    anything with its ``pattern``, ``assembly`` and ``query_batch``.
+    All unique candidate queries go through exactly one
     ``querier`` call (default ``index.query_batch``): one batched
     comparer pass over the resident index for the entire candidate
     set.

@@ -54,8 +54,8 @@ class Span:
     tid: str
     args: Dict[str, Any] = field(default_factory=dict)
     #: Chrome-trace phase: "X" complete event, "i" instant event,
-    #: "M" metadata event (process/thread naming), "s"/"f" flow
-    #: start/finish (arrows between lanes, e.g. router -> backend).
+    #: "s"/"f" flow start/finish (arrows between lanes, e.g. router ->
+    #: backend).
     phase: str = "X"
     #: Correlates "s"/"f" flow events; ignored for other phases.
     flow_id: Optional[int] = None
@@ -122,22 +122,6 @@ class TraceRecorder:
         self._buffer().append(entry)
         return entry
 
-    def counter(self, name: str, cat: str = "", **values) -> Span:
-        """Record a counter sample (Chrome-trace ``ph: "C"`` event).
-
-        Counter events render as a stacked value track in trace
-        viewers; the sharded tier samples ring occupancy through this
-        so ring sizing can be read off a trace instead of guessed.
-        ``values`` must be numeric — they become the counter series.
-        """
-        now = _CLOCK()
-        entry = Span(name=name, cat=cat, start_s=now, end_s=now,
-                     pid=os.getpid(),
-                     tid=threading.current_thread().name,
-                     args=dict(values), phase="C")
-        self._buffer().append(entry)
-        return entry
-
     def flow(self, name: str, flow_id: int, cat: str = "",
              end: bool = False, **args) -> Span:
         """Record a flow start (``ph: "s"``) or finish (``ph: "f"``).
@@ -154,22 +138,6 @@ class TraceRecorder:
                      tid=threading.current_thread().name,
                      args=dict(args), phase="f" if end else "s",
                      flow_id=int(flow_id))
-        self._buffer().append(entry)
-        return entry
-
-    def set_process_name(self, label: str) -> Span:
-        """Record a ``process_name`` metadata event for this process.
-
-        Shard workers call this so their spans group under a readable
-        lane (``shard-0``, ``shard-1``, ...) in Chrome-trace viewers
-        instead of a bare pid.  The span is picklable like any other,
-        so workers ship it back with their drained spans.
-        """
-        now = _CLOCK()
-        entry = Span(name="process_name", cat="__metadata",
-                     start_s=now, end_s=now, pid=os.getpid(),
-                     tid=threading.current_thread().name,
-                     args={"name": label}, phase="M")
         self._buffer().append(entry)
         return entry
 
@@ -218,11 +186,6 @@ class TraceRecorder:
                 events.append({
                     "name": "thread_name", "ph": "M", "pid": span.pid,
                     "tid": tids[key], "args": {"name": span.tid}})
-            if span.phase == "M":
-                events.append({
-                    "name": span.name, "ph": "M", "pid": span.pid,
-                    "tid": tids[key], "args": span.args})
-                continue
             event: Dict[str, Any] = {
                 "name": span.name,
                 "cat": span.cat or "default",
@@ -241,7 +204,6 @@ class TraceRecorder:
                 if span.phase == "f":
                     # Bind the arrow head to the enclosing slice.
                     event["bp"] = "e"
-            # Counter events ("C") carry their values directly in args.
             events.append(event)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -319,13 +281,6 @@ def instant(name: str, cat: str = "", **args) -> None:
         recorder.instant(name, cat, **args)
 
 
-def counter(name: str, cat: str = "", **values) -> None:
-    """Record a counter sample on the active recorder, if any."""
-    recorder = _active
-    if recorder is not None:
-        recorder.counter(name, cat, **values)
-
-
 def flow(name: str, flow_id: int, cat: str = "", end: bool = False,
          **args) -> None:
     """Record a flow start/finish on the active recorder, if any."""
@@ -339,13 +294,6 @@ def merge(spans: Sequence[Span]) -> None:
     recorder = _active
     if recorder is not None and spans:
         recorder.merge(spans)
-
-
-def set_process_name(label: str) -> None:
-    """Name this process in trace exports, if a recorder is active."""
-    recorder = _active
-    if recorder is not None:
-        recorder.set_process_name(label)
 
 
 def drain_active() -> List[Span]:

@@ -17,18 +17,12 @@ many-per-query asymmetry:
   asyncio JSON-lines TCP server (stdlib only) exposing ``query``,
   ``stats`` and ``health`` ops, plus a blocking client and a load
   generator;
-* :mod:`repro.service.shards` — :class:`~repro.service.shards.
-  ShardedSiteIndex` partitions the resident index by chunk into N
-  shared-memory shards served by one comparer worker process each,
-  with scatter/gather batching, crash-respawn failover and a
-  deterministic merge that keeps responses byte-identical to the
-  single-process path;
 * :mod:`repro.service.router` — :class:`~repro.service.router.
   OffTargetRouter` partitions the genome by *chromosome* across N
-  backend servers (the horizontal step after in-host shards), with
-  health probing and ejection, hedged reads, bounded retry against
-  replicas, zero-downtime index rollover, and the same byte-identity
-  guarantee via a stable merge by chromosome rank.
+  backend servers, on one host or many, with health probing and
+  ejection, hedged reads, bounded retry against replicas,
+  zero-downtime index rollover, and responses kept byte-identical to
+  one server's by a stable merge on chromosome rank.
 
 The serving layer is backend-agnostic over the OpenCL/SYCL runtimes:
 the index takes the same ``api``/``device`` selectors as
@@ -45,20 +39,15 @@ from .server import OffTargetServer
 from .client import (ServiceClient, ServiceDeadlineError, ServiceError,
                      ServiceOverloadedError, run_load)
 
-#: Re-exported lazily: importing .shards/.router here would make their
-#: ``python -m repro.service.<mod>`` maintenance/smoke entry points
-#: warn about the module being imported twice (runpy sees it in
-#: sys.modules before executing it as __main__).
-_SHARD_EXPORTS = ("ShardedSiteIndex", "ShardWorkerError",
-                  "cleanup_leaked_segments")
+#: Re-exported lazily: importing .router here would make its
+#: ``python -m repro.service.router`` smoke entry point warn about the
+#: module being imported twice (runpy sees it in sys.modules before
+#: executing it as __main__).
 _ROUTER_EXPORTS = ("OffTargetRouter", "RouterError",
                    "partition_chromosomes", "replica_plan")
 
 
 def __getattr__(name):
-    if name in _SHARD_EXPORTS:
-        from . import shards
-        return getattr(shards, name)
     if name in _ROUTER_EXPORTS:
         from . import router
         return getattr(router, name)
@@ -70,7 +59,6 @@ __all__ = [
     "SiteIndexVersionError", "BatchScheduler", "DeadlineExceeded", "SchedulerClosed",
     "ServiceOverloaded", "OffTargetServer", "ServiceClient",
     "ServiceError", "ServiceOverloadedError", "ServiceDeadlineError",
-    "run_load", "ShardedSiteIndex", "ShardWorkerError",
-    "cleanup_leaked_segments", "OffTargetRouter", "RouterError",
+    "run_load", "OffTargetRouter", "RouterError",
     "partition_chromosomes", "replica_plan",
 ]

@@ -196,7 +196,7 @@ class ServiceClient:
         Returns the response payload with ``reports`` decoded into
         :class:`~repro.design.ranking.GuideDesignReport` rows (the raw
         wire rows stay under ``"report_rows"``); works identically
-        against a single server, a sharded server and a router.
+        against a single server and a router.
         """
         from ..design.ranking import decode_reports
 
@@ -228,8 +228,8 @@ class ServiceClient:
         ``haplotypes`` accepts :class:`~repro.variants.model.Haplotype`
         objects or already-encoded ``{"name", "variants"}`` mappings;
         returns the response payload (``events`` rows laid out as
-        ``event_fields``) unchanged — it is byte-identical across a
-        single server, a sharded server and a router.
+        ``event_fields``) unchanged — it is byte-identical between a
+        single server and a router.
         """
         encoded = [h.to_payload() if hasattr(h, "to_payload") else h
                    for h in haplotypes]
@@ -274,15 +274,17 @@ def run_load(host: str, port: int, queries: Sequence[Query],
 
     Each client thread issues ``queries`` as one request, back to back,
     until the clock runs out.  Overload/deadline rejections count as
-    ``errors`` (the server telling us to back off), transport failures
-    re-raise.  Returns client-side throughput/latency plus the server's
-    own ``stats`` snapshot taken after the run.
+    ``errors`` (the server telling us to back off).  Any other failure
+    ends its client thread; once every thread has joined, the first
+    such exception re-raises.  Returns client-side throughput/latency
+    plus the server's own ``stats`` snapshot taken after the run.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     if not duration_s > 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
     results: List[Tuple[int, int, List[float]]] = []
+    failures: List[Exception] = []
     results_lock = threading.Lock()
     start_gate = threading.Event()
     stop_at_holder: List[float] = []
@@ -290,21 +292,26 @@ def run_load(host: str, port: int, queries: Sequence[Query],
     def _worker() -> None:
         completed = errors = 0
         latencies: List[float] = []
-        with ServiceClient(host, port) as client:
-            start_gate.wait()
-            stop_at = stop_at_holder[0]
-            while time.perf_counter() < stop_at:
-                began = time.perf_counter()
-                try:
-                    client.query(queries, deadline_s=deadline_s)
-                except ServiceError as exc:
-                    if exc.code in ("overloaded", "deadline"):
-                        errors += 1
-                        continue
-                    raise
-                latencies.append(
-                    (time.perf_counter() - began) * 1000.0)
-                completed += 1
+        try:
+            with ServiceClient(host, port) as client:
+                start_gate.wait()
+                stop_at = stop_at_holder[0]
+                while time.perf_counter() < stop_at:
+                    began = time.perf_counter()
+                    try:
+                        client.query(queries, deadline_s=deadline_s)
+                    except ServiceError as exc:
+                        if exc.code in ("overloaded", "deadline"):
+                            errors += 1
+                            continue
+                        raise
+                    latencies.append(
+                        (time.perf_counter() - began) * 1000.0)
+                    completed += 1
+        except Exception as exc:  # noqa: BLE001 - re-raised after join
+            with results_lock:
+                failures.append(exc)
+            return
         with results_lock:
             results.append((completed, errors, latencies))
 
@@ -318,6 +325,8 @@ def run_load(host: str, port: int, queries: Sequence[Query],
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - began
+    if failures:
+        raise failures[0]
 
     with ServiceClient(host, port) as client:
         server_stats = client.stats()
@@ -349,9 +358,8 @@ def run_load(host: str, port: int, queries: Sequence[Query],
 # Smoke entry point: `python -m repro.service.client --smoke`
 # ---------------------------------------------------------------------------
 
-def _smoke(clients: int, duration_s: float, shards: int = 0,
-           packed: bool = True, ring_records: Optional[int] = None,
-           auto_degrade: bool = False, adaptive: bool = False) -> int:
+def _smoke(clients: int, duration_s: float, packed: bool = True,
+           adaptive: bool = False) -> int:
     from ..genome.synthetic import synthetic_assembly
     from .index import GenomeSiteIndex
     from .server import OffTargetServer
@@ -359,17 +367,8 @@ def _smoke(clients: int, duration_s: float, shards: int = 0,
     assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
     index = GenomeSiteIndex.build(assembly, "NNNNNNRG",
                                   chunk_size=1 << 15, packed=packed)
-    serving = index
-    if shards:
-        from .shards import DEFAULT_RING_RECORDS, ShardedSiteIndex
-        serving = ShardedSiteIndex(
-            index, shards=shards,
-            ring_records=(DEFAULT_RING_RECORDS if ring_records is None
-                          else ring_records),
-            auto_degrade=auto_degrade)
-    server = OffTargetServer(serving, max_batch=8, max_wait_ms=2.0,
-                             adaptive=adaptive,
-                             direct_below=2 if adaptive else 0)
+    server = OffTargetServer(index, max_batch=8, max_wait_ms=2.0,
+                             adaptive=adaptive)
     handle = server.start_background()
     try:
         report = run_load(handle.host, handle.port,
@@ -377,13 +376,7 @@ def _smoke(clients: int, duration_s: float, shards: int = 0,
                           clients=clients, duration_s=duration_s)
     finally:
         handle.stop()
-        if shards:
-            serving.close()
-    report["shards"] = shards
     report["comparer_mode"] = "packed" if index.packed else "byte"
-    if shards:
-        report["degraded"] = serving.degraded
-        report["ring_records"] = serving.ring_records
     print(json.dumps(report, indent=2, sort_keys=True))
     if report["requests"] <= 0 or report["throughput_rps"] <= 0:
         print("smoke FAILED: no requests completed")
@@ -406,39 +399,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--shards", type=int, default=0,
-                        help="with --smoke: serve through a sharded "
-                             "index with N worker processes "
-                             "(0 = single-process)")
     parser.add_argument("--packed", default=True,
                         action=argparse.BooleanOptionalAction,
                         help="with --smoke: resident comparer mode "
                              "(packed 2-bit by default; --no-packed "
                              "forces the byte comparer)")
-    parser.add_argument("--ring-records", type=int, default=None,
-                        help="with --smoke --shards N: per-shard "
-                             "result-ring capacity in records "
-                             "(0 disables rings — every batch takes "
-                             "the pickle path; tiny values exercise "
-                             "the overflow fallback)")
-    parser.add_argument("--auto-degrade", action="store_true",
-                        help="with --smoke --shards N: let the tier "
-                             "serve in-process when the host cannot "
-                             "win the scatter/gather hop")
     parser.add_argument("--adaptive", action="store_true",
                         help="with --smoke: adaptive scheduler "
-                             "(max_batch retuning + small-batch "
-                             "direct routing)")
+                             "(max_batch retuning)")
     parser.add_argument("--query", action="append", default=[],
                         metavar="SEQ:MM",
                         help="query spec, repeatable (default two "
                              "demo guides)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return _smoke(args.clients, args.duration, shards=args.shards,
-                      packed=args.packed,
-                      ring_records=args.ring_records,
-                      auto_degrade=args.auto_degrade,
+        return _smoke(args.clients, args.duration, packed=args.packed,
                       adaptive=args.adaptive)
     if not args.port:
         parser.error("--port is required unless --smoke is given")

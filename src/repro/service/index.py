@@ -59,7 +59,7 @@ import numpy as np
 from ..core.bitparallel import (acgtn_only, pack_site_windows,
                                 window_packable)
 from ..core.config import Query
-from ..core.patterns import MISMATCH_LUT, compile_pattern
+from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
                              ResidentChunk, Triples, make_pipeline)
 from ..core.records import OffTargetHit
@@ -79,88 +79,6 @@ INDEX_VERSION = 2
 
 #: A pattern longer than this cannot pack one window per uint64.
 MAX_PACKED_PATTERN = 32
-
-
-# ---------------------------------------------------------------------------
-# Candidate summaries: cheap per-shard feasibility bounds
-# ---------------------------------------------------------------------------
-#
-# A shard's candidate windows can be summarized by one byte per window
-# position: the OR of a small class mask (A/C/G/T/N, plus "other" for
-# anything else) over every site in the shard.  For a query, a position
-# contributes one *guaranteed* mismatch for every site in the shard iff
-# no base class present in that column is allowed by the query there —
-# so counting such columns gives a lower bound on the mismatch count of
-# ANY site in the shard, per strand.  When that bound exceeds a query's
-# threshold on both strands the shard cannot produce a hit for it, and
-# the sharded tier skips the scatter entirely.  "Other" bytes are
-# treated as always able to match, which keeps the bound conservative
-# (never skips a shard that could have matched).
-
-#: Class bit for genome bytes outside uppercase A/C/G/T/N.
-SUMMARY_OTHER = np.uint8(32)
-
-_SUMMARY_BASES = b"ACGTN"
-
-#: 256-entry lookup: genome byte -> candidate-summary class bit.
-SUMMARY_CLASS_TABLE = np.full(256, SUMMARY_OTHER, dtype=np.uint8)
-for _i, _b in enumerate(_SUMMARY_BASES):
-    SUMMARY_CLASS_TABLE[_b] = np.uint8(1 << _i)
-del _i, _b
-
-
-def window_column_profile(data: np.ndarray, loci: np.ndarray,
-                          plen: int) -> np.ndarray:
-    """Per-position OR of candidate-window class bits for one chunk.
-
-    Returns a ``(plen,)`` uint8 array; position ``p``'s byte has the
-    class bit of every base that appears at offset ``p`` of *some*
-    candidate window.  All-zero means the chunk has no candidates.
-    """
-    if loci.size == 0:
-        return np.zeros(plen, dtype=np.uint8)
-    windows = data[loci.astype(np.int64)[:, None] + np.arange(plen)]
-    return np.bitwise_or.reduce(SUMMARY_CLASS_TABLE[windows], axis=0)
-
-
-def query_allowed_masks(cq) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-strand ``(plen,)`` class masks a compiled query can match.
-
-    Position ``p``'s byte has the class bit of every tracked genome
-    base the comparer would count as a *match* there (``MISMATCH_LUT``
-    semantics: query ``N`` positions match everything, genome ``N``
-    mismatches concrete query bases but not ambiguity codes).  The
-    ``SUMMARY_OTHER`` bit is always set: untracked bytes are assumed
-    matchable so the resulting bound stays a true lower bound.
-    """
-    out = []
-    for codes in (cq.sequence, cq.rc_sequence):
-        allowed = np.full(codes.size, SUMMARY_OTHER, dtype=np.uint8)
-        for i, base in enumerate(_SUMMARY_BASES):
-            allowed |= np.where(MISMATCH_LUT[codes, base] == 0,
-                                np.uint8(1 << i), np.uint8(0))
-        out.append(allowed)
-    return out[0], out[1]
-
-
-def profile_feasible(profile: np.ndarray,
-                     allowed_masks: Tuple[np.ndarray, np.ndarray],
-                     max_mismatches: int) -> bool:
-    """Whether any site summarized by ``profile`` could be a hit.
-
-    ``((profile & allowed) == 0).sum()`` counts columns where every
-    base class present is excluded by the query — a lower bound on the
-    mismatches of every individual site.  The site set is feasible when
-    the bound is within threshold on either strand.  An all-zero
-    profile (no candidates at all) is never feasible.
-    """
-    if not profile.any():
-        return False
-    for allowed in allowed_masks:
-        bound = int(((profile & allowed) == 0).sum())
-        if bound <= max_mismatches:
-            return True
-    return False
 
 
 class SiteIndexError(RuntimeError):
@@ -196,7 +114,7 @@ class _IndexedChunk:
     length: int  # chunk data length in bases (scan region + overlap)
     loci: np.ndarray   # uint32 candidate offsets within the chunk
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
-    data: Optional[np.ndarray] = None
+    data: np.ndarray
     packed: Optional[PackedSites] = None
 
 
@@ -301,11 +219,7 @@ class GenomeSiteIndex:
 
     @property
     def entries(self) -> Sequence[_IndexedChunk]:
-        """Read-only view of the per-chunk resident candidate arrays.
-
-        The sharded serving tier partitions these by chunk and
-        publishes each shard's slice through shared memory.
-        """
+        """Read-only view of the per-chunk resident candidate arrays."""
         return tuple(self._chunks)
 
     # -- construction ---------------------------------------------------
@@ -400,23 +314,8 @@ class GenomeSiteIndex:
         """
         if not queries:
             return []
-        plen = self.compiled_pattern.plen
-        for query in queries:
-            if len(query.sequence) != plen:
-                raise ValueError(
-                    f"query {query.sequence!r} has length "
-                    f"{len(query.sequence)}, index pattern "
-                    f"{self.pattern!r} has length {plen}")
         queries = list(queries)
-        compiled = [compile_pattern(q.sequence) for q in queries]
-        with self._stats_lock:
-            self._batches += 1
-            self._queries_total += len(compiled)
-            if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
-                self._queries_packed += packed_n
-                self._queries_fallback += len(compiled) - packed_n
+        compiled = self._compile_batch(queries)
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
         scanned = 0
         for entry_hits in self.pipeline.compare_resident(
@@ -454,26 +353,12 @@ class GenomeSiteIndex:
         if not queries:
             raise ValueError(
                 "query_batch_with_extras needs at least one query")
-        plen = self.compiled_pattern.plen
-        for query in queries:
-            if len(query.sequence) != plen:
-                raise ValueError(
-                    f"query {query.sequence!r} has length "
-                    f"{len(query.sequence)}, index pattern "
-                    f"{self.pattern!r} has length {plen}")
         queries = list(queries)
         extras = list(extras)
-        compiled = [compile_pattern(q.sequence) for q in queries]
+        compiled = self._compile_batch(queries)
         n_ref = sum(1 for entry in self._chunks if entry.loci.size)
         with self._stats_lock:
-            self._batches += 1
-            self._queries_total += len(compiled)
             self._entries_scanned += n_ref + len(extras)
-            if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
-                self._queries_packed += packed_n
-                self._queries_fallback += len(compiled) - packed_n
 
         def compare(entry: ResidentChunk) -> Triples:
             return self.pipeline.compare_resident_triples(
@@ -483,30 +368,46 @@ class GenomeSiteIndex:
                      for entry in self._resident_entries()]
         return reference, [compare(entry) for entry in extras], n_ref
 
-    def resident_chunk(self, number: int) -> ResidentChunk:
-        """Chunk ``number`` as a comparer-ready resident entry.
+    def _compile_batch(self, queries: Sequence[Query]
+                       ) -> List[CompiledPattern]:
+        """Check and compile one comparer batch's queries, and count it.
+
+        Every query must have the index pattern's length.  The batch,
+        its queries and the split between the packed comparer and the
+        byte fallback are counted for :meth:`comparer_stats`.
+        """
+        plen = self.compiled_pattern.plen
+        for query in queries:
+            if len(query.sequence) != plen:
+                raise ValueError(
+                    f"query {query.sequence!r} has length "
+                    f"{len(query.sequence)}, index pattern "
+                    f"{self.pattern!r} has length {plen}")
+        compiled = [compile_pattern(q.sequence) for q in queries]
+        with self._stats_lock:
+            self._batches += 1
+            self._queries_total += len(compiled)
+            if self.packed:
+                packed_n = sum(1 for cq in compiled
+                               if window_packable(cq))
+                self._queries_packed += packed_n
+                self._queries_fallback += len(compiled) - packed_n
+        return compiled
+
+    def _resident_entries(self):
+        """Yield every non-empty chunk as a comparer-ready entry.
 
         Chunk bases were cached (as zero-copy views over the assembly)
         at build/load time, so no per-batch ``assembly.fetch`` happens
         on the serving hot path; in packed mode the resident 2-bit
         planes ride along for the bit-parallel comparer.
         """
-        entry = self._chunks[number]
-        data = entry.data
-        if data is None:  # pre-cache index state (defensive)
-            data = self.assembly.fetch(entry.chrom, entry.start,
-                                       entry.start + entry.length)
-            entry.data = data
-        return ResidentChunk(chrom=entry.chrom, start=entry.start,
-                             scan_length=entry.scan_length, data=data,
-                             loci=entry.loci, flags=entry.flags,
-                             packed=entry.packed)
-
-    def _resident_entries(self):
-        """Yield every non-empty chunk through :meth:`resident_chunk`."""
-        for number, entry in enumerate(self._chunks):
+        for entry in self._chunks:
             if entry.loci.size:
-                yield self.resident_chunk(number)
+                yield ResidentChunk(chrom=entry.chrom, start=entry.start,
+                                    scan_length=entry.scan_length,
+                                    data=entry.data, loci=entry.loci,
+                                    flags=entry.flags, packed=entry.packed)
 
     def comparer_stats(self) -> Dict[str, object]:
         """Comparer-mode introspection for the ``stats`` server op."""

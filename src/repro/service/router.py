@@ -4,13 +4,12 @@
 JSON-lines protocol as :class:`~repro.service.server.OffTargetServer`
 and fans each ``query`` out to a fleet of backend index servers, each
 holding a :class:`~repro.service.index.GenomeSiteIndex` over a subset
-of the genome's chromosomes.  It is the horizontal step after the
-in-host shard tier: shards partition *chunks inside one process*,
-the router partitions *chromosomes across processes and hosts*.
+of the genome's chromosomes.  The backends may run on other hosts or
+as several ``serve --chromosomes`` processes on one host; the router is
+how the service uses more than one process.
 
-The core invariant is inherited from :mod:`repro.service.shards`'
-deterministic merge and generalized one level up: a single-process
-server emits hits in global chunk order, which is chromosome-major in
+The core invariant is a deterministic merge: a single-process server
+emits hits in global chunk order, which is chromosome-major in
 assembly order; each backend returns its partition's hits in that same
 relative order; so a stable sort of the gathered wire rows by
 chromosome rank reproduces the single-server byte stream exactly — no

@@ -21,10 +21,7 @@ already tracks: ``max_batch`` doubles (up to ``max_batch_limit``) when
 the queue is backed up a full batch deep, halves (down to
 ``min_batch``) when the queue is empty but the latency tail has blown
 out past 3× the median — batching that large buys no coalescing, only
-tail latency — and batches smaller than ``direct_below`` queries are
-routed through the index's ``query_batch_direct`` (when it has one;
-the sharded tier's runs the batch in-process), because a scatter/gather
-hop cannot amortize over one or two queries.
+tail latency.
 
 Observability: every batch runs under a ``service_batch`` tracing span,
 every completed request ships a manually-timed ``service_request`` span
@@ -105,8 +102,7 @@ class BatchScheduler:
                  max_wait_ms: float = 5.0, max_queue: int = 64,
                  start: bool = True, latency_window: int = 2048,
                  adaptive: bool = False, min_batch: int = 1,
-                 max_batch_limit: Optional[int] = None,
-                 direct_below: int = 0):
+                 max_batch_limit: Optional[int] = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not max_wait_ms >= 0:
@@ -121,9 +117,6 @@ class BatchScheduler:
             raise ValueError(
                 f"max_batch_limit must be >= max_batch, "
                 f"got {max_batch_limit}")
-        if direct_below < 0:
-            raise ValueError(
-                f"direct_below must be >= 0, got {direct_below}")
         self.index = index
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
@@ -133,10 +126,8 @@ class BatchScheduler:
         self.max_batch_limit = int(
             max_batch_limit if max_batch_limit is not None
             else max(max_batch, max_queue))
-        self.direct_below = int(direct_below)
         self._grown = 0
         self._shrunk = 0
-        self._routed = {"batched": 0, "direct": 0}
         self._queue: "queue.Queue[Optional[_PendingRequest]]" = \
             queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
@@ -372,20 +363,10 @@ class BatchScheduler:
         flat: List[Query] = []
         for pending in live:
             flat.extend(pending.queries)
-        runner = self.index.query_batch
-        route = "batched"
-        if self.direct_below > 0 and len(flat) < self.direct_below:
-            direct = getattr(self.index, "query_batch_direct", None)
-            if callable(direct):
-                # Too small to amortize a scatter/gather hop: run the
-                # batch on the in-process comparer instead.
-                runner = direct
-                route = "direct"
         try:
             with tracing.span("service_batch", cat="service",
-                              requests=len(live), queries=len(flat),
-                              route=route):
-                results = runner(flat)
+                              requests=len(live), queries=len(flat)):
+                results = self.index.query_batch(flat)
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
             for pending in live:
                 pending.future.set_exception(exc)
@@ -397,7 +378,6 @@ class BatchScheduler:
         request_spans: List[tracing.Span] = []
         with self._stats_lock:
             self._batches += 1
-            self._routed[route] += 1
             self._batch_sizes[len(flat)] = \
                 self._batch_sizes.get(len(flat), 0) + 1
             for pending in live:
@@ -427,8 +407,8 @@ class BatchScheduler:
         The worker reads ``self.index`` once per batch, so a plain
         assignment is the swap; this method additionally waits (up to
         ``drain_timeout_s``) for any batch already executing on the old
-        index to finish, so the caller may safely release the returned
-        index (close shared memory, drop references).  Requests queued
+        index to finish, so the caller may safely drop the returned
+        index.  Requests queued
         at swap time run on the *new* index — zero downtime.
 
         Raises ``ValueError`` when the new index serves a different
@@ -523,9 +503,8 @@ class BatchScheduler:
     def stats(self) -> Dict[str, object]:
         """Queue depth, counters, batch-size histogram, latency tails.
 
-        When the index exposes ``comparer_stats`` (packed/byte mode,
-        fallback counters, shm footprint for the sharded tier), it is
-        included under ``"comparer"``.
+        When the index exposes ``comparer_stats`` (packed/byte mode and
+        fallback counters), it is included under ``"comparer"``.
         """
         with self._stats_lock:
             latencies = sorted(self._latencies_ms)
@@ -533,7 +512,6 @@ class BatchScheduler:
             completed, rejected = self._completed, self._rejected
             expired, batches = self._expired, self._batches
             grown, shrunk = self._grown, self._shrunk
-            routed = dict(self._routed)
             swaps = self._swaps
             by_kind = dict(self._requests_by_kind)
         comparer_stats = getattr(self.index, "comparer_stats", None)
@@ -557,10 +535,8 @@ class BatchScheduler:
                 "enabled": self.adaptive,
                 "min_batch": self.min_batch,
                 "max_batch_limit": self.max_batch_limit,
-                "direct_below": self.direct_below,
                 "grown": grown,
                 "shrunk": shrunk,
-                "routed": routed,
             },
             "latency_ms": {
                 "count": len(latencies),

@@ -175,7 +175,7 @@ class OffTargetServer:
     def __init__(self, index: GenomeSiteIndex, host: str = "127.0.0.1",
                  port: int = 0, max_batch: int = 8,
                  max_wait_ms: float = 5.0, max_queue: int = 64,
-                 adaptive: bool = False, direct_below: int = 0,
+                 adaptive: bool = False,
                  reloader: Optional[Callable[[], Any]] = None,
                  request_fault_plan: Optional[str] = None,
                  drain_s: float = 5.0,
@@ -187,8 +187,7 @@ class OffTargetServer:
         self.scheduler = BatchScheduler(index, max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
                                         max_queue=max_queue,
-                                        adaptive=adaptive,
-                                        direct_below=direct_below)
+                                        adaptive=adaptive)
         self._stop_event: Optional[asyncio.Event] = None
         self._closed = False
         #: Builds/loads a replacement index for the ``reload`` op.
@@ -222,8 +221,7 @@ class OffTargetServer:
                 enzyme, enzyme_index,
                 BatchScheduler(enzyme_index, max_batch=max_batch,
                                max_wait_ms=max_wait_ms,
-                               max_queue=max_queue, adaptive=adaptive,
-                               direct_below=direct_below))
+                               max_queue=max_queue, adaptive=adaptive))
         #: Serializes variant patch scans: the variant op runs on
         #: executor threads (off-loop), which would otherwise race
         #: compare_resident on one pipeline (the scheduler's single
@@ -249,15 +247,6 @@ class OffTargetServer:
             fingerprint = getattr(self.index, "fingerprint", None)
             if callable(fingerprint):
                 response["fingerprint"] = fingerprint()
-            shard_health = getattr(self.index, "shard_health", None)
-            if shard_health is not None:
-                response["shards"] = shard_health()
-            degraded = getattr(self.index, "degraded", None)
-            if degraded is not None:
-                response["degraded"] = bool(degraded)
-                if degraded:
-                    response["degrade_reason"] = getattr(
-                        self.index, "degrade_reason", None)
             if self._enzymes:
                 response["enzymes"] = sorted(self._enzymes)
             return response
@@ -587,17 +576,13 @@ class OffTargetServer:
                 new_fp = self._fingerprint_of(new)
                 drained = True
                 try:
-                    previous = self.scheduler.swap_index(new)
+                    self.scheduler.swap_index(new)
                 except TimeoutError:
                     # Swap took effect; the old index is still running
-                    # one last batch, so just don't release it.
-                    previous, drained = old, False
+                    # one last batch.
+                    drained = False
                 self.index = new
                 self._reloads += 1
-                if drained and previous is not new:
-                    closer = getattr(previous, "close", None)
-                    if callable(closer):
-                        closer()
             tracing.instant("index_reloaded", cat="service",
                             fingerprint=new_fp, changed=new_fp != old_fp)
             return {"swapped": True,

@@ -8,11 +8,7 @@ the tentpole invariants end to end:
   comparer scans exactly ``reference_chunks + patched_chunks`` entries
   (the single-batch accounting in ``comparer_stats``);
 * a served ``variant`` response is byte-identical to the in-process
-  payload, including when the server fronts a 2-shard
-  :class:`~repro.service.shards.ShardedSiteIndex` (whose parent-side
-  ``entries_scanned`` counts only the patch entries) — running the
-  sharded leg under ``scripts/verify.sh`` also puts the variant path
-  under the shared-memory leak guard;
+  payload;
 * a TOML enzyme config loads, serves, and answers ``enzymes`` and
   enzyme-tagged ``query`` requests.
 """
@@ -74,13 +70,11 @@ scoring = "cfd"
 """
 
 
-def _smoke(scale: float = 0.0002, seed: int = 7,
-           shards: int = 2) -> int:
+def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
     from ..genome.synthetic import synthetic_assembly
     from ..service.client import ServiceClient
     from ..service.index import GenomeSiteIndex
     from ..service.server import OffTargetServer
-    from ..service.shards import ShardedSiteIndex
     from .model import decode_haplotypes
     from .overlay import search_variants
 
@@ -158,48 +152,13 @@ def _smoke(scale: float = 0.0002, seed: int = 7,
     finally:
         handle.stop()
 
-    # 3. Sharded serving: parent-side accounting plus byte-identity.
-    #    Run under scripts/verify.sh, this leg also puts the variant
-    #    path under the shm leak guard.
-    sharded = ShardedSiteIndex(index, shards=shards)
-    try:
-        server = OffTargetServer(sharded, max_wait_ms=1.0)
-        handle = server.start_background()
-        try:
-            before = sharded.comparer_stats()
-            with ServiceClient(handle.host, handle.port) as client:
-                served = client.variant_search(queries, haplotypes)
-            served.pop("id", None)
-            served.pop("ok", None)
-            after = sharded.comparer_stats()
-            if json.dumps(served) != json.dumps(expected_payload):
-                failures.append(
-                    "sharded variant response is not byte-identical "
-                    "to the in-process payload")
-            else:
-                print(f"# sharded ({shards} workers, "
-                      f"degraded={sharded.degraded}) response "
-                      f"byte-identical")
-            delta = (after["entries_scanned"]
-                     - before["entries_scanned"])
-            if not sharded.degraded and \
-                    delta != result.patched_chunks:
-                failures.append(
-                    f"sharded parent scanned {delta} entries, "
-                    f"expected {result.patched_chunks} (patches only "
-                    f"— reference chunks belong to the workers)")
-        finally:
-            handle.stop()
-    finally:
-        sharded.close()
-
     if failures:
         for failure in failures:
             print(f"smoke FAILED: {failure}")
         return 1
     print(f"smoke OK: {len(expected_payload['events'])} events "
-          f"byte-identical across in-process, served and sharded "
-          f"tiers in one comparer batch per search")
+          f"byte-identical between in-process and served, in one "
+          f"comparer batch per search")
     return 0
 
 
@@ -207,20 +166,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.variants",
         description="Variant-aware search smoke test: single-batch "
-                    "accounting, cross-tier byte-identity, enzyme "
+                    "accounting, served byte-identity, enzyme "
                     "registry serving.")
     parser.add_argument("--smoke", action="store_true",
                         help="run the variant smoke")
     parser.add_argument("--scale", type=float, default=0.0002,
                         help="synthetic assembly scale factor")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shards", type=int, default=2,
-                        help="worker processes for the sharded leg")
     args = parser.parse_args(argv)
     if not args.smoke:
         parser.error("only --smoke is supported; use the `variants` "
                      "CLI subcommand for real searches")
-    return _smoke(args.scale, args.seed, shards=args.shards)
+    return _smoke(args.scale, args.seed)
 
 
 if __name__ == "__main__":

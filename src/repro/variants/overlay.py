@@ -507,7 +507,7 @@ def variant_payload(pattern: str, n_queries: int,
                     reference_chunks: int) -> Dict[str, Any]:
     """The ``variant`` op's response body — single source of key order.
 
-    Every tier (in-process, server, sharded server, router) builds its
+    Every tier (in-process, server, router) builds its
     response through this function, which is what makes the responses
     byte-identical on the wire.
     """
@@ -573,10 +573,9 @@ def search_variants(index: Any, queries: Sequence[Query],
     """Guide x {reference + K haplotypes} in one comparer batch.
 
     ``index`` is a :class:`~repro.service.index.GenomeSiteIndex` or
-    anything duck-typing its surface (the sharded tier does): it must
-    expose ``assembly``, ``pattern``, ``compiled_pattern``,
-    ``chunk_size``, ``pipeline``, ``entries`` and
-    ``query_batch_with_extras``.
+    anything duck-typing its surface: it must expose ``assembly``,
+    ``pattern``, ``compiled_pattern``, ``chunk_size``, ``pipeline``,
+    ``entries`` and ``query_batch_with_extras``.
 
     Only chunks a variant touches are re-fetched, re-scanned and
     re-packed; everything else is served from the resident reference

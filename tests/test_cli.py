@@ -329,20 +329,6 @@ class TestServiceSubcommands:
                      "--port", port2, "-o", str(served)]) == 0
         assert served.stat().st_size > 0
 
-    def test_serve_sharded_byte_identical_to_offline(self, tmp_path,
-                                                     input_file):
-        offline = tmp_path / "offline.tsv"
-        assert main([str(input_file), "--synthetic", "hg19",
-                     "--scale", "0.00005", "--seed", "7",
-                     "-o", str(offline)]) == 0
-        host, port, _ = self._serve_in_thread(
-            tmp_path, ["--shards", "2"])
-        served = tmp_path / "sharded.tsv"
-        assert main(["query", "GACGTCNN:3", "TTACGANN:2",
-                     "--host", host, "--port", port,
-                     "-o", str(served)]) == 0
-        assert served.read_bytes() == offline.read_bytes()
-
     def test_serve_refuses_stale_ready_file(self, tmp_path):
         """A pre-existing ready file means another server may be
         announcing this port; starting anyway would race it."""
@@ -384,7 +370,6 @@ class TestServiceSubcommands:
         ["--max-wait-ms", "-1"],
         ["--port", "-1"],
         ["--duration-s", "0"],
-        ["--shards", "0"],
     ])
     def test_serve_numeric_validation(self, flags, capsys):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ The acceptance invariants from the design brief:
   the resident index (``comparer_stats`` proves it — no per-guide
   rescans);
 * the ``design`` op is byte-identical across serving tiers
-  (in-process, 2-shard shared-memory tier, 2-backend router);
+  (in-process, served, 2-backend router);
 * estimator scores equal scoring the same hits directly with
   :mod:`repro.core.scoring`.
 """
@@ -30,7 +30,6 @@ from repro.design.ranking import DesignSpec
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes)
-from repro.service.shards import ShardedSiteIndex
 
 PATTERN = "NNNNNNRG"
 CHUNK = 1 << 12
@@ -48,12 +47,6 @@ def served(design_index):
                              max_wait_ms=1.0).start_background()
     yield handle
     handle.stop()
-
-
-@pytest.fixture(scope="module")
-def sharded(design_index):
-    with ShardedSiteIndex(design_index, shards=2) as tier:
-        yield tier
 
 
 @pytest.fixture(scope="module")
@@ -301,14 +294,6 @@ class TestDesignGuides:
         assert after["queries_total"] - before["queries_total"] == \
             len(result.queries)
 
-    def test_sharded_tier_scores_in_one_scatter(self, sharded):
-        before = sharded.comparer_stats()
-        result = design_guides(sharded, "chrA", 0, 400, 2)
-        after = sharded.comparer_stats()
-        assert after["batches"] - before["batches"] == 1
-        assert after["queries_total"] - before["queries_total"] == \
-            len(result.queries)
-
     def test_report_specificity_equals_direct_scoring(
             self, design_index):
         result = design_guides(design_index, "chrA", 0, 300, 2,
@@ -398,10 +383,10 @@ class TestDesignOp:
            estimator=st.sampled_from(["mit", "cfd"]),
            top=st.integers(min_value=1, max_value=8))
     def test_design_identity_sweep(self, design_index, served,
-                                   sharded, routed, chrom, start,
+                                   routed, chrom, start,
                                    width, mismatches, estimator, top):
-        """In-process, served, 2-shard and 2-backend routed design
-        responses are byte-identical for arbitrary specs."""
+        """In-process, served and 2-backend routed design responses
+        are byte-identical for arbitrary specs."""
         request = design_request(chrom=chrom, start=start,
                                  end=start + width,
                                  mismatches=mismatches, top=top,
@@ -409,13 +394,6 @@ class TestDesignOp:
         expected = self.expected_payload(design_index, request)
         assert self.call(served, request) == expected
         assert self.call(routed, request) == expected
-        spec = decode_design_spec(request)
-        sharded_result = design_guides(
-            sharded, spec.chrom, spec.start, spec.end,
-            spec.max_mismatches, top_n=spec.top_n,
-            estimator=spec.estimator)
-        assert json.dumps({"ok": True,
-                           **sharded_result.payload()}) == expected
 
     def test_design_counts_in_scheduler_stats(self, design_index,
                                               served):

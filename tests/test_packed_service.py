@@ -3,8 +3,7 @@
 The packed comparer is an optimization, never a semantic change: every
 test here pins packed-mode output byte-identical to the byte comparer —
 across random genomes with N runs, ambiguity-code queries riding the
-per-query fallback, the sharded serving tier, and save/load
-roundtrips.  Degrade paths (non-ACGTN genome bytes, over-long
+per-query fallback, and save/load roundtrips.  Degrade paths (non-ACGTN genome bytes, over-long
 patterns, stale on-disk versions) must fall back loudly, not serve
 wrong answers.
 """
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import Query
 from repro.genome.assembly import Assembly, Chromosome
 from repro.service import (BatchScheduler, GenomeSiteIndex,
-                           ShardedSiteIndex, SiteIndexVersionError)
+                           SiteIndexVersionError)
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
@@ -78,44 +77,6 @@ class TestEquivalence:
                    in enumerate(sequences, start=2)]
         assert packed_idx.query_batch(queries) == \
             byte_idx.query_batch(queries)
-
-
-class TestCrossTier:
-    def test_sharded_packed_matches_inprocess_byte(self,
-                                                   small_assembly):
-        """serve --packed --shards 2 == in-process unpacked."""
-        byte_idx, packed_idx = _pair(small_assembly)
-        queries = QUERIES + [FALLBACK_QUERY]
-        reference = byte_idx.query_batch(queries)
-        sharded = ShardedSiteIndex(packed_idx, shards=2)
-        try:
-            assert sharded.packed
-            assert sharded.query_batch(queries) == reference
-            stats = sharded.comparer_stats()
-        finally:
-            sharded.close()
-        assert stats["mode"] == "packed"
-        assert stats["queries_packed"] == len(QUERIES)
-        assert stats["queries_fallback"] == 1
-
-    def test_packed_segments_are_smaller(self, small_assembly):
-        byte_idx, packed_idx = _pair(small_assembly)
-        sharded_packed = ShardedSiteIndex(packed_idx, shards=2,
-                                          start=False)
-        try:
-            packed_bytes = sharded_packed.segment_bytes()
-        finally:
-            sharded_packed.close()
-        sharded_byte = ShardedSiteIndex(byte_idx, shards=2,
-                                        start=False)
-        try:
-            byte_bytes = sharded_byte.segment_bytes()
-        finally:
-            sharded_byte.close()
-        assert packed_bytes["mode"] == "packed"
-        assert packed_bytes["genome"] == 0, \
-            "packed layout publishes no genome segment"
-        assert byte_bytes["total"] >= 2 * packed_bytes["total"]
 
 
 class TestPersistence:

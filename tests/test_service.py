@@ -9,7 +9,6 @@ protocol are all supposed to be invisible in the output.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -25,9 +24,8 @@ from repro.service import (BatchScheduler, DeadlineExceeded,
                            GenomeSiteIndex, OffTargetServer,
                            SchedulerClosed, ServiceClient, ServiceError,
                            ServiceOverloaded, ServiceOverloadedError,
-                           ShardedSiteIndex, ShardWorkerError,
                            SiteIndexError, SiteIndexMismatchError,
-                           cleanup_leaked_segments, run_load)
+                           run_load)
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
@@ -276,6 +274,57 @@ class TestBatchScheduler:
         with pytest.raises(ValueError):
             BatchScheduler(index, start=False, **kwargs)
 
+    def test_adaptive_ctor_validation(self, index):
+        with pytest.raises(ValueError, match="min_batch"):
+            BatchScheduler(index, min_batch=0, start=False)
+        with pytest.raises(ValueError, match="min_batch"):
+            BatchScheduler(index, max_batch=2, min_batch=3,
+                           start=False)
+        with pytest.raises(ValueError, match="max_batch_limit"):
+            BatchScheduler(index, max_batch=8, max_batch_limit=4,
+                           start=False)
+
+    def test_grows_under_backlog(self, index):
+        scheduler = BatchScheduler(index, max_batch=1,
+                                   max_wait_ms=0.0, adaptive=True,
+                                   max_batch_limit=8, start=False)
+        try:
+            futures = [scheduler.submit([QUERIES[0]])
+                       for _ in range(6)]
+            scheduler.start()
+            for future in futures:
+                future.result(timeout=60.0)
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+        assert stats["adaptive"]["enabled"]
+        assert stats["adaptive"]["grown"] >= 1
+        assert stats["max_batch"] > 1
+
+    def test_shrinks_on_latency_tail(self, index):
+        scheduler = BatchScheduler(index, max_batch=8, adaptive=True,
+                                   start=False)
+        try:
+            scheduler._latencies_ms.extend([1.0] * 14 + [100.0] * 2)
+            scheduler._adapt()
+            assert scheduler.max_batch == 4
+            assert scheduler.stats()["adaptive"]["shrunk"] == 1
+            # The window resets so one bad tail cannot cascade the
+            # batch size all the way down to min_batch.
+            assert len(scheduler._latencies_ms) == 0
+        finally:
+            scheduler.close()
+
+    def test_no_shrink_without_enough_samples(self, index):
+        scheduler = BatchScheduler(index, max_batch=8, adaptive=True,
+                                   start=False)
+        try:
+            scheduler._latencies_ms.extend([1.0] * 7 + [100.0])
+            scheduler._adapt()
+            assert scheduler.max_batch == 8
+        finally:
+            scheduler.close()
+
     def test_request_spans_shipped(self, index):
         with tracing.recording() as recorder:
             with BatchScheduler(index, max_wait_ms=1.0) as scheduler:
@@ -422,7 +471,39 @@ class _StallingIndex:
         return self._index.query_batch(queries)
 
 
+class _FailingIndex:
+    """Index proxy whose third query_batch call raises (the scheduler's
+    single worker thread makes every call)."""
+
+    def __init__(self, index):
+        self._index = index
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def query_batch(self, queries):
+        self._calls += 1
+        if self._calls == 3:
+            raise RuntimeError("injected comparer failure")
+        return self._index.query_batch(queries)
+
+
 class TestLoadGenerator:
+    def test_server_error_reraises_after_join(self, index):
+        """A client thread that dies on a server error must fail the
+        run, not drop its counts and let the others report success."""
+        server = OffTargetServer(_FailingIndex(index), max_batch=8,
+                                 max_wait_ms=2.0)
+        handle = server.start_background()
+        try:
+            with pytest.raises(ServiceError, match="RuntimeError") as err:
+                run_load(handle.host, handle.port, QUERIES, clients=2,
+                         duration_s=0.5)
+        finally:
+            handle.stop()
+        assert err.value.code == "internal"
+
     def test_quick_load(self, served):
         report = run_load(served.host, served.port, QUERIES,
                           clients=2, duration_s=0.5)
@@ -448,161 +529,3 @@ class TestLoadGenerator:
         assert client_main(["--smoke", "--clients", "2",
                             "--duration", "0.5"]) == 0
         assert "smoke OK" in capsys.readouterr().out
-
-
-@pytest.fixture(scope="module")
-def sharded(index):
-    with ShardedSiteIndex(index, shards=2) as shards:
-        yield shards
-
-
-class TestShardedSiteIndex:
-    def test_matches_single_process_exactly(self, sharded, index):
-        """The load-bearing invariant: scatter/gather over worker
-        processes must be invisible in the output."""
-        got = sharded.query_batch(QUERIES)
-        want = index.query_batch(QUERIES)
-        assert got == want
-        assert sum(len(per) for per in want) > 0
-
-    def test_duck_typed_index_surface(self, sharded, index):
-        assert sharded.pattern == index.pattern
-        assert sharded.compiled_pattern.plen == \
-            index.compiled_pattern.plen
-        assert sharded.assembly.name == index.assembly.name
-        assert sharded.chunk_count == index.chunk_count
-        assert sharded.site_count == index.site_count
-        assert sharded.chunk_size == index.chunk_size
-
-    def test_shards_partition_the_index(self, sharded, index):
-        health = sharded.shard_health()
-        assert len(health) == 2
-        assert all(entry["alive"] for entry in health)
-        assert sum(entry["chunks"] for entry in health) == \
-            index.chunk_count
-        assert sum(entry["sites"] for entry in health) == \
-            index.site_count
-
-    def test_ping_round_trips(self, sharded):
-        assert sharded.ping() == {0: True, 1: True}
-
-    def test_empty_and_bad_queries(self, sharded):
-        assert sharded.query_batch([]) == []
-        with pytest.raises(ValueError, match="length"):
-            sharded.query_batch([Query("GACGTCNNA", 3)])
-
-    def test_scatter_gather_spans_recorded(self, sharded):
-        with tracing.recording() as recorder:
-            sharded.query_batch(QUERIES)
-        spans = recorder.spans()
-        names = [s.name for s in spans]
-        assert "scatter" in names
-        assert "gather" in names
-        assert names.count("shard") == 2, \
-            "each worker ships back its own shard span"
-        process_names = {s.args.get("name") for s in spans
-                         if s.name == "process_name"}
-        assert {"shard-0", "shard-1"} <= process_names
-
-    def test_served_responses_byte_identical(self, sharded, index):
-        """Same wire request, single-process vs sharded server: the
-        JSON response lines must match byte-for-byte."""
-        payload = (b'{"op": "query", "queries": '
-                   b'[["GACGTCNN", 3], ["TTACGANN", 2]], "id": 1}\n')
-
-        def _serve_one(serving) -> bytes:
-            handle = OffTargetServer(serving, max_batch=8,
-                                     max_wait_ms=2.0).start_background()
-            try:
-                with socket.create_connection(
-                        (handle.host, handle.port), timeout=30) as sock:
-                    sock.sendall(payload)
-                    return sock.makefile("rb").readline()
-            finally:
-                handle.stop()
-
-        assert _serve_one(sharded) == _serve_one(index)
-
-    def test_rejects_bad_shard_count(self, index):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedSiteIndex(index, shards=0, start=False)
-
-
-@pytest.mark.fault
-class TestShardedFaults:
-    def test_crash_respawn_keeps_responses_identical(self, sharded,
-                                                     index):
-        """A worker dying mid-batch must be respawned from shm and the
-        batch resent, with output still byte-identical."""
-        want = index.query_batch(QUERIES)
-        before = {e["shard"]: e["respawns"]
-                  for e in sharded.shard_health()}
-        sharded.inject_worker_crash(0)
-        with tracing.recording() as recorder:
-            got = sharded.query_batch(QUERIES)
-        assert got == want
-        after = {e["shard"]: e["respawns"]
-                 for e in sharded.shard_health()}
-        assert after[0] == before[0] + 1
-        assert after[1] == before[1]
-        names = [s.name for s in recorder.spans()]
-        assert "shard_worker_respawn" in names
-
-    def test_sigkill_failover(self, sharded, index):
-        """SIGKILL (no chance to clean up) is indistinguishable from a
-        crash: next batch respawns and answers correctly."""
-        sharded.kill_worker(1)
-        health = {e["shard"]: e for e in sharded.shard_health()}
-        assert health[1]["alive"] is False
-        assert sharded.query_batch(QUERIES) == \
-            index.query_batch(QUERIES)
-        health = {e["shard"]: e for e in sharded.shard_health()}
-        assert health[1]["alive"] is True
-
-
-class TestLeakCleanup:
-    def test_sweeps_dead_owner_segments_only(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        # A segment named for a pid that cannot exist (non-numeric) is
-        # stale; one named for *this* live process is not.
-        stale = "repro-shm-notapid-feed-s0"
-        live = f"repro-shm-{os.getpid()}-feed-s0"
-        for name in (stale, live):
-            with open(os.path.join("/dev/shm", name), "wb") as handle:
-                handle.write(b"\x00")
-        try:
-            removed = cleanup_leaked_segments()
-            assert stale in removed
-            assert live not in removed
-            assert os.path.exists(os.path.join("/dev/shm", live))
-            assert not os.path.exists(os.path.join("/dev/shm", stale))
-        finally:
-            for name in (stale, live):
-                try:
-                    os.unlink(os.path.join("/dev/shm", name))
-                except FileNotFoundError:
-                    pass
-
-    def test_cleanup_entry_point(self, capsys):
-        from repro.service.shards import main as shards_main
-        assert shards_main(["--cleanup"]) == 0
-        assert "leaked segment(s) removed" in capsys.readouterr().out
-
-    def test_close_unlinks_segments(self, index):
-        from repro.service.shards import SHM_PREFIX, _DEV_SHM
-        if not os.path.isdir(_DEV_SHM):
-            pytest.skip("no /dev/shm on this platform")
-        small = ShardedSiteIndex(index, shards=2)
-        names = [shm.name for shm in small._shard_shms]
-        if small._genome_shm is not None:  # byte layout only
-            names.append(small._genome_shm.name)
-        assert all(name.startswith(SHM_PREFIX) for name in names)
-        assert all(os.path.exists(os.path.join(_DEV_SHM, name))
-                   for name in names)
-        small.query_batch([QUERIES[0]])
-        small.close()
-        assert not any(os.path.exists(os.path.join(_DEV_SHM, name))
-                       for name in names)
-        with pytest.raises(ShardWorkerError, match="closed"):
-            small.query_batch([QUERIES[0]])

