@@ -69,6 +69,7 @@ import json
 import os
 import signal
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
@@ -222,11 +223,14 @@ class OffTargetServer:
                 BatchScheduler(enzyme_index, max_batch=max_batch,
                                max_wait_ms=max_wait_ms,
                                max_queue=max_queue, adaptive=adaptive))
-        #: Serializes variant patch scans: the variant op runs on
-        #: executor threads (off-loop), which would otherwise race
-        #: compare_resident on one pipeline (the scheduler's single
-        #: worker serializes every other comparer entry point).
-        self._variant_lock = threading.Lock()
+        #: Runs every variant search off-loop on one thread, so patch
+        #: scans never race compare_resident on one pipeline (the
+        #: scheduler's single worker serializes every other comparer
+        #: entry point).  A fixed thread also keeps the searches'
+        #: allocations in one malloc arena; a pool that sometimes grew
+        #: a second thread made peak memory differ from run to run.
+        self._variant_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="variant")
 
     # -- request handling ----------------------------------------------
 
@@ -366,11 +370,9 @@ class OffTargetServer:
                               ) -> Dict[str, Any]:
         """Per-haplotype gained/lost off-targets — the ``variant`` op.
 
-        Patch scans plus the single batched comparer pass run in an
-        executor thread (the reload pattern), so the accept loop keeps
-        serving other connections; ``_variant_lock`` serializes the
-        comparer work because executor threads bypass the scheduler's
-        one-worker serialization.
+        Patch scans plus the single batched comparer pass run on the
+        server's one variant thread, so the accept loop keeps serving
+        other connections and variant searches run one at a time.
         """
         try:
             _, _, scheduler = self._resolve_enzyme(request)
@@ -383,8 +385,8 @@ class OffTargetServer:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
-                None, self._variant_sync, scheduler, queries,
-                haplotypes, allowed)
+                self._variant_executor, self._variant_sync, scheduler,
+                queries, haplotypes, allowed)
         except (VariantError, ValueError) as exc:
             return {"ok": False, "error": "bad-request",
                     "message": str(exc)}
@@ -401,9 +403,8 @@ class OffTargetServer:
                       queries: List[Query], haplotypes: Sequence[Any],
                       allowed: Optional[FrozenSet[str]]) -> Any:
         # scheduler.index is the live (possibly reload-swapped) index.
-        with self._variant_lock:
-            return search_variants(scheduler.index, queries,
-                                   haplotypes, chromosomes=allowed)
+        return search_variants(scheduler.index, queries, haplotypes,
+                               chromosomes=allowed)
 
     # -- guide design ---------------------------------------------------
 
@@ -783,3 +784,4 @@ class OffTargetServer:
             self.scheduler.close()
             for _, _, scheduler in self._enzymes.values():
                 scheduler.close()
+            self._variant_executor.shutdown(wait=False)
