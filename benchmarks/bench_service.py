@@ -13,11 +13,9 @@ search, as a one-process-per-query deployment would.
   so it flatters the baseline if anything.
 * ``service``: the same genome behind a :class:`GenomeSiteIndex` and
   :class:`OffTargetServer`; the load generator drives it at several
-  concurrency levels through real sockets.
-* ``service_packed``: the single-process service again, but with the
-  index in its packed 2-bit resident form, so every micro-batch runs
-  the bit-parallel comparer (XOR + odd-bit fold + popcount over
-  resident uint64 planes) instead of byte compares.
+  concurrency levels through real sockets.  Every micro-batch runs the
+  index's one comparer, the bit-parallel pass (XOR + odd-bit fold +
+  popcount) over its resident 2-bit planes.
 * ``--router`` (separate pass, merged into the same JSON under
   ``router``): a 3-backend chromosome-partitioned fleet behind
   :class:`OffTargetRouter` vs the same genome on one server.  With
@@ -123,14 +121,8 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     build_began = time.perf_counter()
     index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size, device=device,
-                                  packed=False)
+                                  chunk_size=chunk_size, device=device)
     build_s = time.perf_counter() - build_began
-    packed_began = time.perf_counter()
-    packed_index = GenomeSiteIndex.build(assembly, PATTERN,
-                                         chunk_size=chunk_size,
-                                         device=device, packed=True)
-    packed_build_s = time.perf_counter() - packed_began
 
     baseline = {}
     service = {}
@@ -154,33 +146,11 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     finally:
         handle.stop()
 
-    service_packed = {}
-    packed_server = OffTargetServer(
-        packed_index, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        max_queue=max(64, 4 * max(concurrency)))
-    packed_handle = packed_server.start_background()
-    try:
-        for clients in concurrency:
-            print(f"packed   @ {clients} clients ...", flush=True)
-            queries_by_client = [
-                [QUERY_POOL[i % len(QUERY_POOL)]]
-                for i in range(clients)]
-            service_packed[str(clients)] = _service_load(
-                packed_handle, queries_by_client, duration_s)
-    finally:
-        packed_handle.stop()
-
     speedup = {
         clients: (service[clients]["throughput_rps"]
                   / baseline[clients]["throughput_rps"]
                   if baseline[clients]["throughput_rps"] > 0 else None)
         for clients in baseline
-    }
-    speedup_packed = {
-        clients: (service_packed[clients]["throughput_rps"]
-                  / service[clients]["throughput_rps"]
-                  if service[clients]["throughput_rps"] > 0 else None)
-        for clients in service
     }
     return {
         "host": {"cpus": os.cpu_count()},
@@ -194,13 +164,10 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
             "duration_s": duration_s, "concurrency": concurrency,
             "max_batch": max_batch, "max_wait_ms": max_wait_ms,
             "index_build_s": build_s,
-            "packed_index_build_s": packed_build_s,
         },
         "baseline": baseline,
         "service": service,
-        "service_packed": service_packed,
         "speedup_throughput": speedup,
-        "speedup_packed": speedup_packed,
     }
 
 
@@ -281,8 +248,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
 
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size, device=device,
-                                  packed=False)
+                                  chunk_size=chunk_size, device=device)
     max_queue = max(64, 4 * max(concurrency))
 
     single = {}
@@ -305,8 +271,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
     backend_handles = [
         OffTargetServer(
             GenomeSiteIndex.build(assembly.subset(chroms), PATTERN,
-                                  chunk_size=chunk_size, device=device,
-                                  packed=False),
+                                  chunk_size=chunk_size, device=device),
             max_batch=max_batch, max_wait_ms=max_wait_ms,
             max_queue=max_queue).start_background()
         for chroms in held]
@@ -443,17 +408,13 @@ def main(argv=None) -> int:
     for clients in report["baseline"]:
         base = report["baseline"][clients]
         serv = report["service"][clients]
-        packed = report["service_packed"][clients]
         ratio = report["speedup_throughput"][clients]
-        packed_ratio = report["speedup_packed"][clients]
         print(f"{clients:>3} clients: baseline "
               f"{base['throughput_rps']:7.2f} req/s "
               f"(p95 {base['latency_ms']['p95']:7.1f} ms) | service "
               f"{serv['throughput_rps']:7.2f} req/s "
               f"(p95 {serv['latency_ms']['p95']:7.1f} ms) | "
-              f"{ratio:.2f}x | packed "
-              f"{packed['throughput_rps']:7.2f} req/s "
-              f"({packed_ratio:.2f}x vs service)")
+              f"{ratio:.2f}x")
     print(f"wrote {path}")
     return 0
 

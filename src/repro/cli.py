@@ -425,13 +425,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--adaptive", action="store_true",
                         help="let the scheduler retune max_batch from "
                              "queue depth and latency tails")
-    parser.add_argument("--packed", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="keep candidate windows in the resident "
-                             "2-bit packed form and run the "
-                             "bit-parallel comparer (--no-packed "
-                             "forces the byte comparer; responses are "
-                             "byte-identical either way)")
     parser.add_argument("--max-retries", type=_nonnegative_int,
                         default=2,
                         help="per-chunk retries during the index build")
@@ -508,8 +501,7 @@ def _run_serve(argv: List[str]) -> int:
         try:
             index = GenomeSiteIndex.load(args.index_dir, assembly,
                                          api=args.api,
-                                         device=args.device,
-                                         packed=args.packed)
+                                         device=args.device)
         except SiteIndexVersionError as exc:
             # The genome is right, only the on-disk layout is old:
             # rebuild (and overwrite) instead of refusing to start.
@@ -532,7 +524,7 @@ def _run_serve(argv: List[str]) -> int:
                 assembly, args.pattern, chunk_size=args.chunk_size,
                 api=args.api, device=args.device,
                 fault_plan=args.fault_inject,
-                max_retries=args.max_retries, packed=args.packed)
+                max_retries=args.max_retries)
         except (SiteIndexError, ValueError) as exc:
             raise SystemExit(f"error: {exc}") from None
         print(f"# built index: {index.chunk_count} chunks, "
@@ -542,11 +534,6 @@ def _run_serve(argv: List[str]) -> int:
             index.save(args.index_dir)
             print(f"# index saved to {args.index_dir}",
                   file=sys.stderr)
-    mode = "packed" if getattr(index, "packed", False) else "byte"
-    reason = getattr(index, "packed_disabled_reason", None)
-    print(f"# comparer mode: {mode}"
-          + (f" (degraded: {reason})" if reason else ""),
-          file=sys.stderr)
     enzymes = []
     if args.enzyme_configs:
         from .enzymes import EnzymeError, load_enzymes
@@ -566,7 +553,7 @@ def _run_serve(argv: List[str]) -> int:
                     enzyme_index = GenomeSiteIndex.build(
                         assembly, enzyme.pattern,
                         chunk_size=args.chunk_size, api=args.api,
-                        device=args.device, packed=args.packed)
+                        device=args.device)
                 except (SiteIndexError, ValueError) as exc:
                     raise SystemExit(
                         f"error: enzyme {enzyme.name!r}: "
@@ -622,14 +609,14 @@ def _make_reloader(args: argparse.Namespace, assembly: Assembly,
             try:
                 index = GenomeSiteIndex.load(
                     args.index_dir, assembly, api=args.api,
-                    device=args.device, packed=args.packed)
+                    device=args.device)
             except SiteIndexError:
                 index = None  # stale/corrupt on disk: rebuild
         if index is None:
             index = GenomeSiteIndex.build(
                 assembly, pattern, chunk_size=args.chunk_size,
                 api=args.api, device=args.device,
-                max_retries=args.max_retries, packed=args.packed)
+                max_retries=args.max_retries)
         return index
 
     return reloader

@@ -6,11 +6,11 @@ shared local memory and atomic operations ... improving the performance
 by a factor of 30 approximately") and FlashFry, a CPU tool "two to three
 orders of magnitude faster" built on packed-integer comparisons.  This
 module implements that algorithm, both as an offline baseline engine and
-as the serving tier's resident hot path:
+as the serving index's one comparer:
 
-* each candidate window is packed into a 64-bit word, two bits per base
-  (A=0, C=1, G=2, T=3), via a vectorized gather + dot product;
-* mismatches against a packed query are counted in O(1) per window with
+* candidate windows are packed two bits per base (A=0, C=1, G=2, T=3)
+  into 64-bit words, via a vectorized gather + dot product;
+* mismatches against a packed query are counted in O(1) per word with
   the classic trick: ``x = a ^ b; m = (x | x >> 1) & 0x5555...;
   popcount(m)`` — every differing 2-bit group contributes exactly one
   set bit to ``m``;
@@ -20,21 +20,18 @@ as the serving tier's resident hot path:
 
 Two packings coexist.  :func:`pack_query_strand` packs only a query's
 *checked* positions (compact, per-site gather at compare time) and backs
-the offline :class:`BitParallelCasOffinder`.  :func:`pack_site_windows` /
-:func:`pack_query_window` pack *full windows* at fixed 2-bit offsets —
-the site words are query-independent, so a resident index computes them
-once at build time and :func:`compare_packed_batched` then serves any
-number of queries with pure XOR/popcount over the stored planes, no
-genome gather at all.  Emission order replicates the batched vectorized
-kernel block-for-block, so demultiplexed results are byte-identical.
-
-The restriction, shared with FlashFry: query *checked* positions must be
-concrete A/C/G/T (ambiguity codes other than the skipped ``N`` cannot be
-expressed in two bits).  The PAM pattern is unrestricted — candidate
-selection still uses the mask-based finder.  Queries that do carry
-ambiguity codes fall back to the byte comparer (see
-:meth:`repro.core.pipeline._BasePipeline.compare_resident`), keeping
-responses byte-identical in all cases.
+the offline :class:`BitParallelCasOffinder`; like FlashFry it takes only
+concrete A/C/G/T at checked positions, at most 32 of them.
+:func:`pack_site_windows` / :func:`pack_query_window` pack *full
+windows* at fixed 2-bit offsets, ``ceil(plen / 32)`` words per window.
+The site words are query-independent, so a resident index computes
+them once at build time and :func:`compare_packed_batched` then serves
+any number of queries over the stored planes, no genome gather at all.
+That comparer takes every IUPAC query: an ambiguity-code position reads
+the genome code back out of the same planes and applies Listing 1's
+rule, under which a genome ``N`` never mismatches an ambiguity code.
+Emission order replicates the batched vectorized kernel block-for-block,
+so its results are element-identical to the paper pipelines' comparer.
 """
 
 from __future__ import annotations
@@ -47,7 +44,8 @@ import numpy as np
 
 from ..genome.assembly import Assembly
 from .config import Query, SearchRequest
-from .patterns import CompiledPattern, PatternError, compile_pattern
+from .patterns import (MISMATCH_LUT, CompiledPattern, PatternError,
+                       compile_pattern)
 from .pipeline import (DEFAULT_CHUNK_SIZE, PackedSites, PipelineResult,
                        SyclCasOffinder)
 from .records import OffTargetHit
@@ -159,84 +157,89 @@ def count_mismatches_packed(chunk: np.ndarray, loci: np.ndarray,
 #
 # The compact per-checked-position packing above needs a genome gather
 # per (site, query-strand) at compare time.  The serving tier instead
-# packs every candidate window once, at a fixed two bits per window
-# position, so the per-batch work is XOR + mask + popcount over arrays
-# that already live in memory.  The invalid plane marks non-ACGT window
-# positions on the same odd-bit lattice the mismatch indicator lands on,
-# so OR-ing it in forces those positions to count as mismatches exactly
-# as ``MISMATCH_LUT`` does for concrete query bases.
+# packs every candidate window once, two bits per window position and
+# 32 positions per uint64 word, so the per-batch work is XOR + mask +
+# popcount over arrays that already live in memory.  The invalid plane
+# marks non-ACGT window positions on the same odd-bit lattice the
+# mismatch indicator lands on, so OR-ing it in forces those positions
+# to count as mismatches exactly as ``MISMATCH_LUT`` does for concrete
+# query bases.
 
-def acgtn_only(data: np.ndarray) -> bool:
-    """True when every byte is uppercase A/C/G/T/N.
-
-    The packed resident form requires this: 2-bit decode then maps every
-    flagged position back to ``N`` losslessly, which keeps hit site
-    strings (and the byte-comparer fallback) identical to the raw bytes.
-    """
-    return bool(_ACGTN[data].all())
-
-
-_ACGTN = np.zeros(256, dtype=bool)
-for _b in b"ACGTN":
-    _ACGTN[_b] = True
+def window_words(plen: int) -> int:
+    """Number of uint64 words one packed window of ``plen`` bases spans."""
+    return -(-plen // MAX_CHECKED_POSITIONS)
 
 
 def pack_site_windows(chunk_data: np.ndarray, loci: np.ndarray,
                       plen: int) -> PackedSites:
     """Pack all candidate windows of one chunk into resident planes.
 
-    Returns :class:`~repro.core.pipeline.PackedSites` with ``words[i] =
-    sum(code(window[p]) << 2p)`` and ``invalid[i]`` carrying bit ``2p``
-    for every non-ACGT window position ``p``.  Query-independent, so the
-    index computes this once per chunk at build time.
+    Returns :class:`~repro.core.pipeline.PackedSites` with ``words[w, i]
+    = sum(code(window[32w + p]) << 2p)`` and ``invalid[w, i]`` carrying
+    bit ``2p`` for every non-ACGT window position ``32w + p``.
+    Query-independent, so the index computes this once per chunk at
+    build time.
     """
-    if plen > MAX_CHECKED_POSITIONS:
-        raise PatternError(
-            f"packed windows hold at most {MAX_CHECKED_POSITIONS} "
-            f"positions, pattern has {plen}")
-    if loci.size == 0:
-        return PackedSites(words=np.zeros(0, np.uint64),
-                           invalid=np.zeros(0, np.uint64))
-    windows = chunk_data[loci.astype(np.int64)[:, None]
-                         + np.arange(plen, dtype=np.int64)[None, :]]
-    weights = (np.uint64(1)
-               << (2 * np.arange(plen, dtype=np.uint64)))[None, :]
-    words = (_CODE[windows] * weights).sum(axis=1, dtype=np.uint64)
-    invalid = ((~_VALID[windows]).astype(np.uint64)
-               * weights).sum(axis=1, dtype=np.uint64)
+    n_words = window_words(plen)
+    words = np.empty((n_words, loci.size), dtype=np.uint64)
+    invalid = np.empty((n_words, loci.size), dtype=np.uint64)
+    starts = loci.astype(np.int64)[:, None]
+    for w in range(n_words):
+        first = w * MAX_CHECKED_POSITIONS
+        width = min(MAX_CHECKED_POSITIONS, plen - first)
+        windows = chunk_data[starts + np.arange(first, first + width,
+                                                dtype=np.int64)[None, :]]
+        weights = (np.uint64(1)
+                   << (2 * np.arange(width, dtype=np.uint64)))[None, :]
+        words[w] = (_CODE[windows] * weights).sum(axis=1, dtype=np.uint64)
+        invalid[w] = ((~_VALID[windows]).astype(np.uint64)
+                      * weights).sum(axis=1, dtype=np.uint64)
     return PackedSites(words=words, invalid=invalid)
+
+
+#: ``_REJECTS[c, k]`` is 1 when query code ``c`` counts a mismatch
+#: against the genome base with 2-bit code ``k``: the A/C/G/T columns of
+#: ``MISMATCH_LUT``.
+_REJECTS = MISMATCH_LUT[:, np.frombuffer(b"ACGT", dtype=np.uint8)]
 
 
 @dataclass(frozen=True)
 class PackedWindowQuery:
-    """One query strand packed against full windows: code word + care
-    mask (bit ``2p`` set for every checked window position ``p``)."""
+    """One query strand packed against full windows.
 
-    word: np.uint64
-    care: np.uint64
+    ``words`` and ``care`` hold one uint64 per window word for the
+    checked concrete A/C/G/T positions: their 2-bit codes, and bit
+    ``2p`` set for each.  ``ambiguous`` lists every checked
+    ambiguity-code position as ``(word, shift, rejects)``: its window
+    word, its bit offset ``2p`` in that word, and the 4-entry table of
+    genome codes it mismatches.
+    """
+
+    words: np.ndarray  # uint64, one per window word
+    care: np.ndarray   # uint64, one per window word
+    ambiguous: Tuple[Tuple[int, np.uint64, np.ndarray], ...]
 
 
 def pack_query_window(cq: CompiledPattern, offset: int
                       ) -> PackedWindowQuery:
     """Pack one strand at full-window offsets (0 = forward, plen =
-    reverse).  Raises :class:`PatternError` for patterns longer than 32
-    or ambiguity codes at checked positions."""
-    if cq.plen > MAX_CHECKED_POSITIONS:
-        raise PatternError(
-            f"packed windows hold at most {MAX_CHECKED_POSITIONS} "
-            f"positions, pattern has {cq.plen}")
+    reverse)."""
     indices = cq.comp_index[offset:offset + cq.plen]
     checked = indices[indices >= 0].astype(np.int64)
     chars = cq.comp[checked + offset]
-    if not _VALID[chars].all():
-        bad = sorted({chr(c) for c in chars[~_VALID[chars]]})
-        raise PatternError(
-            f"bit-parallel comparer requires concrete A/C/G/T at checked "
-            f"query positions; found {bad}")
-    shifts = (2 * checked).astype(np.uint64)
-    word = np.uint64(np.sum(_CODE[chars] << shifts, dtype=np.uint64))
-    care = np.uint64(np.sum(np.uint64(1) << shifts, dtype=np.uint64))
-    return PackedWindowQuery(word=word, care=care)
+    word_of = checked // MAX_CHECKED_POSITIONS
+    shifts = (2 * (checked % MAX_CHECKED_POSITIONS)).astype(np.uint64)
+    concrete = _VALID[chars]
+    words = np.zeros(window_words(cq.plen), dtype=np.uint64)
+    care = np.zeros_like(words)
+    np.bitwise_or.at(words, word_of[concrete],
+                     _CODE[chars[concrete]] << shifts[concrete])
+    np.bitwise_or.at(care, word_of[concrete],
+                     np.uint64(1) << shifts[concrete])
+    ambiguous = tuple(
+        (int(w), shift, _REJECTS[char]) for w, shift, char
+        in zip(word_of[~concrete], shifts[~concrete], chars[~concrete]))
+    return PackedWindowQuery(words=words, care=care, ambiguous=ambiguous)
 
 
 @lru_cache(maxsize=512)
@@ -244,14 +247,14 @@ def _window_query_cached(sequence: str, offset: int) -> PackedWindowQuery:
     return pack_query_window(compile_pattern(sequence), offset)
 
 
-def window_packable(cq: CompiledPattern) -> bool:
-    """True when both strands of a compiled query fit the packed form."""
-    try:
-        _window_query_cached(cq.decode(), 0)
-        _window_query_cached(cq.decode(), cq.plen)
-    except PatternError:
-        return False
-    return True
+def _stack_strand(packed_queries: Sequence[PackedWindowQuery]):
+    """One strand of a batch: (queries, words) code and care matrices,
+    plus every ambiguity position as ``(query, word, shift, rejects)``."""
+    ambiguous = [(q, w, shift, rejects)
+                 for q, pq in enumerate(packed_queries)
+                 for w, shift, rejects in pq.ambiguous]
+    return (np.array([pq.words for pq in packed_queries]),
+            np.array([pq.care for pq in packed_queries]), ambiguous)
 
 
 #: Mirrors :meth:`repro.runtime.executor.NDRangeExecutor.run_vectorized`:
@@ -273,42 +276,55 @@ def compare_packed_batched(packed: PackedSites, loci: np.ndarray,
     Returns per-query ``(mm_loci, mm_count, direction)`` triples in the
     exact emission order of the batched vectorized kernel (per
     work-item block: ascending forward-strand candidates, then reverse),
-    filtered to each query's mismatch budget.  Every query must satisfy
-    :func:`window_packable`; the caller routes others to the byte
-    comparer.
+    filtered to each query's mismatch budget.
+
+    Counts follow Listing 1 for any IUPAC query.  Per window word, the
+    concrete positions of every query count together: XOR with the
+    site word, fold each differing 2-bit group onto its odd bit, OR in
+    the invalid plane, mask to the query's care bits and popcount.  An
+    ambiguity-code position decodes the genome code from the same word
+    (``words >> 2p & 3``) and counts a mismatch only where the invalid
+    plane's bit ``2p`` is clear and the code is one it excludes, so a
+    genome ``N`` or other non-ACGT byte mismatches a concrete query
+    base but never an ambiguity code.
     """
     nq = len(queries)
     count = int(loci.size)
     out: List[List[np.ndarray]] = [[] for _ in range(nq)]
-    qwords = np.array([_window_query_cached(cq.decode(), 0).word
-                       for cq in compiled_queries], dtype=np.uint64)
-    qcares = np.array([_window_query_cached(cq.decode(), 0).care
-                       for cq in compiled_queries], dtype=np.uint64)
-    rwords = np.array(
-        [_window_query_cached(cq.decode(), cq.plen).word
-         for cq in compiled_queries], dtype=np.uint64)
-    rcares = np.array(
-        [_window_query_cached(cq.decode(), cq.plen).care
-         for cq in compiled_queries], dtype=np.uint64)
+    strands = (
+        (ord("+"), 1, _stack_strand([_window_query_cached(cq.decode(), 0)
+                                     for cq in compiled_queries])),
+        (ord("-"), 2, _stack_strand(
+            [_window_query_cached(cq.decode(), cq.plen)
+             for cq in compiled_queries])))
     thresholds = [int(q.max_mismatches) for q in queries]
     one = np.uint64(1)
+    three = np.uint64(3)
     for start in range(0, count, _VECTORIZED_BLOCK_ITEMS):
         end = min(start + _VECTORIZED_BLOCK_ITEMS, count)
         f = flags[start:end]
         blk_loci = loci[start:end]
-        blk_words = packed.words[start:end]
-        blk_invalid = packed.invalid[start:end]
-        for words_q, cares_q, direction_char, strand_sel in (
-                (qwords, qcares, ord("+"), (f == 0) | (f == 1)),
-                (rwords, rcares, ord("-"), (f == 0) | (f == 2))):
+        for direction_char, strand_flag, (qwords, qcares, ambiguous) \
+                in strands:
+            strand_sel = (f == 0) | (f == strand_flag)
             sub = blk_loci[strand_sel]
             if sub.size == 0:
                 continue
-            x = blk_words[strand_sel][None, :] ^ words_q[:, None]
-            m = ((x | (x >> one)) & _ODD_BITS) \
-                | blk_invalid[strand_sel][None, :]
-            m &= cares_q[:, None]
-            counts = popcount64(m)
+            counts = None
+            for w in range(qwords.shape[1]):
+                words = packed.words[w, start:end][strand_sel]
+                invalid = packed.invalid[w, start:end][strand_sel]
+                x = words[None, :] ^ qwords[:, w, None]
+                m = ((x | (x >> one)) & _ODD_BITS) | invalid[None, :]
+                m &= qcares[:, w, None]
+                word_counts = popcount64(m)
+                counts = (word_counts if counts is None
+                          else counts + word_counts)
+                for q, word, shift, rejects in ambiguous:
+                    if word == w:
+                        valid = ((invalid >> shift) & one) == 0
+                        counts[q] += rejects[(words >> shift) & three] \
+                            & valid
             for q in range(nq):
                 keep = counts[q] <= thresholds[q]
                 kept = int(keep.sum())

@@ -264,17 +264,19 @@ class SearchAccumulator:
 class PackedSites:
     """Resident 2-bit planes for one chunk's candidate windows.
 
-    ``words[i]`` packs candidate ``i``'s full window at two bits per
-    position (A=0, C=1, G=2, T=3, codes ascending from bit 0);
-    ``invalid[i]`` sets bit ``2p`` for every window position ``p`` whose
-    byte was not concrete A/C/G/T.  Both are query-independent, so
+    Both planes have one row per 32-position window word and one column
+    per candidate.  ``words[w, i]`` packs positions ``32w`` to
+    ``32w + 31`` of candidate ``i``'s window at two bits each (A=0, C=1,
+    G=2, T=3, codes ascending from bit 0); ``invalid[w, i]`` sets bit
+    ``2p`` for every such position ``32w + p`` whose byte was not
+    concrete A/C/G/T.  Both are query-independent, so
     :class:`repro.service.index.GenomeSiteIndex` computes them once at
     build time and every batch reuses them
     (:func:`repro.core.bitparallel.compare_packed_batched`).
     """
 
-    words: np.ndarray    # uint64, one packed window per candidate
-    invalid: np.ndarray  # uint64 odd-bit mask of non-ACGT positions
+    words: np.ndarray    # uint64 (words, candidates) packed windows
+    invalid: np.ndarray  # uint64 (words, candidates) non-ACGT odd bits
 
     @property
     def nbytes(self) -> int:
@@ -285,11 +287,9 @@ class PackedSites:
 class ResidentChunk:
     """One chunk's resident candidate data, ready for the comparer.
 
-    The comparer entry points only read the arrays, and
-    :meth:`_BasePipeline.compare_candidates` re-stages contiguous
-    arrays without copying.  When ``packed`` planes are present the
-    batched comparer runs bit-parallel over them; ``data`` stays
-    available for hit construction and the ambiguity-code fallback.
+    The comparer reads only ``loci``, ``flags`` and the ``packed``
+    planes; ``data`` is there for hit construction, which renders site
+    text from the raw bytes.
     """
 
     chrom: str
@@ -298,7 +298,7 @@ class ResidentChunk:
     data: np.ndarray   # uint8 chunk bases (scan region + overlap)
     loci: np.ndarray   # uint32 candidate offsets within the chunk
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
-    packed: Optional[PackedSites] = None
+    packed: PackedSites
 
 
 #: One chunk's comparer output: an ``(mm_loci, mm_count, direction)``
@@ -363,26 +363,8 @@ class _BasePipeline:
         """
         raise NotImplementedError
 
-    def compare_candidates(self, chunk_data: np.ndarray,
-                           loci: np.ndarray, flags: np.ndarray,
-                           queries: Sequence[Query],
-                           compiled_queries: Sequence[CompiledPattern],
-                           batched: bool = True
-                           ) -> List[Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]]:
-        """Run the comparer over pre-computed candidate sites.
-
-        ``chunk_data``/``loci``/``flags`` are host arrays (e.g. replayed
-        from a site index); they are re-staged to the device and the
-        batched (or per-query) comparer runs exactly as it would inside
-        the chunk loop, so the per-query triples are element-identical
-        to a full :meth:`search` over the same chunk.
-        """
-        raise NotImplementedError
-
     def compare_resident(self, entries, queries: Sequence[Query],
-                         compiled_queries: Sequence[CompiledPattern],
-                         batched: bool = True
+                         compiled_queries: Sequence[CompiledPattern]
                          ) -> List[List[List[OffTargetHit]]]:
         """Run the comparer over resident chunks, building final hits.
 
@@ -393,83 +375,39 @@ class _BasePipeline:
         :meth:`SearchAccumulator._build_hits` the chunk loop uses, so
         concatenating the per-entry lists in chunk order reproduces a
         full search byte-for-byte.
-
-        Entries carrying :class:`PackedSites` planes run the
-        bit-parallel comparer over the resident 2-bit words instead of
-        re-staging chunk bytes; queries whose checked positions carry
-        ambiguity codes (inexpressible in two bits) are routed through
-        the byte comparer for that entry, and the per-query triples are
-        merged back in input order — both paths emit element-identical
-        results, so the split is invisible on the wire.
         """
         results: List[List[List[OffTargetHit]]] = []
         queries = list(queries)
         compiled_queries = list(compiled_queries)
         for entry in entries:
             per_query = self.compare_resident_triples(
-                entry, queries, compiled_queries, batched)
+                entry, queries, compiled_queries)
             results.append(build_entry_hits(
                 entry, queries, compiled_queries, per_query))
         return results
 
-    def _compare_resident_mixed(self, entry: "ResidentChunk",
-                                queries: Sequence[Query],
-                                compiled_queries:
-                                Sequence[CompiledPattern],
-                                batched: bool
-                                ) -> List[Tuple[np.ndarray, np.ndarray,
-                                                np.ndarray]]:
-        """Packed comparer for packable queries, byte fallback for the
-        rest; triples merged back in input order."""
-        # Deferred: bitparallel imports this module at its top level.
-        from .bitparallel import (compare_packed_batched,
-                                  window_packable)
-        packable = [window_packable(cq) for cq in compiled_queries]
-        per_query: List[Optional[Tuple[np.ndarray, np.ndarray,
-                                       np.ndarray]]] = \
-            [None] * len(queries)
-        packed_idx = [i for i, ok in enumerate(packable) if ok]
-        if packed_idx:
-            packed_out = compare_packed_batched(
-                entry.packed, entry.loci, entry.flags,
-                [queries[i] for i in packed_idx],
-                [compiled_queries[i] for i in packed_idx])
-            for slot, i in enumerate(packed_idx):
-                per_query[i] = packed_out[slot]
-        fallback_idx = [i for i, ok in enumerate(packable) if not ok]
-        if fallback_idx:
-            byte_out = self.compare_candidates(
-                entry.data, entry.loci, entry.flags,
-                [queries[i] for i in fallback_idx],
-                [compiled_queries[i] for i in fallback_idx],
-                batched=batched)
-            for slot, i in enumerate(fallback_idx):
-                per_query[i] = byte_out[slot]
-        return per_query
-
     def compare_resident_triples(
-            self, entry: "ResidentChunk", queries: Sequence[Query],
-            compiled_queries: Sequence[CompiledPattern],
-            batched: bool = True) -> Triples:
+            self, entry: ResidentChunk, queries: Sequence[Query],
+            compiled_queries: Sequence[CompiledPattern]) -> Triples:
         """Raw comparer triples for one resident chunk.
 
-        Same routing as :meth:`compare_resident` (packed planes when
-        present, byte comparer otherwise) but stops before hit
+        Runs the bit-parallel comparer over the entry's resident 2-bit
+        planes for every query, concrete or IUPAC, and stops before hit
         construction: returns one ``(mm_loci, mm_count, direction)``
         triple per query (empty arrays for an entry with no candidate
-        sites).  The variant layer diffs these arrays without building
-        hits; :meth:`compare_resident` renders :class:`OffTargetHit`
-        objects from the same triples with :func:`build_entry_hits`,
-        so both stay element-identical.
+        sites), element-identical to what this pipeline's comparer
+        kernel emits for the same chunk.  The variant layer diffs these
+        arrays without building hits; :meth:`compare_resident` renders
+        :class:`OffTargetHit` objects from the same triples with
+        :func:`build_entry_hits`.
         """
         if entry.loci.size == 0:
             return empty_triples(len(queries))
-        if getattr(entry, "packed", None) is not None:
-            return self._compare_resident_mixed(
-                entry, queries, compiled_queries, batched)
-        return self.compare_candidates(
-            entry.data, entry.loci, entry.flags, queries,
-            compiled_queries, batched=batched)
+        # Deferred: bitparallel imports this module at its top level.
+        from .bitparallel import compare_packed_batched
+        return compare_packed_batched(entry.packed, entry.loci,
+                                      entry.flags, queries,
+                                      compiled_queries)
 
     @property
     def work_group_size(self) -> Optional[int]:
@@ -674,29 +612,6 @@ class SyclCasOffinder(_BasePipeline):
             flag_host = flag_buf.get_host_access(sycl_read).data[
                 :count].copy()
             return count, loci_host, flag_host
-
-    def compare_candidates(self, chunk_data, loci, flags, queries,
-                           compiled_queries, batched=True):
-        count = int(loci.size)
-        vector_mode = self.mode == "vectorized"
-        if count == 0:
-            return [(np.zeros(0, np.uint32), np.zeros(0, np.uint16),
-                     np.zeros(0, np.uint8)) for _ in queries]
-        chunk_data = np.ascontiguousarray(chunk_data, dtype=np.uint8)
-        loci = np.ascontiguousarray(loci, dtype=np.uint32)
-        flags = np.ascontiguousarray(flags, dtype=np.uint8)
-        with Buffer(chunk_data, name="chr",
-                    write_back=False) as chr_buf, \
-                Buffer(loci, name="loci", write_back=False) as loci_buf, \
-                Buffer(flags, name="flag", write_back=False) as flag_buf:
-            if batched and len(queries) > 1:
-                return self._run_comparer_batched(
-                    chr_buf, loci_buf, flag_buf, count, list(queries),
-                    list(compiled_queries), vector_mode)
-            return [self._run_comparer(chr_buf, loci_buf, flag_buf,
-                                       count, cq, query.max_mismatches,
-                                       vector_mode)
-                    for query, cq in zip(queries, compiled_queries)]
 
     def _run_comparer(self, chr_buf, loci_buf, flag_buf, count, cq,
                       threshold, vector_mode):
@@ -1237,39 +1152,6 @@ class OpenCLCasOffinder(_BasePipeline):
             ocl.clReleaseMemObject(mem)
         ocl.clReleaseKernel(finder)
         return count, loci_host[:count], flag_host[:count]
-
-    def compare_candidates(self, chunk_data, loci, flags, queries,
-                           compiled_queries, batched=True):
-        count = int(loci.size)
-        vector_mode = self.mode == "vectorized"
-        if count == 0:
-            return [(np.zeros(0, np.uint32), np.zeros(0, np.uint16),
-                     np.zeros(0, np.uint8)) for _ in queries]
-        chunk_data = np.ascontiguousarray(chunk_data, dtype=np.uint8)
-        loci = np.ascontiguousarray(loci, dtype=np.uint32)
-        flags = np.ascontiguousarray(flags, dtype=np.uint8)
-        ctx = self.context
-        chr_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            chunk_data.nbytes, chunk_data, name="chr")
-        loci_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            loci.nbytes, loci, name="loci")
-        flag_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            flags.nbytes, flags, name="flag")
-        try:
-            if batched and len(queries) > 1:
-                return self._run_comparer_batched(
-                    chr_mem, loci_mem, flag_mem, count, list(queries),
-                    list(compiled_queries), vector_mode)
-            return [self._run_comparer(chr_mem, loci_mem, flag_mem,
-                                       count, cq, query.max_mismatches,
-                                       vector_mode)
-                    for query, cq in zip(queries, compiled_queries)]
-        finally:
-            for mem in (chr_mem, loci_mem, flag_mem):
-                ocl.clReleaseMemObject(mem)
 
     def _run_comparer(self, chr_mem, loci_mem, flag_mem, count, cq,
                       threshold, vector_mode):

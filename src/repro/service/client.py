@@ -358,7 +358,7 @@ def run_load(host: str, port: int, queries: Sequence[Query],
 # Smoke entry point: `python -m repro.service.client --smoke`
 # ---------------------------------------------------------------------------
 
-def _smoke(clients: int, duration_s: float, packed: bool = True,
+def _smoke(clients: int, duration_s: float,
            adaptive: bool = False) -> int:
     from ..genome.synthetic import synthetic_assembly
     from .index import GenomeSiteIndex
@@ -366,7 +366,7 @@ def _smoke(clients: int, duration_s: float, packed: bool = True,
 
     assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
     index = GenomeSiteIndex.build(assembly, "NNNNNNRG",
-                                  chunk_size=1 << 15, packed=packed)
+                                  chunk_size=1 << 15)
     server = OffTargetServer(index, max_batch=8, max_wait_ms=2.0,
                              adaptive=adaptive)
     handle = server.start_background()
@@ -376,7 +376,6 @@ def _smoke(clients: int, duration_s: float, packed: bool = True,
                           clients=clients, duration_s=duration_s)
     finally:
         handle.stop()
-    report["comparer_mode"] = "packed" if index.packed else "byte"
     print(json.dumps(report, indent=2, sort_keys=True))
     if report["requests"] <= 0 or report["throughput_rps"] <= 0:
         print("smoke FAILED: no requests completed")
@@ -399,11 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--packed", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="with --smoke: resident comparer mode "
-                             "(packed 2-bit by default; --no-packed "
-                             "forces the byte comparer)")
     parser.add_argument("--adaptive", action="store_true",
                         help="with --smoke: adaptive scheduler "
                              "(max_batch retuning)")
@@ -413,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "demo guides)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return _smoke(args.clients, args.duration, packed=args.packed,
+        return _smoke(args.clients, args.duration,
                       adaptive=args.adaptive)
     if not args.port:
         parser.error("--port is required unless --smoke is given")

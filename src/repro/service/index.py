@@ -6,35 +6,30 @@ is completely independent of the guide queries.  A
 :class:`GenomeSiteIndex` therefore runs the finder exactly once per
 chunk over the whole assembly and keeps each chunk's candidate arrays
 (loci within the chunk, strand flags) memory-resident.  Serving a query
-then reduces to the comparer kernel over the stored candidates — the
+then reduces to the comparer over the stored candidates — the
 expensive genome scan is amortized across every request that follows.
 
-Results are pinned byte-identical to an offline search: the comparer is
-re-staged from the stored host arrays through the same pipeline entry
-points (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`,
-itself built on ``compare_candidates``).  Its per-chunk output, one
-``(mm_loci, mm_count, direction)`` array triple per query, is what the
-index hands on: :meth:`GenomeSiteIndex.query_batch` renders it into
-hits through the same
-:meth:`~repro.core.pipeline.SearchAccumulator._build_hits` the chunk
-loop uses, while :meth:`GenomeSiteIndex.query_batch_with_extras` returns
-the triples themselves, so the variant layer builds no hit objects.
-
-By default the index keeps its candidate windows in the *packed* 2-bit
-resident form (:class:`~repro.core.pipeline.PackedSites` planes packed
-once at build time), so serving runs the bit-parallel comparer — XOR +
-odd-bit mask + popcount over resident uint64 words — instead of
-re-gathering genome bytes per batch.  Packing requires the pattern to
-fit one 64-bit word (``plen <= 32``) and every chunk byte to be
-uppercase A/C/G/T/N; anything else auto-degrades the whole index to the
-byte comparer (``packed_disabled_reason`` records why).  Queries with
-ambiguity codes at checked positions always fall back to the byte
-comparer per query, so responses stay byte-identical either way.
+The index also packs each chunk's candidate windows once, at build
+time, into resident 2-bit planes
+(:class:`~repro.core.pipeline.PackedSites`), and serving runs one
+comparer over them for every query, pattern length and genome byte:
+the bit-parallel XOR + odd-bit mask + popcount of
+:func:`~repro.core.bitparallel.compare_packed_batched`, which decodes
+ambiguity-code query positions from the same planes.  Its per-chunk
+output, one ``(mm_loci, mm_count, direction)`` array triple per query
+(:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`),
+is element-identical to the comparer kernel of an offline search over
+the same chunk, and is what the index hands on:
+:meth:`GenomeSiteIndex.query_batch` renders it into hits through the
+same :meth:`~repro.core.pipeline.SearchAccumulator._build_hits` the
+chunk loop uses, while :meth:`GenomeSiteIndex.query_batch_with_extras`
+returns the triples themselves, so the variant layer builds no hit
+objects.
 
 Persistence reuses the :mod:`repro.resilience.checkpoint` fingerprint
 machinery: ``save`` writes a versioned ``index.json`` header carrying a
 SHA-256 manifest fingerprint over (genome identity, pattern, chunk
-size) plus a SHA-256 digest of the packed site arrays; ``load`` refuses
+size) plus a SHA-256 digest of the site arrays and planes; ``load`` refuses
 an index built for a different genome/pattern/chunk size
 (:class:`SiteIndexMismatchError`), detects corrupted site payloads
 (:class:`SiteIndexError`), and rejects other on-disk format versions
@@ -56,8 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bitparallel import (acgtn_only, pack_site_windows,
-                                window_packable)
+from ..core.bitparallel import pack_site_windows, window_words
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
@@ -70,15 +64,13 @@ from ..resilience.checkpoint import RunManifest, _atomic_write_json
 #: Header file inside an index directory.
 INDEX_MANIFEST_NAME = "index.json"
 
-#: Packed candidate-site arrays inside an index directory.
+#: Candidate-site arrays and 2-bit window planes inside an index
+#: directory.
 SITES_NAME = "sites.npz"
 
-#: Bumped on any change to the on-disk layout.  Version 2 added the
-#: ``packed`` header flag and the optional 2-bit window planes.
-INDEX_VERSION = 2
-
-#: A pattern longer than this cannot pack one window per uint64.
-MAX_PACKED_PATTERN = 32
+#: Bumped on any change to the on-disk layout.  Version 3 always stores
+#: the 2-bit window planes, ``ceil(plen / 32)`` words per window.
+INDEX_VERSION = 3
 
 
 class SiteIndexError(RuntimeError):
@@ -104,8 +96,7 @@ class _IndexedChunk:
 
     ``data`` is a zero-copy view over the assembly's chromosome array,
     cached at build/load time so serving never re-fetches bases per
-    batch; ``packed`` holds the resident 2-bit window planes when the
-    index is in packed mode.
+    batch; ``packed`` holds the resident 2-bit window planes.
     """
 
     chrom: str
@@ -115,7 +106,7 @@ class _IndexedChunk:
     loci: np.ndarray   # uint32 candidate offsets within the chunk
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
     data: np.ndarray
-    packed: Optional[PackedSites] = None
+    packed: PackedSites
 
 
 class GenomeSiteIndex:
@@ -131,7 +122,7 @@ class GenomeSiteIndex:
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  api: str = "sycl", device: str = "MI100",
                  variant: str = "base", mode: str = "vectorized",
-                 work_group_size: int = 256, packed: bool = True):
+                 work_group_size: int = 256):
         if chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1, got {chunk_size}")
@@ -147,29 +138,10 @@ class GenomeSiteIndex:
                                       work_group_size=work_group_size)
         self.build_wall_s = 0.0
         self._chunks: List[_IndexedChunk] = []
-        #: Effective comparer mode; may be degraded from the request.
-        self.packed = bool(packed)
-        self.packed_disabled_reason: Optional[str] = None
-        if self.packed and self.compiled_pattern.plen \
-                > MAX_PACKED_PATTERN:
-            self._disable_packed(
-                f"pattern length {self.compiled_pattern.plen} exceeds "
-                f"the {MAX_PACKED_PATTERN}-base packed window")
         self._stats_lock = threading.Lock()
-        self._queries_packed = 0
-        self._queries_fallback = 0
         self._batches = 0
         self._queries_total = 0
         self._entries_scanned = 0
-
-    def _disable_packed(self, reason: str) -> None:
-        """Degrade the whole index to the byte comparer, keeping note."""
-        self.packed = False
-        self.packed_disabled_reason = reason
-        for entry in self._chunks:
-            entry.packed = None
-        tracing.instant("index_packed_disabled", cat="index",
-                        reason=reason)
 
     # -- identity -------------------------------------------------------
 
@@ -231,25 +203,20 @@ class GenomeSiteIndex:
               variant: str = "base", mode: str = "vectorized",
               work_group_size: int = 256,
               fault_plan: Optional[str] = None,
-              max_retries: int = 2,
-              packed: bool = True) -> "GenomeSiteIndex":
+              max_retries: int = 2) -> "GenomeSiteIndex":
         """Scan the whole assembly through the finder kernel once.
 
         ``fault_plan`` accepts the same deterministic spec the streaming
         engine uses (:mod:`repro.observability.faults`); an injected
         failure on a chunk is retried up to ``max_retries`` times, so a
         transient fault during the build never changes the index
-        contents — the serving-equivalence tests pin this down.
-
-        ``packed=True`` (default) additionally packs every chunk's
-        candidate windows into resident 2-bit planes right after the
-        finder pass; a chunk byte outside uppercase A/C/G/T/N (or a
-        pattern longer than 32) degrades the whole index to the byte
-        comparer instead of serving wrong or lossy site strings.
+        contents — the serving-equivalence tests pin this down.  Each
+        chunk's candidate windows are packed into resident 2-bit planes
+        right after its finder pass.
         """
         index = cls(assembly, pattern, chunk_size=chunk_size, api=api,
                     device=device, variant=variant, mode=mode,
-                    work_group_size=work_group_size, packed=packed)
+                    work_group_size=work_group_size)
         injector = faults.resolve_injector(fault_plan, device=device)
         started = time.perf_counter()
         plen = index.compiled_pattern.plen
@@ -277,27 +244,18 @@ class GenomeSiteIndex:
                             f"index build failed on chunk {number} "
                             f"after {attempts} attempt(s): "
                             f"{exc!r}") from exc
-            entry = _IndexedChunk(
+            loci = np.ascontiguousarray(loci, dtype=np.uint32)
+            index._chunks.append(_IndexedChunk(
                 chrom=chunk.chrom, start=int(chunk.start),
                 scan_length=int(chunk.scan_length),
-                length=int(chunk.data.size),
-                loci=np.ascontiguousarray(loci, dtype=np.uint32),
+                length=int(chunk.data.size), loci=loci,
                 flags=np.ascontiguousarray(flags, dtype=np.uint8),
-                data=chunk.data)
-            if index.packed:
-                if acgtn_only(chunk.data):
-                    entry.packed = pack_site_windows(
-                        chunk.data, entry.loci, plen)
-                else:
-                    index._disable_packed(
-                        f"chunk {number} ({chunk.chrom}:{chunk.start}) "
-                        f"holds bytes outside uppercase A/C/G/T/N")
-            index._chunks.append(entry)
+                data=chunk.data,
+                packed=pack_site_windows(chunk.data, loci, plen)))
         index.build_wall_s = time.perf_counter() - started
         tracing.instant("index_built", cat="index",
                         chunks=index.chunk_count,
-                        sites=index.site_count,
-                        packed=index.packed)
+                        sites=index.site_count)
         return index
 
     # -- queries --------------------------------------------------------
@@ -319,8 +277,7 @@ class GenomeSiteIndex:
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
         scanned = 0
         for entry_hits in self.pipeline.compare_resident(
-                self._resident_entries(), queries, compiled,
-                batched=True):
+                self._resident_entries(), queries, compiled):
             scanned += 1
             for qi, query_hits in enumerate(entry_hits):
                 hits[qi].extend(query_hits)
@@ -362,7 +319,7 @@ class GenomeSiteIndex:
 
         def compare(entry: ResidentChunk) -> Triples:
             return self.pipeline.compare_resident_triples(
-                entry, queries, compiled, batched=True)
+                entry, queries, compiled)
 
         reference = [(entry, compare(entry))
                      for entry in self._resident_entries()]
@@ -372,9 +329,8 @@ class GenomeSiteIndex:
                        ) -> List[CompiledPattern]:
         """Check and compile one comparer batch's queries, and count it.
 
-        Every query must have the index pattern's length.  The batch,
-        its queries and the split between the packed comparer and the
-        byte fallback are counted for :meth:`comparer_stats`.
+        Every query must have the index pattern's length.  The batch
+        and its queries are counted for :meth:`comparer_stats`.
         """
         plen = self.compiled_pattern.plen
         for query in queries:
@@ -387,11 +343,6 @@ class GenomeSiteIndex:
         with self._stats_lock:
             self._batches += 1
             self._queries_total += len(compiled)
-            if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
-                self._queries_packed += packed_n
-                self._queries_fallback += len(compiled) - packed_n
         return compiled
 
     def _resident_entries(self):
@@ -399,8 +350,8 @@ class GenomeSiteIndex:
 
         Chunk bases were cached (as zero-copy views over the assembly)
         at build/load time, so no per-batch ``assembly.fetch`` happens
-        on the serving hot path; in packed mode the resident 2-bit
-        planes ride along for the bit-parallel comparer.
+        on the serving hot path; the resident 2-bit planes ride along
+        for the comparer.
         """
         for entry in self._chunks:
             if entry.loci.size:
@@ -410,18 +361,12 @@ class GenomeSiteIndex:
                                     flags=entry.flags, packed=entry.packed)
 
     def comparer_stats(self) -> Dict[str, object]:
-        """Comparer-mode introspection for the ``stats`` server op."""
+        """Comparer counters for the ``stats`` server op."""
         with self._stats_lock:
-            queries_packed = self._queries_packed
-            queries_fallback = self._queries_fallback
             batches = self._batches
             queries_total = self._queries_total
             entries_scanned = self._entries_scanned
         return {
-            "mode": "packed" if self.packed else "byte",
-            "packed_disabled_reason": self.packed_disabled_reason,
-            "queries_packed": queries_packed,
-            "queries_fallback": queries_fallback,
             # One ``query_batch`` call == one batched comparer pass over
             # the resident chunks.  ``queries_total / batches`` therefore
             # proves how many guides shared each launch pass — the
@@ -443,9 +388,9 @@ class GenomeSiteIndex:
         The site arrays go to ``sites.npz`` (written via temp file +
         atomic rename); ``index.json`` records the format version, the
         manifest fingerprint and the payload's SHA-256, so :meth:`load`
-        can refuse mismatched or corrupted state up front.  A packed
-        index persists its 2-bit window planes alongside the site
-        arrays, so a warm-started server skips the packing pass too.
+        can refuse mismatched or corrupted state up front.  The 2-bit
+        window planes are stored alongside the site arrays, so a
+        warm-started server skips the packing pass too.
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
@@ -454,6 +399,8 @@ class GenomeSiteIndex:
         offsets = np.zeros(len(self._chunks) + 1, dtype=np.int64)
         for i, entry in enumerate(self._chunks):
             offsets[i + 1] = offsets[i] + entry.loci.size
+        no_planes = np.zeros(
+            (window_words(self.compiled_pattern.plen), 0), np.uint64)
         arrays = {
             "chunk_chrom": np.array(
                 [chrom_ids[e.chrom] for e in self._chunks],
@@ -469,15 +416,13 @@ class GenomeSiteIndex:
                      if self._chunks else np.zeros(0, np.uint32)),
             "flags": (np.concatenate([e.flags for e in self._chunks])
                       if self._chunks else np.zeros(0, np.uint8)),
+            "packed_words": np.concatenate(
+                [no_planes] + [e.packed.words for e in self._chunks],
+                axis=1),
+            "packed_invalid": np.concatenate(
+                [no_planes] + [e.packed.invalid for e in self._chunks],
+                axis=1),
         }
-        if self.packed:
-            arrays["packed_words"] = (
-                np.concatenate([e.packed.words for e in self._chunks])
-                if self._chunks else np.zeros(0, np.uint64))
-            arrays["packed_invalid"] = (
-                np.concatenate([e.packed.invalid
-                                for e in self._chunks])
-                if self._chunks else np.zeros(0, np.uint64))
         sites_path = os.path.join(directory, SITES_NAME)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sites-",
                                    suffix=".part")
@@ -506,7 +451,6 @@ class GenomeSiteIndex:
                 "sites": self.site_count,
                 "chrom_names": chrom_names,
                 "sites_sha256": sites_sha,
-                "packed": self.packed,
             })
         tracing.instant("index_saved", cat="index", directory=directory)
 
@@ -514,8 +458,7 @@ class GenomeSiteIndex:
     def load(cls, directory: str, assembly: Assembly,
              api: str = "sycl", device: str = "MI100",
              variant: str = "base", mode: str = "vectorized",
-             work_group_size: int = 256,
-             packed: bool = True) -> "GenomeSiteIndex":
+             work_group_size: int = 256) -> "GenomeSiteIndex":
         """Warm-start from a saved directory, validating everything.
 
         The stored fingerprint must match one recomputed from the live
@@ -523,9 +466,8 @@ class GenomeSiteIndex:
         index against a different genome (or after the genome changed)
         refuses instead of silently serving wrong sites.  A different
         on-disk format version raises :class:`SiteIndexVersionError`
-        (rebuild, don't misread).  ``packed`` selects the resident
-        comparer mode: stored planes are reused when present, packed
-        fresh from the assembly otherwise.
+        (rebuild, don't misread).  The stored 2-bit planes are reused
+        as they are.
         """
         directory = os.fspath(directory)
         manifest_path = os.path.join(directory, INDEX_MANIFEST_NAME)
@@ -544,7 +486,7 @@ class GenomeSiteIndex:
         index = cls(assembly, header["pattern"],
                     chunk_size=int(header["chunk_size"]), api=api,
                     device=device, variant=variant, mode=mode,
-                    work_group_size=work_group_size, packed=packed)
+                    work_group_size=work_group_size)
         fingerprint = index.manifest().fingerprint()
         if header.get("fingerprint") != fingerprint:
             raise SiteIndexMismatchError(
@@ -568,42 +510,29 @@ class GenomeSiteIndex:
                 f"(stored {header.get('sites_sha256')!r}, actual "
                 f"{digest!r}); the file is corrupt — rebuild the index")
         import io
-        plen = index.compiled_pattern.plen
         with np.load(io.BytesIO(blob)) as arrays:
             chrom_names = list(header["chrom_names"])
             offsets = arrays["site_offsets"]
             loci_all = arrays["loci"]
             flags_all = arrays["flags"]
-            stored_words = (arrays["packed_words"]
-                            if "packed_words" in arrays else None)
-            stored_invalid = (arrays["packed_invalid"]
-                              if "packed_invalid" in arrays else None)
+            words_all = arrays["packed_words"]
+            invalid_all = arrays["packed_invalid"]
             for i in range(arrays["chunk_start"].size):
                 lo, hi = int(offsets[i]), int(offsets[i + 1])
                 start = int(arrays["chunk_start"][i])
                 length = int(arrays["chunk_length"][i])
                 chrom = chrom_names[int(arrays["chunk_chrom"][i])]
-                entry = _IndexedChunk(
+                index._chunks.append(_IndexedChunk(
                     chrom=chrom, start=start,
                     scan_length=int(arrays["chunk_scan"][i]),
                     length=length,
                     loci=loci_all[lo:hi].copy(),
                     flags=flags_all[lo:hi].copy(),
-                    data=assembly.fetch(chrom, start, start + length))
-                if index.packed:
-                    if stored_words is not None:
-                        entry.packed = PackedSites(
-                            words=stored_words[lo:hi].copy(),
-                            invalid=stored_invalid[lo:hi].copy())
-                    elif acgtn_only(entry.data):
-                        entry.packed = pack_site_windows(
-                            entry.data, entry.loci, plen)
-                    else:
-                        index._disable_packed(
-                            f"chunk {i} ({chrom}:{start}) holds bytes "
-                            f"outside uppercase A/C/G/T/N")
-                index._chunks.append(entry)
+                    data=assembly.fetch(chrom, start, start + length),
+                    packed=PackedSites(
+                        words=words_all[:, lo:hi].copy(),
+                        invalid=invalid_all[:, lo:hi].copy())))
         tracing.instant("index_loaded", cat="index", directory=directory,
                         chunks=index.chunk_count,
-                        sites=index.site_count, packed=index.packed)
+                        sites=index.site_count)
         return index

@@ -418,10 +418,10 @@ class BatchScheduler:
         way.
         """
         old = self.index
-        if getattr(new_index, "pattern", None) != old.pattern:
+        if new_index.pattern != old.pattern:
             raise ValueError(
                 f"cannot swap index serving pattern "
-                f"{getattr(new_index, 'pattern', None)!r} in place of "
+                f"{new_index.pattern!r} in place of "
                 f"{old.pattern!r}: queued requests were validated "
                 f"against the served pattern")
         with self._swap_lock:
@@ -503,8 +503,9 @@ class BatchScheduler:
     def stats(self) -> Dict[str, object]:
         """Queue depth, counters, batch-size histogram, latency tails.
 
-        When the index exposes ``comparer_stats`` (packed/byte mode and
-        fallback counters), it is included under ``"comparer"``.
+        The index's :meth:`~GenomeSiteIndex.comparer_stats` (comparer
+        batches, queries and scanned entries) ride along under
+        ``"comparer"``.
         """
         with self._stats_lock:
             latencies = sorted(self._latencies_ms)
@@ -514,11 +515,8 @@ class BatchScheduler:
             grown, shrunk = self._grown, self._shrunk
             swaps = self._swaps
             by_kind = dict(self._requests_by_kind)
-        comparer_stats = getattr(self.index, "comparer_stats", None)
-        comparer = (comparer_stats() if callable(comparer_stats)
-                    else None)
         return {
-            "comparer": comparer,
+            "comparer": self.index.comparer_stats(),
             "queue_depth": self._queue.qsize(),
             "max_queue": self.max_queue,
             "max_batch": self.max_batch,

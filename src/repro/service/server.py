@@ -223,12 +223,13 @@ class OffTargetServer:
                 BatchScheduler(enzyme_index, max_batch=max_batch,
                                max_wait_ms=max_wait_ms,
                                max_queue=max_queue, adaptive=adaptive))
-        #: Runs every variant search off-loop on one thread, so patch
-        #: scans never race compare_resident on one pipeline (the
-        #: scheduler's single worker serializes every other comparer
-        #: entry point).  A fixed thread also keeps the searches'
-        #: allocations in one malloc arena; a pool that sometimes grew
-        #: a second thread made peak memory differ from run to run.
+        #: Runs every variant search off-loop on one thread, so two
+        #: searches' patch finder scans never share the pipeline's
+        #: simulated queue at once (the comparer reads only resident
+        #: planes and needs no such guard).  A fixed thread also keeps
+        #: the searches' allocations in one malloc arena; a pool that
+        #: sometimes grew a second thread made peak memory differ from
+        #: run to run.
         self._variant_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="variant")
 
@@ -244,13 +245,9 @@ class OffTargetServer:
                         "genome": self.index.assembly.name,
                         "pattern": self.index.pattern,
                         "chunks": self.index.chunk_count,
-                        "sites": self.index.site_count}
-            chroms = getattr(self.index, "chromosomes", None)
-            if chroms is not None:
-                response["chromosomes"] = list(chroms)
-            fingerprint = getattr(self.index, "fingerprint", None)
-            if callable(fingerprint):
-                response["fingerprint"] = fingerprint()
+                        "sites": self.index.site_count,
+                        "chromosomes": list(self.index.chromosomes),
+                        "fingerprint": self.index.fingerprint()}
             if self._enzymes:
                 response["enzymes"] = sorted(self._enzymes)
             return response
@@ -354,13 +351,10 @@ class OffTargetServer:
         entries = []
         for name in sorted(self._enzymes):
             enzyme, enzyme_index, _ = self._enzymes[name]
-            entry = {**enzyme.to_payload(),
-                     "sites": enzyme_index.site_count,
-                     "chunks": enzyme_index.chunk_count}
-            fingerprint = getattr(enzyme_index, "fingerprint", None)
-            if callable(fingerprint):
-                entry["fingerprint"] = fingerprint()
-            entries.append(entry)
+            entries.append({**enzyme.to_payload(),
+                            "sites": enzyme_index.site_count,
+                            "chunks": enzyme_index.chunk_count,
+                            "fingerprint": enzyme_index.fingerprint()})
         return {"ok": True, "default_pattern": self.index.pattern,
                 "enzymes": entries}
 
@@ -573,8 +567,8 @@ class OffTargetServer:
                     # Canary warm: run the new index end to end before
                     # it can see real traffic.
                     new.query_batch(list(canaries))
-                old_fp = self._fingerprint_of(old)
-                new_fp = self._fingerprint_of(new)
+                old_fp = old.fingerprint()
+                new_fp = new.fingerprint()
                 drained = True
                 try:
                     self.scheduler.swap_index(new)
@@ -594,11 +588,6 @@ class OffTargetServer:
                     "canaries": len(canaries),
                     "drained": drained,
                     "reloads": self._reloads}
-
-    @staticmethod
-    def _fingerprint_of(index: Any) -> Optional[str]:
-        fingerprint = getattr(index, "fingerprint", None)
-        return fingerprint() if callable(fingerprint) else None
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:

@@ -48,8 +48,7 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Sequence,
 
 import numpy as np
 
-from ..core.bitparallel import (MAX_CHECKED_POSITIONS, acgtn_only,
-                                pack_site_windows)
+from ..core.bitparallel import pack_site_windows
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import ResidentChunk
@@ -336,16 +335,14 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                               scan_length=hap_hi - hap_lo)
                 _count, loci, flags = index.pipeline.find_candidates(
                     chunk, compiled)
-                packed = None
-                if plen <= MAX_CHECKED_POSITIONS and acgtn_only(data):
-                    packed = pack_site_windows(data, loci, plen)
                 patches.append(_PatchChunk(
                     hap_index=hap_index, chrom=chrom,
                     ref_bounds=(ref_lo, ref_hi),
                     entry=ResidentChunk(
                         chrom=chrom, start=hap_lo,
                         scan_length=hap_hi - hap_lo, data=data,
-                        loci=loci, flags=flags, packed=packed)))
+                        loci=loci, flags=flags,
+                        packed=pack_site_windows(data, loci, plen))))
     return patches, overlays
 
 

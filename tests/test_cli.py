@@ -1,5 +1,7 @@
 """End-to-end tests for the cas-offinder-py CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,29 @@ class TestServiceSubcommands:
         assert main(["query", "GACGTCNN:3", "--host", host2,
                      "--port", port2, "-o", str(served)]) == 0
         assert served.stat().st_size > 0
+
+    def test_serve_rebuilds_stale_index_format(self, tmp_path, capsys):
+        """An index directory in an older on-disk format is rebuilt
+        and rewritten, and the next start warm-loads the new one."""
+        index_dir = tmp_path / "index"
+        argv = ["serve", "--pattern", "NNNNNNRG", "--synthetic", "hg19",
+                "--scale", "0.00005", "--seed", "7",
+                "--chunk-size", str(1 << 15), "--index-dir",
+                str(index_dir), "--port", "0", "--duration-s", "0.2"]
+        assert main(argv) == 0
+        manifest = index_dir / "index.json"
+        header = json.loads(manifest.read_text())
+        header["version"] = 2
+        manifest.write_text(json.dumps(header))
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "stale index format" in err
+        assert f"# index saved to {index_dir}" in err
+        assert json.loads(manifest.read_text())["version"] == 3
+        assert main(argv) == 0
+        assert f"# loaded index from {index_dir}" in \
+            capsys.readouterr().err
 
     def test_serve_refuses_stale_ready_file(self, tmp_path):
         """A pre-existing ready file means another server may be

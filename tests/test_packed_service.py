@@ -1,11 +1,13 @@
-"""Packed 2-bit resident index: equivalence, persistence, degrade.
+"""Resident 2-bit index: one comparer, pinned to the paper pipeline.
 
-The packed comparer is an optimization, never a semantic change: every
-test here pins packed-mode output byte-identical to the byte comparer —
-across random genomes with N runs, ambiguity-code queries riding the
-per-query fallback, and save/load roundtrips.  Degrade paths (non-ACGTN genome bytes, over-long
-patterns, stale on-disk versions) must fall back loudly, not serve
-wrong answers.
+The serving index runs one comparer, the bit-parallel pass over its
+resident 2-bit planes, for every guide, genome byte and pattern length.
+Every test here pins its output to the offline search through the SYCL
+pipeline, whose Listing 1 byte comparer is the reference: across
+random genomes with N runs and other IUPAC or non-IUPAC bytes,
+ambiguity-code guides, patterns longer than one 32-base word, and
+save/load roundtrips.  A stale on-disk version must be refused, not
+misread, and serving must append no simulator launch records.
 """
 
 from __future__ import annotations
@@ -17,163 +19,192 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import Query
+from repro.core.config import Query, SearchRequest
+from repro.core.patterns import PatternError
+from repro.core.pipeline import SyclCasOffinder
 from repro.genome.assembly import Assembly, Chromosome
 from repro.service import (BatchScheduler, GenomeSiteIndex,
                            SiteIndexVersionError)
+from repro.variants import decode_haplotypes, search_variants
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
-#: R at a checked position: packed rejects it, per-query fallback runs.
-FALLBACK_QUERY = Query("GRCGTCNN", 3)
+#: R at a checked position: the comparer decodes it from the planes.
+IUPAC_QUERY = Query("GRCGTCNN", 3)
+#: The PAM gain/loss query: every candidate site at zero mismatches.
+PAM_QUERY = Query("N" * 8, 0)
 CHUNK = 1 << 12
 
 _ACGT = np.frombuffer(b"ACGT", dtype=np.uint8)
 
 
-def _random_genome(seed: int, n: int) -> Assembly:
+def _random_genome(seed: int, n: int, extra: bytes = b"") -> Assembly:
+    """Random ACGT with one N run, plus each ``extra`` byte placed once
+    at a random position."""
     rng = np.random.default_rng(seed)
     seq = rng.choice(_ACGT, n)
     lo = int(rng.integers(0, max(1, n - 60)))
     seq[lo:lo + 50] = ord("N")  # an unsequenced run
+    for byte in extra:
+        seq[int(rng.integers(0, n))] = byte
     return Assembly(f"rand-{seed}", [Chromosome("c", seq)])
 
 
-def _pair(assembly, pattern=PATTERN, chunk_size=CHUNK):
-    byte_idx = GenomeSiteIndex.build(assembly, pattern,
-                                     chunk_size=chunk_size,
-                                     packed=False)
-    packed_idx = GenomeSiteIndex.build(assembly, pattern,
-                                       chunk_size=chunk_size,
-                                       packed=True)
-    return byte_idx, packed_idx
+def _assert_matches_offline(index: GenomeSiteIndex, queries) -> None:
+    """``index.query_batch`` equals the offline SYCL search's hits per
+    query, in order, at the index's chunk size.
+
+    Queries must have distinct sequences (hits are grouped by them).
+    Where the offline search cannot render a ``-`` hit window holding a
+    non-IUPAC byte, serving must refuse it the same way.
+    """
+    pipeline = SyclCasOffinder(chunk_size=index.chunk_size)
+    request = SearchRequest(index.pattern, list(queries))
+    try:
+        hits = pipeline.search(index.assembly, request).hits
+    except PatternError:
+        with pytest.raises(PatternError):
+            index.query_batch(queries)
+        return
+    assert index.query_batch(queries) == [
+        [hit for hit in hits if hit.query == query.sequence]
+        for query in queries]
+
+
+def _snv(assembly: Assembly, chrom: str, position: int):
+    """A variant row replacing one reference base with another."""
+    ref = chr(assembly[chrom].sequence[position])
+    return [chrom, position, ref, "C" if ref == "A" else "A"]
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A pattern length, IUPAC/non-IUPAC genome bytes and a batch of
+    distinct guides over ``ACGTRYN`` (the all-N guide included)."""
+    plen = draw(st.sampled_from([8, 32, 33, 40]))
+    guide = st.one_of(
+        st.just("N" * plen),
+        st.text(alphabet="ACGTRYN", min_size=plen, max_size=plen))
+    sequences = draw(st.lists(guide, min_size=1, max_size=3,
+                              unique=True))
+    budgets = draw(st.lists(st.integers(0, plen * 3 // 4),
+                            min_size=len(sequences),
+                            max_size=len(sequences)))
+    extra = draw(st.lists(st.sampled_from(b"RYKMSWBDHV*"), max_size=3))
+    return plen, bytes(extra), [Query(seq, mm) for seq, mm
+                                in zip(sequences, budgets)]
 
 
 class TestEquivalence:
-    def test_modes_report_correctly(self, small_assembly):
-        byte_idx, packed_idx = _pair(small_assembly)
-        assert not byte_idx.packed
-        assert packed_idx.packed
-        assert packed_idx.packed_disabled_reason is None
-        assert all(e.packed is not None for e in packed_idx.entries
-                   if e.loci.size)
+    def test_iupac_query_identical(self, small_assembly):
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        _assert_matches_offline(index, QUERIES + [IUPAC_QUERY])
 
-    def test_fallback_query_identical(self, small_assembly):
-        byte_idx, packed_idx = _pair(small_assembly)
-        queries = QUERIES + [FALLBACK_QUERY]
-        assert packed_idx.query_batch(queries) == \
-            byte_idx.query_batch(queries)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), case=_sweep_cases())
+    def test_packed_matches_byte_property(self, seed, case):
+        """Resident comparer == offline byte comparer over random
+        genomes with N runs and other bytes, ambiguity-code and all-N
+        guides, and one- and two-word windows."""
+        plen, extra, queries = case
+        assembly = _random_genome(seed, 1500 + seed % 700, extra)
+        index = GenomeSiteIndex.build(assembly, "N" * (plen - 2) + "RG",
+                                      chunk_size=600)
+        _assert_matches_offline(index, queries)
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6),
-           sequences=st.lists(
-               st.text(alphabet="ACGTRN", min_size=8, max_size=8),
-               min_size=1, max_size=3))
-    def test_packed_matches_byte_property(self, seed, sequences):
-        """Packed == byte over random genomes, N runs, IUPAC queries."""
-        assembly = _random_genome(seed, 1500 + seed % 700)
-        byte_idx, packed_idx = _pair(assembly, chunk_size=600)
-        queries = [Query(seq, mm) for mm, seq
-                   in enumerate(sequences, start=2)]
-        assert packed_idx.query_batch(queries) == \
-            byte_idx.query_batch(queries)
+    def test_non_acgtn_genome_bytes_identical(self):
+        rng = np.random.default_rng(11)
+        seq = rng.choice(_ACGT, 2000)
+        seq[500] = ord("R")  # a real-world IUPAC base in the reference
+        assembly = Assembly("iupac", [Chromosome("c", seq)])
+        index = GenomeSiteIndex.build(assembly, PATTERN, chunk_size=600)
+        _assert_matches_offline(index, QUERIES + [IUPAC_QUERY])
+
+    def test_long_pattern_identical(self, small_assembly, tmp_path):
+        """33 positions span two window words; the planes survive a
+        save/load roundtrip."""
+        pattern = "N" * 31 + "RG"
+        index = GenomeSiteIndex.build(small_assembly, pattern,
+                                      chunk_size=CHUNK)
+        assert all(entry.packed.words.shape == (2, entry.loci.size)
+                   for entry in index.entries)
+        queries = [Query("GACGTC" + "A" * 25 + "NN", 20),
+                   Query("GRCGTC" + "Y" * 25 + "NN", 14)]
+        _assert_matches_offline(index, queries)
+        index.save(str(tmp_path))
+        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly)
+        _assert_matches_offline(loaded, queries)
 
 
 class TestPersistence:
     def test_roundtrip_reuses_stored_planes(self, small_assembly,
                                             tmp_path):
-        byte_idx, packed_idx = _pair(small_assembly)
-        packed_idx.save(str(tmp_path))
-        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly,
-                                      packed=True)
-        assert loaded.packed
-        for ours, theirs in zip(loaded.entries, packed_idx.entries):
-            if ours.packed is None:
-                assert theirs.packed is None
-                continue
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        index.save(str(tmp_path))
+        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly)
+        for ours, theirs in zip(loaded.entries, index.entries):
             np.testing.assert_array_equal(ours.packed.words,
                                           theirs.packed.words)
             np.testing.assert_array_equal(ours.packed.invalid,
                                           theirs.packed.invalid)
-        queries = QUERIES + [FALLBACK_QUERY]
-        assert loaded.query_batch(queries) == \
-            byte_idx.query_batch(queries)
-
-    def test_load_unpacked_from_packed_save(self, small_assembly,
-                                            tmp_path):
-        byte_idx, packed_idx = _pair(small_assembly)
-        packed_idx.save(str(tmp_path))
-        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly,
-                                      packed=False)
-        assert not loaded.packed
-        assert loaded.query_batch(QUERIES) == \
-            byte_idx.query_batch(QUERIES)
-
-    def test_load_packs_fresh_from_byte_save(self, small_assembly,
-                                             tmp_path):
-        """A v2 byte-mode save carries no planes; load repacks them."""
-        byte_idx, _ = _pair(small_assembly)
-        byte_idx.save(str(tmp_path))
-        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly,
-                                      packed=True)
-        assert loaded.packed
-        assert loaded.query_batch(QUERIES) == \
-            byte_idx.query_batch(QUERIES)
+        _assert_matches_offline(loaded, QUERIES + [IUPAC_QUERY])
 
     def test_old_version_raises_version_error(self, small_assembly,
                                               tmp_path):
-        _, packed_idx = _pair(small_assembly)
-        packed_idx.save(str(tmp_path))
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        index.save(str(tmp_path))
         manifest = tmp_path / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 1
+        header["version"] = 2
         manifest.write_text(json.dumps(header))
         with pytest.raises(SiteIndexVersionError, match="rebuild"):
             GenomeSiteIndex.load(str(tmp_path), small_assembly)
 
 
-class TestDegrade:
-    def test_non_acgtn_genome_degrades_to_byte(self):
-        rng = np.random.default_rng(11)
-        seq = rng.choice(_ACGT, 2000)
-        seq[500] = ord("R")  # a real-world IUPAC base in the reference
-        assembly = Assembly("iupac", [Chromosome("c", seq)])
-        byte_idx, packed_idx = _pair(assembly, chunk_size=600)
-        assert not packed_idx.packed
-        assert "A/C/G/T/N" in packed_idx.packed_disabled_reason
-        assert packed_idx.query_batch(QUERIES) == \
-            byte_idx.query_batch(QUERIES)
-
-    def test_long_pattern_degrades_to_byte(self, small_assembly):
-        pattern = "N" * 31 + "RG"  # 33 > 32 packed-window positions
-        idx = GenomeSiteIndex.build(small_assembly, pattern,
-                                    chunk_size=CHUNK, packed=True)
-        assert not idx.packed
-        assert "32" in idx.packed_disabled_reason
-        query = Query("GACGTC" + "A" * 25 + "NN", 20)
-        byte_idx = GenomeSiteIndex.build(small_assembly, pattern,
-                                         chunk_size=CHUNK,
-                                         packed=False)
-        assert idx.query_batch([query]) == \
-            byte_idx.query_batch([query])
-
+class TestStats:
     def test_comparer_stats_counters(self, small_assembly):
-        _, packed_idx = _pair(small_assembly)
-        packed_idx.query_batch(QUERIES + [FALLBACK_QUERY])
-        stats = packed_idx.comparer_stats()
-        assert stats["mode"] == "packed"
-        assert stats["queries_packed"] == len(QUERIES)
-        assert stats["queries_fallback"] == 1
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        index.query_batch(QUERIES + [IUPAC_QUERY])
+        assert index.comparer_stats() == {
+            "batches": 1,
+            "queries_total": len(QUERIES) + 1,
+            "entries_scanned": sum(1 for entry in index.entries
+                                   if entry.loci.size)}
 
     def test_scheduler_stats_carry_comparer_section(self,
                                                     small_assembly):
-        _, packed_idx = _pair(small_assembly)
-        scheduler = BatchScheduler(packed_idx, max_batch=4,
-                                   max_wait_ms=1.0)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        scheduler = BatchScheduler(index, max_batch=4, max_wait_ms=1.0)
         try:
             scheduler.submit(QUERIES).result(timeout=30.0)
             stats = scheduler.stats()
         finally:
             scheduler.close()
-        assert stats["comparer"]["mode"] == "packed"
-        assert stats["comparer"]["queries_packed"] >= len(QUERIES)
+        assert stats["comparer"] == index.comparer_stats()
+        assert stats["comparer"]["queries_total"] >= len(QUERIES)
+
+
+class TestLaunchRecords:
+    def test_serving_appends_no_comparer_launches(self, small_assembly):
+        """Only finder scans touch the simulated runtime: a mixed
+        concrete / IUPAC / all-N batch appends no launch record, and a
+        variant search appends one per patched chunk."""
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        queries = [QUERIES[0], IUPAC_QUERY, PAM_QUERY]
+        launches = len(index.pipeline.launches)
+        hits = index.query_batch(queries)
+        assert all(hits)
+        assert len(index.pipeline.launches) == launches
+        haplotypes = decode_haplotypes([{"name": "h", "variants": [
+            _snv(small_assembly, "chrA", 777),
+            _snv(small_assembly, "chrB", 900)]}])
+        result = search_variants(index, queries, haplotypes)
+        assert result.patched_chunks == 2
+        assert len(index.pipeline.launches) == \
+            launches + result.patched_chunks
