@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import Query, SearchRequest, example_request
+from repro.core.patterns import compile_pattern
 from repro.core.pipeline import SyclCasOffinder, search
 from repro.genome.twobit import decode, encode
 from repro.kernels.variants import VARIANT_ORDER
+from repro.service.index import GenomeSiteIndex
 
 
 def test_full_pipeline_vectorized(benchmark, bench_assembly):
@@ -84,6 +86,31 @@ def test_popcount_lut(benchmark):
     words = _popcount_words()
     counts = benchmark(_popcount64_lut, words)
     assert counts.max() <= 64
+
+
+@pytest.mark.parametrize("n_guides", [1, 60])
+def test_resident_comparer(benchmark, bench_assembly, n_guides):
+    """One serving comparer pass over the resident row table: a narrow
+    batch (a single query) and a design-wide one, without a server."""
+    index = GenomeSiteIndex.build(bench_assembly,
+                                  "NNNNNNNNNNNNNNNNNNNNNRG")
+    rng = np.random.default_rng(9)
+    entries = [e for e in index.entries if e.loci.size]
+    guides = set()
+    while len(guides) < n_guides:
+        entry = entries[rng.integers(len(entries))]
+        i = int(rng.integers(entry.loci.size))
+        protospacer = entry.data[entry.loci[i]:entry.loci[i] + 20]
+        if entry.flags[i] != 2 and set(protospacer.tobytes()) <= \
+                set(b"ACGT"):
+            guides.add(protospacer.tobytes().decode() + "NNN")
+    queries = [Query(guide, 3) for guide in sorted(guides)]
+    compiled = [compile_pattern(q.sequence) for q in queries]
+    found = benchmark(index.pipeline.compare_resident_triples,
+                      index.table, queries, compiled)
+    # Every guide hits at least its own forward site.
+    assert all(any(triples[qi][0].size for triples in found.values())
+               for qi in range(n_guides))
 
 
 @pytest.mark.parametrize("chunk_size", [1 << 16, 1 << 18, 1 << 20])

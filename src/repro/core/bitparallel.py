@@ -22,23 +22,26 @@ Two packings coexist.  :func:`pack_query_strand` packs only a query's
 *checked* positions (compact, per-site gather at compare time) and backs
 the offline :class:`BitParallelCasOffinder`; like FlashFry it takes only
 concrete A/C/G/T at checked positions, at most 32 of them.
-:func:`pack_site_windows` / :func:`pack_query_window` pack *full
+:func:`pack_site_table` / :func:`pack_query_window` pack *full
 windows* at fixed 2-bit offsets, ``ceil(plen / 32)`` words per window.
-The site words are query-independent, so a resident index computes
-them once at build time and :func:`compare_packed_batched` then serves
-any number of queries over the stored planes, no genome gather at all.
-That comparer takes every IUPAC query: an ambiguity-code position reads
-the genome code back out of the same planes and applies Listing 1's
-rule, under which a genome ``N`` never mismatches an ambiguity code.
-Emission order replicates the batched vectorized kernel block-for-block,
-so its results are element-identical to the paper pipelines' comparer.
+The site table is query-independent, so a resident index builds it
+once: one row per (candidate, strand) over all its chunks, in the
+comparer kernel's emission order, a reverse row holding its window's
+reverse complement.  :func:`compare_packed_batched` then serves any
+number of queries in one tiled pass over the table, no genome gather
+and no per-chunk, per-strand or per-block loop.  That comparer takes
+every IUPAC query: an ambiguity-code position reads the genome code
+back out of the same planes and applies Listing 1's rule, under which
+a genome ``N`` never mismatches an ambiguity code.  Because the rows
+are in emission order, each query's hits come out element-identical
+to the paper pipelines' comparer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +49,10 @@ from ..genome.assembly import Assembly
 from .config import Query, SearchRequest
 from .patterns import (MISMATCH_LUT, CompiledPattern, PatternError,
                        compile_pattern)
+from ..runtime import executor
 from .pipeline import (DEFAULT_CHUNK_SIZE, PackedSites, PipelineResult,
-                       SyclCasOffinder)
+                       ResidentChunk, SyclCasOffinder, Triples,
+                       empty_triples)
 from .records import OffTargetHit
 
 # 2-bit base codes; non-ACGT bytes map to 0 and are tracked separately.
@@ -109,18 +114,18 @@ def _popcount64_lut(values: np.ndarray) -> np.ndarray:
     ``bitwise_count`` and any array shape."""
     values = np.ascontiguousarray(values, dtype=np.uint64)
     as_bytes = values.view(np.uint8).reshape(values.shape + (8,))
-    return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
+    return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.uint8)
 
 
 def _popcount64_native(values: np.ndarray) -> np.ndarray:
     """Hardware-popcount path via ``np.bitwise_count`` (numpy >= 2)."""
-    return np.bitwise_count(values).astype(np.int64)
+    return np.bitwise_count(values)
 
 
-#: Vectorized population count of a uint64 array (any shape).  Bound to
-#: the native ``np.bitwise_count`` ufunc when this numpy has it, with
-#: the byte-LUT kept as the fallback (micro-benched side by side in
-#: ``benchmarks/test_micro_kernels.py``).
+#: Vectorized population count of a uint64 array (any shape), as
+#: uint8.  Bound to the native ``np.bitwise_count`` ufunc when this
+#: numpy has it, with the byte-LUT kept as the fallback (micro-benched
+#: side by side in ``benchmarks/test_micro_kernels.py``).
 popcount64 = (_popcount64_native if hasattr(np, "bitwise_count")
               else _popcount64_lut)
 
@@ -138,7 +143,7 @@ def count_mismatches_packed(chunk: np.ndarray, loci: np.ndarray,
         axis=1, dtype=np.uint64)
     x = words ^ packed.word
     mm_mask = (x | (x >> np.uint64(1))) & _ODD_BITS
-    counts = popcount64(mm_mask)
+    counts = popcount64(mm_mask).astype(np.int64)
     # Non-ACGT genome bytes packed as code 0 may collide with a query
     # 'A'; force them to count as mismatches.
     invalid = ~_VALID[sites]
@@ -152,49 +157,91 @@ def count_mismatches_packed(chunk: np.ndarray, loci: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Full-window packing: the resident form of the serving index
+# The resident row table: the serving index's one comparer
 # ---------------------------------------------------------------------------
 #
 # The compact per-checked-position packing above needs a genome gather
 # per (site, query-strand) at compare time.  The serving tier instead
-# packs every candidate window once, two bits per window position and
-# 32 positions per uint64 word, so the per-batch work is XOR + mask +
-# popcount over arrays that already live in memory.  The invalid plane
-# marks non-ACGT window positions on the same odd-bit lattice the
-# mismatch indicator lands on, so OR-ing it in forces those positions
-# to count as mismatches exactly as ``MISMATCH_LUT`` does for concrete
-# query bases.
+# packs every (candidate, strand) window once into a row table, two
+# bits per window position and 32 positions per uint64 word, so the
+# per-batch work is XOR + fold + popcount over arrays that already live
+# in memory.  The invalid plane marks non-ACGT window positions on the
+# same odd-bit lattice the mismatch indicator lands on, so OR-ing it in
+# forces those positions to count as mismatches exactly as
+# ``MISMATCH_LUT`` does for concrete query bases.
+#
+# A reverse row holds the reverse complement of its window.  That is
+# exact under Listing 1: complementing both sides preserves every
+# entry (``LUT[c, comp g] == LUT[comp c, g]`` for all 15 IUPAC codes),
+# and a non-ACGT byte is invalid on both strands.  So every row
+# compares against the forward query alone.
+
+#: 2-bit code of each concrete base's complement (A=3, C=2, G=1, T=0).
+_RC_CODE = np.zeros(256, dtype=np.uint64)
+_RC_CODE[_VALID] = 3 - _CODE[_VALID]
+
+#: Invalid-plane bit per byte: 1 for anything but concrete A/C/G/T.
+_INVALID = (~_VALID).astype(np.uint64)
+
 
 def window_words(plen: int) -> int:
     """Number of uint64 words one packed window of ``plen`` bases spans."""
     return -(-plen // MAX_CHECKED_POSITIONS)
 
 
-def pack_site_windows(chunk_data: np.ndarray, loci: np.ndarray,
-                      plen: int) -> PackedSites:
-    """Pack all candidate windows of one chunk into resident planes.
+def _pack_windows(data: np.ndarray, starts: np.ndarray, plen: int,
+                  reverse: bool, words: np.ndarray,
+                  invalid: np.ndarray) -> None:
+    """Pack the windows at ``starts`` into zeroed ``words``/``invalid``
+    columns, reverse-complemented when ``reverse``."""
+    codes = _RC_CODE if reverse else _CODE
+    for p in range(plen):
+        base = data[starts + (plen - 1 - p if reverse else p)]
+        w, shift = divmod(p, MAX_CHECKED_POSITIONS)
+        shift = np.uint64(2 * shift)
+        words[w] |= codes[base] << shift
+        invalid[w] |= _INVALID[base] << shift
 
-    Returns :class:`~repro.core.pipeline.PackedSites` with ``words[w, i]
-    = sum(code(window[32w + p]) << 2p)`` and ``invalid[w, i]`` carrying
-    bit ``2p`` for every non-ACGT window position ``32w + p``.
-    Query-independent, so the index computes this once per chunk at
-    build time.
+
+def pack_site_table(chunks: Sequence[ResidentChunk], plen: int
+                    ) -> PackedSites:
+    """Pack every chunk's candidate windows into one resident row table.
+
+    Rows run in the comparer kernel's emission order (see
+    :class:`~repro.core.pipeline.PackedSites`): per chunk, per block of
+    :data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` candidates,
+    the forward rows then the reverse rows.  Query-independent, so the
+    index builds the table once; a variant request builds one over its
+    patched chunks.
     """
-    n_words = window_words(plen)
-    words = np.empty((n_words, loci.size), dtype=np.uint64)
-    invalid = np.empty((n_words, loci.size), dtype=np.uint64)
-    starts = loci.astype(np.int64)[:, None]
-    for w in range(n_words):
-        first = w * MAX_CHECKED_POSITIONS
-        width = min(MAX_CHECKED_POSITIONS, plen - first)
-        windows = chunk_data[starts + np.arange(first, first + width,
-                                                dtype=np.int64)[None, :]]
-        weights = (np.uint64(1)
-                   << (2 * np.arange(width, dtype=np.uint64)))[None, :]
-        words[w] = (_CODE[windows] * weights).sum(axis=1, dtype=np.uint64)
-        invalid[w] = ((~_VALID[windows]).astype(np.uint64)
-                      * weights).sum(axis=1, dtype=np.uint64)
-    return PackedSites(words=words, invalid=invalid)
+    block = executor.VECTORIZED_BLOCK_ITEMS
+    runs: List[Tuple[np.ndarray, np.ndarray, bool]] = []
+    chunk_rows = np.zeros(len(chunks) + 1, dtype=np.int64)
+    for c, chunk in enumerate(chunks):
+        rows = 0
+        for start in range(0, chunk.loci.size, block):
+            loci = chunk.loci[start:start + block]
+            flags = chunk.flags[start:start + block]
+            for reverse, strand_flag in ((False, 1), (True, 2)):
+                selected = loci[(flags == 0) | (flags == strand_flag)]
+                runs.append((chunk.data, selected, reverse))
+                rows += selected.size
+        chunk_rows[c + 1] = chunk_rows[c] + rows
+    n_rows = int(chunk_rows[-1])
+    words = np.zeros((window_words(plen), n_rows), dtype=np.uint64)
+    invalid = np.zeros_like(words)
+    loci = np.empty(n_rows, dtype=np.uint32)
+    direction = np.empty(n_rows, dtype=np.uint8)
+    at = 0
+    for data, selected, reverse in runs:
+        end = at + selected.size
+        _pack_windows(data, selected, plen, reverse, words[:, at:end],
+                      invalid[:, at:end])
+        loci[at:end] = selected
+        direction[at:end] = ord("-") if reverse else ord("+")
+        at = end
+    return PackedSites(words=words, invalid=invalid, loci=loci,
+                       direction=direction, chunk_rows=chunk_rows)
 
 
 #: ``_REJECTS[c, k]`` is 1 when query code ``c`` counts a mismatch
@@ -205,7 +252,7 @@ _REJECTS = MISMATCH_LUT[:, np.frombuffer(b"ACGT", dtype=np.uint8)]
 
 @dataclass(frozen=True)
 class PackedWindowQuery:
-    """One query strand packed against full windows.
+    """One query packed against full forward windows.
 
     ``words`` and ``care`` hold one uint64 per window word for the
     checked concrete A/C/G/T positions: their 2-bit codes, and bit
@@ -220,13 +267,11 @@ class PackedWindowQuery:
     ambiguous: Tuple[Tuple[int, np.uint64, np.ndarray], ...]
 
 
-def pack_query_window(cq: CompiledPattern, offset: int
-                      ) -> PackedWindowQuery:
-    """Pack one strand at full-window offsets (0 = forward, plen =
-    reverse)."""
-    indices = cq.comp_index[offset:offset + cq.plen]
+def pack_query_window(cq: CompiledPattern) -> PackedWindowQuery:
+    """Pack a query's forward strand at full-window offsets."""
+    indices = cq.comp_index[:cq.plen]
     checked = indices[indices >= 0].astype(np.int64)
-    chars = cq.comp[checked + offset]
+    chars = cq.comp[checked]
     word_of = checked // MAX_CHECKED_POSITIONS
     shifts = (2 * (checked % MAX_CHECKED_POSITIONS)).astype(np.uint64)
     concrete = _VALID[chars]
@@ -243,107 +288,95 @@ def pack_query_window(cq: CompiledPattern, offset: int
 
 
 @lru_cache(maxsize=512)
-def _window_query_cached(sequence: str, offset: int) -> PackedWindowQuery:
-    return pack_query_window(compile_pattern(sequence), offset)
+def _window_query_cached(sequence: str) -> PackedWindowQuery:
+    return pack_query_window(compile_pattern(sequence))
 
 
-def _stack_strand(packed_queries: Sequence[PackedWindowQuery]):
-    """One strand of a batch: (queries, words) code and care matrices,
-    plus every ambiguity position as ``(query, word, shift, rejects)``."""
-    ambiguous = [(q, w, shift, rejects)
-                 for q, pq in enumerate(packed_queries)
-                 for w, shift, rejects in pq.ambiguous]
-    return (np.array([pq.words for pq in packed_queries]),
-            np.array([pq.care for pq in packed_queries]), ambiguous)
+#: Rows one comparer step spans.  Every query of a batch passes over a
+#: tile before the next tile starts, so the tile's planes and the
+#: step's uint64 temporaries (512 KiB each) stay cache-resident at any
+#: batch width; one step over the whole table is slower.
+_TILE_ROWS = 1 << 16
 
 
-#: Mirrors :meth:`repro.runtime.executor.NDRangeExecutor.run_vectorized`:
-#: vectorized kernels are fused into blocks of this many work-items, and
-#: each block emits forward-strand hits then reverse-strand hits.  The
-#: packed comparer replays the same block structure so its per-query
-#: triples are element-identical to the kernel path.
-_VECTORIZED_BLOCK_ITEMS = 1 << 20
-
-
-def compare_packed_batched(packed: PackedSites, loci: np.ndarray,
-                           flags: np.ndarray,
-                           queries: Sequence[Query],
+def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
                            compiled_queries: Sequence[CompiledPattern],
-                           ) -> List[Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]]:
-    """All-queries comparer over resident packed planes, one chunk.
+                           ) -> Dict[int, Triples]:
+    """All-queries comparer over a resident row table, in one pass.
 
-    Returns per-query ``(mm_loci, mm_count, direction)`` triples in the
-    exact emission order of the batched vectorized kernel (per
-    work-item block: ascending forward-strand candidates, then reverse),
-    filtered to each query's mismatch budget.
+    Returns, for every chunk of ``table`` where some query hits (keyed
+    by its position in the table, ascending), one ``(mm_loci,
+    mm_count, direction)`` triple per query, filtered to each query's
+    mismatch budget.  The table's rows are in the kernel's emission
+    order, so each triple is element-identical to what the batched
+    vectorized kernel emits for that chunk.
 
-    Counts follow Listing 1 for any IUPAC query.  Per window word, the
-    concrete positions of every query count together: XOR with the
-    site word, fold each differing 2-bit group onto its odd bit, OR in
-    the invalid plane, mask to the query's care bits and popcount.  An
+    Counts follow Listing 1 for any IUPAC query.  Per window word, a
+    query's concrete positions count together: XOR with the row word,
+    fold each differing 2-bit group onto its odd bit, OR in the invalid
+    plane, mask to the query's care bits and popcount.  An
     ambiguity-code position decodes the genome code from the same word
     (``words >> 2p & 3``) and counts a mismatch only where the invalid
     plane's bit ``2p`` is clear and the code is one it excludes, so a
     genome ``N`` or other non-ACGT byte mismatches a concrete query
     base but never an ambiguity code.
+
+    The buffers are allocated per call: several server threads may
+    compare at once.
     """
-    nq = len(queries)
-    count = int(loci.size)
-    out: List[List[np.ndarray]] = [[] for _ in range(nq)]
-    strands = (
-        (ord("+"), 1, _stack_strand([_window_query_cached(cq.decode(), 0)
-                                     for cq in compiled_queries])),
-        (ord("-"), 2, _stack_strand(
-            [_window_query_cached(cq.decode(), cq.plen)
-             for cq in compiled_queries])))
-    thresholds = [int(q.max_mismatches) for q in queries]
+    packed = [_window_query_cached(cq.decode()) for cq in compiled_queries]
+    n_words, n_rows = table.words.shape
+    width = min(_TILE_ROWS, n_rows)
+    x = np.empty(width, dtype=np.uint64)
+    folded = np.empty_like(x)
+    # Wide enough for a mismatch at every window position.
+    counts = np.empty(width, dtype=np.min_scalar_type(
+        n_words * MAX_CHECKED_POSITIONS))
     one = np.uint64(1)
     three = np.uint64(3)
-    for start in range(0, count, _VECTORIZED_BLOCK_ITEMS):
-        end = min(start + _VECTORIZED_BLOCK_ITEMS, count)
-        f = flags[start:end]
-        blk_loci = loci[start:end]
-        for direction_char, strand_flag, (qwords, qcares, ambiguous) \
-                in strands:
-            strand_sel = (f == 0) | (f == strand_flag)
-            sub = blk_loci[strand_sel]
-            if sub.size == 0:
-                continue
-            counts = None
-            for w in range(qwords.shape[1]):
-                words = packed.words[w, start:end][strand_sel]
-                invalid = packed.invalid[w, start:end][strand_sel]
-                x = words[None, :] ^ qwords[:, w, None]
-                m = ((x | (x >> one)) & _ODD_BITS) | invalid[None, :]
-                m &= qcares[:, w, None]
-                word_counts = popcount64(m)
-                counts = (word_counts if counts is None
-                          else counts + word_counts)
-                for q, word, shift, rejects in ambiguous:
-                    if word == w:
-                        valid = ((invalid >> shift) & one) == 0
-                        counts[q] += rejects[(words >> shift) & three] \
-                            & valid
-            for q in range(nq):
-                keep = counts[q] <= thresholds[q]
-                kept = int(keep.sum())
-                if not kept:
+    # Per query, its hit rows and counts, one part per tile holding any.
+    found: List[List[Tuple[np.ndarray, np.ndarray]]] = \
+        [[] for _ in queries]
+    for start in range(0, n_rows, _TILE_ROWS):
+        end = min(start + _TILE_ROWS, n_rows)
+        xt, ft, ct = (a[:end - start] for a in (x, folded, counts))
+        planes = [(table.words[w, start:end], table.invalid[w, start:end])
+                  for w in range(n_words)]
+        for query, pq, parts in zip(queries, packed, found):
+            ct.fill(0)
+            for (words, invalid), qword, care in zip(planes, pq.words,
+                                                     pq.care):
+                if not care:
                     continue
-                out[q].append((
-                    sub[keep].astype(np.uint32),
-                    counts[q][keep].astype(np.uint16),
-                    np.full(kept, direction_char, dtype=np.uint8)))
-    results = []
-    for q in range(nq):
-        if out[q]:
-            results.append(tuple(np.concatenate(parts)
-                                 for parts in zip(*out[q])))
-        else:
-            results.append((np.zeros(0, np.uint32),
-                            np.zeros(0, np.uint16),
-                            np.zeros(0, np.uint8)))
-    return results
+                np.bitwise_xor(words, qword, out=xt)
+                np.right_shift(xt, one, out=ft)
+                xt |= ft
+                xt |= invalid
+                xt &= care
+                ct += popcount64(xt)
+            for w, shift, rejects in pq.ambiguous:
+                words, invalid = planes[w]
+                valid = ((invalid >> shift) & one) == 0
+                ct += rejects[(words >> shift) & three] & valid
+            cols = np.flatnonzero(ct <= query.max_mismatches)
+            if cols.size:
+                parts.append((cols + start, ct[cols]))
+    nq = len(queries)
+    out: Dict[int, Triples] = {}
+    for q, parts in enumerate(found):
+        if not parts:
+            continue
+        rows = np.concatenate([rows for rows, _ in parts])
+        mm_loci = table.loci[rows]
+        mm_count = np.concatenate([c for _, c in parts]).astype(np.uint16)
+        direction = table.direction[rows]
+        cuts = np.searchsorted(rows, table.chunk_rows)
+        for c in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+            lo, hi = cuts[c], cuts[c + 1]
+            per_query = out.setdefault(c, empty_triples(nq))
+            per_query[q] = (mm_loci[lo:hi], mm_count[lo:hi],
+                            direction[lo:hi])
+    return dict(sorted(out.items()))
 
 
 class BitParallelComparer:

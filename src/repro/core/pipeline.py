@@ -262,34 +262,41 @@ class SearchAccumulator:
 
 @dataclass
 class PackedSites:
-    """Resident 2-bit planes for one chunk's candidate windows.
+    """Resident 2-bit row table over a run of chunks.
+
+    One row per (candidate site, strand) the comparer kernel tests, in
+    the kernel's emission order: chunk by chunk and, within a chunk,
+    per block of :data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS`
+    candidates, the forward rows (flags 0 and 1) then the reverse rows
+    (flags 0 and 2).  ``chunk_rows[c]`` is chunk ``c``'s first row.
 
     Both planes have one row per 32-position window word and one column
-    per candidate.  ``words[w, i]`` packs positions ``32w`` to
-    ``32w + 31`` of candidate ``i``'s window at two bits each (A=0, C=1,
-    G=2, T=3, codes ascending from bit 0); ``invalid[w, i]`` sets bit
-    ``2p`` for every such position ``32w + p`` whose byte was not
-    concrete A/C/G/T.  Both are query-independent, so
-    :class:`repro.service.index.GenomeSiteIndex` computes them once at
-    build time and every batch reuses them
+    per table row.  ``words[w, r]`` packs positions ``32w`` to
+    ``32w + 31`` of row ``r``'s window at two bits each (A=0, C=1, G=2,
+    T=3, codes ascending from bit 0); ``invalid[w, r]`` sets bit ``2p``
+    for every such position ``32w + p`` whose byte was not concrete
+    A/C/G/T.  A reverse row holds the reverse complement of its window
+    (position ``p`` packs code ``3 - c`` of window byte ``plen - 1 - p``),
+    so every row compares against the forward query alone.  The table
+    is query-independent: :class:`repro.service.index.GenomeSiteIndex`
+    builds it once and every batch reuses it
     (:func:`repro.core.bitparallel.compare_packed_batched`).
     """
 
-    words: np.ndarray    # uint64 (words, candidates) packed windows
-    invalid: np.ndarray  # uint64 (words, candidates) non-ACGT odd bits
-
-    @property
-    def nbytes(self) -> int:
-        return self.words.nbytes + self.invalid.nbytes
+    words: np.ndarray       # uint64 (words, rows) packed windows
+    invalid: np.ndarray     # uint64 (words, rows) non-ACGT odd bits
+    loci: np.ndarray        # uint32 (rows,) window start in its chunk
+    direction: np.ndarray   # uint8 (rows,) ord("+") or ord("-")
+    chunk_rows: np.ndarray  # int64 (chunks + 1,) row offsets
 
 
 @dataclass
 class ResidentChunk:
-    """One chunk's resident candidate data, ready for the comparer.
+    """One chunk's resident candidate data.
 
-    The comparer reads only ``loci``, ``flags`` and the ``packed``
-    planes; ``data`` is there for hit construction, which renders site
-    text from the raw bytes.
+    ``loci`` and ``flags`` are the finder's output; ``data`` is there
+    for the row table's packing and for hit construction, which renders
+    site text from the raw bytes.
     """
 
     chrom: str
@@ -298,7 +305,6 @@ class ResidentChunk:
     data: np.ndarray   # uint8 chunk bases (scan region + overlap)
     loci: np.ndarray   # uint32 candidate offsets within the chunk
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
-    packed: PackedSites
 
 
 #: One chunk's comparer output: an ``(mm_loci, mm_count, direction)``
@@ -306,10 +312,14 @@ class ResidentChunk:
 Triples = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+_EMPTY_TRIPLE = (np.zeros(0, np.uint32), np.zeros(0, np.uint16),
+                 np.zeros(0, np.uint8))
+
+
 def empty_triples(n_queries: int) -> Triples:
-    """Comparer output of a chunk without candidate sites."""
-    return [(np.zeros(0, np.uint32), np.zeros(0, np.uint16),
-             np.zeros(0, np.uint8)) for _ in range(n_queries)]
+    """Comparer output of a chunk without hits (one shared empty
+    triple per query)."""
+    return [_EMPTY_TRIPLE] * n_queries
 
 
 def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
@@ -318,7 +328,8 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
     """Render final hits for one resident chunk from comparer triples.
 
     This is the hit-construction step of resident serving:
-    :meth:`_BasePipeline.compare_resident` calls it on the triples of
+    :meth:`repro.service.index.GenomeSiteIndex.query_batch` calls it,
+    for each chunk holding hits, on that chunk's triples from
     :meth:`_BasePipeline.compare_resident_triples`.  Site text comes
     from one :func:`~repro.core.records.render_sites` call per query.
     """
@@ -363,51 +374,27 @@ class _BasePipeline:
         """
         raise NotImplementedError
 
-    def compare_resident(self, entries, queries: Sequence[Query],
-                         compiled_queries: Sequence[CompiledPattern]
-                         ) -> List[List[List[OffTargetHit]]]:
-        """Run the comparer over resident chunks, building final hits.
-
-        ``entries`` is an iterable of :class:`ResidentChunk` (consumed
-        lazily, so callers can stream chunk data in one at a time).
-        Returns one ``[per-query hit list]`` per entry, in iteration
-        order; hits are built by the same
-        :meth:`SearchAccumulator._build_hits` the chunk loop uses, so
-        concatenating the per-entry lists in chunk order reproduces a
-        full search byte-for-byte.
-        """
-        results: List[List[List[OffTargetHit]]] = []
-        queries = list(queries)
-        compiled_queries = list(compiled_queries)
-        for entry in entries:
-            per_query = self.compare_resident_triples(
-                entry, queries, compiled_queries)
-            results.append(build_entry_hits(
-                entry, queries, compiled_queries, per_query))
-        return results
-
     def compare_resident_triples(
-            self, entry: ResidentChunk, queries: Sequence[Query],
-            compiled_queries: Sequence[CompiledPattern]) -> Triples:
-        """Raw comparer triples for one resident chunk.
+            self, table: PackedSites, queries: Sequence[Query],
+            compiled_queries: Sequence[CompiledPattern]
+    ) -> Dict[int, Triples]:
+        """Raw comparer triples over a resident row table.
 
-        Runs the bit-parallel comparer over the entry's resident 2-bit
-        planes for every query, concrete or IUPAC, and stops before hit
-        construction: returns one ``(mm_loci, mm_count, direction)``
-        triple per query (empty arrays for an entry with no candidate
-        sites), element-identical to what this pipeline's comparer
-        kernel emits for the same chunk.  The variant layer diffs these
-        arrays without building hits; :meth:`compare_resident` renders
-        :class:`OffTargetHit` objects from the same triples with
+        Runs the bit-parallel comparer once over every row of ``table``
+        for every query, concrete or IUPAC, and stops before hit
+        construction.  Returns, for each chunk of the table where some
+        query hits (keyed by the chunk's position in the table, in
+        ascending order), one ``(mm_loci, mm_count, direction)`` triple
+        per query, element-identical to what this pipeline's comparer
+        kernel emits for that chunk.  The variant layer diffs these
+        arrays without building hits;
+        :meth:`repro.service.index.GenomeSiteIndex.query_batch` renders
+        :class:`OffTargetHit` objects from them with
         :func:`build_entry_hits`.
         """
-        if entry.loci.size == 0:
-            return empty_triples(len(queries))
         # Deferred: bitparallel imports this module at its top level.
         from .bitparallel import compare_packed_batched
-        return compare_packed_batched(entry.packed, entry.loci,
-                                      entry.flags, queries,
-                                      compiled_queries)
+        return compare_packed_batched(table, queries, compiled_queries)
 
     @property
     def work_group_size(self) -> Optional[int]:

@@ -41,6 +41,14 @@ from .memory import LocalMemory
 #: Default per-work-group local memory capacity (64 KiB, as on GCN/CDNA).
 DEFAULT_LDS_BYTES = 64 * 1024
 
+#: Work-items per fused call of :meth:`NDRangeExecutor.run_vectorized`
+#: when the caller passes no ``block_items``.  A comparer kernel emits
+#: one block's forward-strand hits before its reverse-strand hits, so
+#: the serving index's row table
+#: (:func:`repro.core.bitparallel.pack_site_table`) lays its rows out in
+#: blocks of this size too.  Both read it at call time.
+VECTORIZED_BLOCK_ITEMS = 1 << 20
+
 
 class FenceSpace:
     """Barrier fence spaces (``access::fence_space`` / ``CLK_*_MEM_FENCE``)."""
@@ -264,7 +272,8 @@ class NDRangeExecutor:
         with numpy.  Work-group decomposition only affects shared local
         memory, which vectorized kernels stage internally, so for speed
         the executor fuses whole multiples of the work-group size into
-        one call (``block_items`` per call, default 1 MiB of work-items);
+        one call (``block_items`` per call, default
+        :data:`VECTORIZED_BLOCK_ITEMS`);
         reported statistics still count true work-groups.  Vectorized
         kernels must therefore not rely on ``group_id`` meaning a
         hardware group index.
@@ -274,7 +283,7 @@ class NDRangeExecutor:
             kernel_name=kernel_name or getattr(kernel, "__name__", "kernel"),
             work_group_size=local_size, mode="vectorized")
         if block_items is None:
-            block_items = 1 << 20
+            block_items = VECTORIZED_BLOCK_ITEMS
         groups_per_block = max(1, block_items // local_size)
         block_size = groups_per_block * local_size
         n_groups = (global_size + local_size - 1) // local_size

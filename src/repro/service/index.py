@@ -9,27 +9,30 @@ chunk over the whole assembly and keeps each chunk's candidate arrays
 then reduces to the comparer over the stored candidates — the
 expensive genome scan is amortized across every request that follows.
 
-The index also packs each chunk's candidate windows once, at build
-time, into resident 2-bit planes
-(:class:`~repro.core.pipeline.PackedSites`), and serving runs one
-comparer over them for every query, pattern length and genome byte:
-the bit-parallel XOR + odd-bit mask + popcount of
+The index also packs every candidate window once, at build time, into
+one resident 2-bit row table
+(:class:`~repro.core.pipeline.PackedSites`): one row per (site,
+strand), in the comparer kernel's emission order, a reverse row
+holding its window's reverse complement.  Serving runs one comparer
+pass over that table per batch, for every query, pattern length and
+genome byte: the bit-parallel XOR + fold + popcount of
 :func:`~repro.core.bitparallel.compare_packed_batched`, which decodes
-ambiguity-code query positions from the same planes.  Its per-chunk
-output, one ``(mm_loci, mm_count, direction)`` array triple per query
+ambiguity-code query positions from the same planes.  Its output, one
+``(mm_loci, mm_count, direction)`` array triple per query for each
+chunk holding hits
 (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`),
 is element-identical to the comparer kernel of an offline search over
 the same chunk, and is what the index hands on:
-:meth:`GenomeSiteIndex.query_batch` renders it into hits through the
-same :meth:`~repro.core.pipeline.SearchAccumulator._build_hits` the
-chunk loop uses, while :meth:`GenomeSiteIndex.query_batch_with_extras`
-returns the triples themselves, so the variant layer builds no hit
-objects.
+:meth:`GenomeSiteIndex.query_batch` renders it into hits through
+:func:`~repro.core.pipeline.build_entry_hits`, while
+:meth:`GenomeSiteIndex.query_batch_with_extras` returns the triples
+themselves, so the variant layer builds no hit objects.
 
 Persistence reuses the :mod:`repro.resilience.checkpoint` fingerprint
 machinery: ``save`` writes a versioned ``index.json`` header carrying a
 SHA-256 manifest fingerprint over (genome identity, pattern, chunk
-size) plus a SHA-256 digest of the site arrays and planes; ``load`` refuses
+size) plus a SHA-256 digest of the site arrays and row table; ``load``
+refuses
 an index built for a different genome/pattern/chunk size
 (:class:`SiteIndexMismatchError`), detects corrupted site payloads
 (:class:`SiteIndexError`), and rejects other on-disk format versions
@@ -51,11 +54,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bitparallel import pack_site_windows, window_words
+from ..core import pipeline as _pipeline
+from ..core.bitparallel import pack_site_table
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
-                             ResidentChunk, Triples, make_pipeline)
+                             ResidentChunk, Triples, empty_triples,
+                             make_pipeline)
 from ..core.records import OffTargetHit
 from ..genome.assembly import Assembly
 from ..observability import faults, tracing
@@ -64,13 +69,14 @@ from ..resilience.checkpoint import RunManifest, _atomic_write_json
 #: Header file inside an index directory.
 INDEX_MANIFEST_NAME = "index.json"
 
-#: Candidate-site arrays and 2-bit window planes inside an index
+#: Candidate-site arrays and the 2-bit row table inside an index
 #: directory.
 SITES_NAME = "sites.npz"
 
-#: Bumped on any change to the on-disk layout.  Version 3 always stores
-#: the 2-bit window planes, ``ceil(plen / 32)`` words per window.
-INDEX_VERSION = 3
+#: Bumped on any change to the on-disk layout.  Version 4 stores the
+#: index-wide row table (:class:`~repro.core.pipeline.PackedSites`),
+#: ``ceil(plen / 32)`` words per row.
+INDEX_VERSION = 4
 
 
 class SiteIndexError(RuntimeError):
@@ -88,25 +94,6 @@ class SiteIndexVersionError(SiteIndexError):
     rebuilding (the genome is right, only the layout is old) instead of
     refusing to start.
     """
-
-
-@dataclass
-class _IndexedChunk:
-    """One chunk's resident finder output.
-
-    ``data`` is a zero-copy view over the assembly's chromosome array,
-    cached at build/load time so serving never re-fetches bases per
-    batch; ``packed`` holds the resident 2-bit window planes.
-    """
-
-    chrom: str
-    start: int
-    scan_length: int
-    length: int  # chunk data length in bases (scan region + overlap)
-    loci: np.ndarray   # uint32 candidate offsets within the chunk
-    flags: np.ndarray  # uint8 strand flags, as the finder emitted them
-    data: np.ndarray
-    packed: PackedSites
 
 
 class GenomeSiteIndex:
@@ -137,7 +124,8 @@ class GenomeSiteIndex:
                                       chunk_size=chunk_size,
                                       work_group_size=work_group_size)
         self.build_wall_s = 0.0
-        self._chunks: List[_IndexedChunk] = []
+        self._chunks: List[ResidentChunk] = []
+        self._table: Optional[PackedSites] = None
         self._stats_lock = threading.Lock()
         self._batches = 0
         self._queries_total = 0
@@ -190,9 +178,14 @@ class GenomeSiteIndex:
         return sum(entry.loci.size for entry in self._chunks)
 
     @property
-    def entries(self) -> Sequence[_IndexedChunk]:
+    def entries(self) -> Sequence[ResidentChunk]:
         """Read-only view of the per-chunk resident candidate arrays."""
         return tuple(self._chunks)
+
+    @property
+    def table(self) -> PackedSites:
+        """The resident row table every batch compares against."""
+        return self._table
 
     # -- construction ---------------------------------------------------
 
@@ -210,9 +203,9 @@ class GenomeSiteIndex:
         engine uses (:mod:`repro.observability.faults`); an injected
         failure on a chunk is retried up to ``max_retries`` times, so a
         transient fault during the build never changes the index
-        contents — the serving-equivalence tests pin this down.  Each
-        chunk's candidate windows are packed into resident 2-bit planes
-        right after its finder pass.
+        contents — the serving-equivalence tests pin this down.  After
+        the last finder pass, every candidate window is packed into
+        the resident row table.
         """
         index = cls(assembly, pattern, chunk_size=chunk_size, api=api,
                     device=device, variant=variant, mode=mode,
@@ -244,14 +237,12 @@ class GenomeSiteIndex:
                             f"index build failed on chunk {number} "
                             f"after {attempts} attempt(s): "
                             f"{exc!r}") from exc
-            loci = np.ascontiguousarray(loci, dtype=np.uint32)
-            index._chunks.append(_IndexedChunk(
+            index._chunks.append(ResidentChunk(
                 chrom=chunk.chrom, start=int(chunk.start),
-                scan_length=int(chunk.scan_length),
-                length=int(chunk.data.size), loci=loci,
-                flags=np.ascontiguousarray(flags, dtype=np.uint8),
-                data=chunk.data,
-                packed=pack_site_windows(chunk.data, loci, plen)))
+                scan_length=int(chunk.scan_length), data=chunk.data,
+                loci=np.ascontiguousarray(loci, dtype=np.uint32),
+                flags=np.ascontiguousarray(flags, dtype=np.uint8)))
+        index._table = pack_site_table(index._chunks, plen)
         index.build_wall_s = time.perf_counter() - started
         tracing.instant("index_built", cat="index",
                         chunks=index.chunk_count,
@@ -266,23 +257,25 @@ class GenomeSiteIndex:
 
         Returns one hit list per query, in input order.  All queries of
         a micro-batch — potentially from many concurrent requests —
-        ride in a single comparer launch per chunk, which is the
-        continuous-batching payoff: launch count stays ``chunks``, not
-        ``chunks x requests``.
+        ride in a single comparer pass over the resident row table,
+        which is the continuous-batching payoff.  Hits are built only
+        for the chunks that hold some.
         """
         if not queries:
             return []
         queries = list(queries)
         compiled = self._compile_batch(queries)
+        found = self.pipeline.compare_resident_triples(
+            self._table, queries, compiled)
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        scanned = 0
-        for entry_hits in self.pipeline.compare_resident(
-                self._resident_entries(), queries, compiled):
-            scanned += 1
-            for qi, query_hits in enumerate(entry_hits):
+        for number, per_query in found.items():
+            # Through the module, so a wrapper installed on it (the
+            # perfbench spans) sees every call.
+            for qi, query_hits in enumerate(_pipeline.build_entry_hits(
+                    self._chunks[number], queries, compiled, per_query)):
                 hits[qi].extend(query_hits)
         with self._stats_lock:
-            self._entries_scanned += scanned
+            self._entries_scanned += self._resident_chunks
         return hits
 
     def query_batch_with_extras(
@@ -292,14 +285,14 @@ class GenomeSiteIndex:
         """One comparer batch over resident chunks *plus* extras.
 
         ``extras`` are ephemeral, request-scoped resident entries —
-        the variant layer's patched haplotype chunks.  They ride the
-        *same* single batched comparer pass as the resident reference
-        chunks (the ``batches`` counter moves by exactly one), which
-        is the whole point: searching K haplotypes costs one pass, not
-        K+1.
+        the variant layer's patched haplotype chunks.  They are packed
+        into a row table of their own and compared right after the
+        resident table, in the same batch (the ``batches`` counter
+        moves by exactly one), which is the whole point: searching K
+        haplotypes costs one batch, not K+1.
 
         Returns ``(reference, extra_triples, reference_chunks)``:
-        every scanned resident chunk paired with its comparer triples
+        every non-empty resident chunk paired with its comparer triples
         (one ``(mm_loci, mm_count, direction)`` array triple per query,
         loci relative to the chunk), then the triples of each extra
         entry in ``extras`` order (in that extra's own coordinate
@@ -313,17 +306,22 @@ class GenomeSiteIndex:
         queries = list(queries)
         extras = list(extras)
         compiled = self._compile_batch(queries)
-        n_ref = sum(1 for entry in self._chunks if entry.loci.size)
         with self._stats_lock:
-            self._entries_scanned += n_ref + len(extras)
-
-        def compare(entry: ResidentChunk) -> Triples:
-            return self.pipeline.compare_resident_triples(
-                entry, queries, compiled)
-
-        reference = [(entry, compare(entry))
-                     for entry in self._resident_entries()]
-        return reference, [compare(entry) for entry in extras], n_ref
+            self._entries_scanned += self._resident_chunks + len(extras)
+        empty = empty_triples(len(queries))
+        found = self.pipeline.compare_resident_triples(
+            self._table, queries, compiled)
+        reference = [(entry, found.get(number, empty))
+                     for number, entry in enumerate(self._chunks)
+                     if entry.loci.size]
+        extra_triples: List[Triples] = []
+        if extras:
+            found = self.pipeline.compare_resident_triples(
+                pack_site_table(extras, self.compiled_pattern.plen),
+                queries, compiled)
+            extra_triples = [found.get(number, empty)
+                             for number in range(len(extras))]
+        return reference, extra_triples, self._resident_chunks
 
     def _compile_batch(self, queries: Sequence[Query]
                        ) -> List[CompiledPattern]:
@@ -345,20 +343,10 @@ class GenomeSiteIndex:
             self._queries_total += len(compiled)
         return compiled
 
-    def _resident_entries(self):
-        """Yield every non-empty chunk as a comparer-ready entry.
-
-        Chunk bases were cached (as zero-copy views over the assembly)
-        at build/load time, so no per-batch ``assembly.fetch`` happens
-        on the serving hot path; the resident 2-bit planes ride along
-        for the comparer.
-        """
-        for entry in self._chunks:
-            if entry.loci.size:
-                yield ResidentChunk(chrom=entry.chrom, start=entry.start,
-                                    scan_length=entry.scan_length,
-                                    data=entry.data, loci=entry.loci,
-                                    flags=entry.flags, packed=entry.packed)
+    @property
+    def _resident_chunks(self) -> int:
+        """Chunks holding candidate sites: what one batch covers."""
+        return sum(1 for entry in self._chunks if entry.loci.size)
 
     def comparer_stats(self) -> Dict[str, object]:
         """Comparer counters for the ``stats`` server op."""
@@ -389,7 +377,7 @@ class GenomeSiteIndex:
         atomic rename); ``index.json`` records the format version, the
         manifest fingerprint and the payload's SHA-256, so :meth:`load`
         can refuse mismatched or corrupted state up front.  The 2-bit
-        window planes are stored alongside the site arrays, so a
+        row table is stored alongside the site arrays, so a
         warm-started server skips the packing pass too.
         """
         directory = os.fspath(directory)
@@ -399,8 +387,7 @@ class GenomeSiteIndex:
         offsets = np.zeros(len(self._chunks) + 1, dtype=np.int64)
         for i, entry in enumerate(self._chunks):
             offsets[i + 1] = offsets[i] + entry.loci.size
-        no_planes = np.zeros(
-            (window_words(self.compiled_pattern.plen), 0), np.uint64)
+        table = self._table
         arrays = {
             "chunk_chrom": np.array(
                 [chrom_ids[e.chrom] for e in self._chunks],
@@ -409,19 +396,18 @@ class GenomeSiteIndex:
                                     dtype=np.int64),
             "chunk_scan": np.array(
                 [e.scan_length for e in self._chunks], dtype=np.int64),
-            "chunk_length": np.array([e.length for e in self._chunks],
+            "chunk_length": np.array([e.data.size for e in self._chunks],
                                      dtype=np.int64),
             "site_offsets": offsets,
             "loci": (np.concatenate([e.loci for e in self._chunks])
                      if self._chunks else np.zeros(0, np.uint32)),
             "flags": (np.concatenate([e.flags for e in self._chunks])
                       if self._chunks else np.zeros(0, np.uint8)),
-            "packed_words": np.concatenate(
-                [no_planes] + [e.packed.words for e in self._chunks],
-                axis=1),
-            "packed_invalid": np.concatenate(
-                [no_planes] + [e.packed.invalid for e in self._chunks],
-                axis=1),
+            "table_words": table.words,
+            "table_invalid": table.invalid,
+            "table_loci": table.loci,
+            "table_direction": table.direction,
+            "table_chunk_rows": table.chunk_rows,
         }
         sites_path = os.path.join(directory, SITES_NAME)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sites-",
@@ -466,8 +452,8 @@ class GenomeSiteIndex:
         index against a different genome (or after the genome changed)
         refuses instead of silently serving wrong sites.  A different
         on-disk format version raises :class:`SiteIndexVersionError`
-        (rebuild, don't misread).  The stored 2-bit planes are reused
-        as they are.
+        (rebuild, don't misread).  The stored row table is reused as
+        it is.
         """
         directory = os.fspath(directory)
         manifest_path = os.path.join(directory, INDEX_MANIFEST_NAME)
@@ -515,23 +501,24 @@ class GenomeSiteIndex:
             offsets = arrays["site_offsets"]
             loci_all = arrays["loci"]
             flags_all = arrays["flags"]
-            words_all = arrays["packed_words"]
-            invalid_all = arrays["packed_invalid"]
-            for i in range(arrays["chunk_start"].size):
+            chunks = zip(arrays["chunk_chrom"].tolist(),
+                         arrays["chunk_start"].tolist(),
+                         arrays["chunk_scan"].tolist(),
+                         arrays["chunk_length"].tolist())
+            for i, (chrom_id, start, scan, length) in enumerate(chunks):
                 lo, hi = int(offsets[i]), int(offsets[i + 1])
-                start = int(arrays["chunk_start"][i])
-                length = int(arrays["chunk_length"][i])
-                chrom = chrom_names[int(arrays["chunk_chrom"][i])]
-                index._chunks.append(_IndexedChunk(
-                    chrom=chrom, start=start,
-                    scan_length=int(arrays["chunk_scan"][i]),
-                    length=length,
-                    loci=loci_all[lo:hi].copy(),
-                    flags=flags_all[lo:hi].copy(),
+                chrom = chrom_names[chrom_id]
+                index._chunks.append(ResidentChunk(
+                    chrom=chrom, start=start, scan_length=scan,
                     data=assembly.fetch(chrom, start, start + length),
-                    packed=PackedSites(
-                        words=words_all[:, lo:hi].copy(),
-                        invalid=invalid_all[:, lo:hi].copy())))
+                    loci=loci_all[lo:hi].copy(),
+                    flags=flags_all[lo:hi].copy()))
+            index._table = PackedSites(
+                words=arrays["table_words"],
+                invalid=arrays["table_invalid"],
+                loci=arrays["table_loci"],
+                direction=arrays["table_direction"],
+                chunk_rows=arrays["table_chunk_rows"])
         tracing.instant("index_loaded", cat="index", directory=directory,
                         chunks=index.chunk_count,
                         sites=index.site_count)

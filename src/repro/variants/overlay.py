@@ -17,10 +17,10 @@ version:
   haplotype's variants can possibly affect (a variant at ``pos``
   replacing ``ref`` perturbs exactly the site starts in
   ``[pos - plen + 1, pos + len(ref))``), builds **patch entries** for
-  only those chunks — finder scan + 2-bit re-pack over the fetched
-  window — and rides reference chunks *and* all patches through one
-  batched comparer pass
-  (:meth:`GenomeSiteIndex.query_batch_with_extras`);
+  only those chunks — a finder scan over the fetched window — and
+  rides reference chunks *and* all patches through one comparer batch
+  (:meth:`GenomeSiteIndex.query_batch_with_extras`: one pass over the
+  resident row table, one over a row table packed from the patches);
 * the comparer's output stays columnar — per chunk and query, arrays
   of loci, mismatch counts and strands.  Patch rows are projected back
   to reference coordinates through the overlay's coordinate map, and
@@ -48,7 +48,6 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Sequence,
 
 import numpy as np
 
-from ..core.bitparallel import pack_site_windows
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import ResidentChunk
@@ -277,7 +276,7 @@ class _PatchChunk:
     hap_index: int
     chrom: str
     ref_bounds: Tuple[int, int]     # the reference chunk it replaces
-    entry: ResidentChunk            # loci/flags/packed over hap bytes
+    entry: ResidentChunk            # loci/flags over hap bytes
 
 
 def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
@@ -341,8 +340,7 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                     entry=ResidentChunk(
                         chrom=chrom, start=hap_lo,
                         scan_length=hap_hi - hap_lo, data=data,
-                        loci=loci, flags=flags,
-                        packed=pack_site_windows(data, loci, plen))))
+                        loci=loci, flags=flags)))
     return patches, overlays
 
 

@@ -342,14 +342,14 @@ class TestServiceSubcommands:
         assert main(argv) == 0
         manifest = index_dir / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 2
+        header["version"] = 3
         manifest.write_text(json.dumps(header))
         capsys.readouterr()
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "stale index format" in err
         assert f"# index saved to {index_dir}" in err
-        assert json.loads(manifest.read_text())["version"] == 3
+        assert json.loads(manifest.read_text())["version"] == 4
         assert main(argv) == 0
         assert f"# loaded index from {index_dir}" in \
             capsys.readouterr().err

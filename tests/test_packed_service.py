@@ -1,13 +1,15 @@
 """Resident 2-bit index: one comparer, pinned to the paper pipeline.
 
-The serving index runs one comparer, the bit-parallel pass over its
-resident 2-bit planes, for every guide, genome byte and pattern length.
-Every test here pins its output to the offline search through the SYCL
-pipeline, whose Listing 1 byte comparer is the reference: across
-random genomes with N runs and other IUPAC or non-IUPAC bytes,
-ambiguity-code guides, patterns longer than one 32-base word, and
-save/load roundtrips.  A stale on-disk version must be refused, not
-misread, and serving must append no simulator launch records.
+The serving index runs one comparer, one bit-parallel pass per batch
+over its resident row table, for every guide, genome byte and pattern
+length.  Every test here pins its output to the offline search through
+the SYCL pipeline, whose Listing 1 byte comparer is the reference:
+across random genomes with N runs and other IUPAC or non-IUPAC bytes,
+guides over all 15 IUPAC codes, patterns longer than one 32-base word,
+chunks spanning several kernel blocks, and save/load roundtrips.  The
+table's row layout is checked against a direct packing, a stale
+on-disk version must be refused, not misread, and serving must append
+no simulator launch records.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitparallel import pack_site_table
 from repro.core.config import Query, SearchRequest
-from repro.core.patterns import PatternError
-from repro.core.pipeline import SyclCasOffinder
+from repro.core.patterns import COMPLEMENT_TABLE, PatternError
+from repro.core.pipeline import (ResidentChunk, SyclCasOffinder,
+                                 _BasePipeline)
 from repro.genome.assembly import Assembly, Chromosome
+from repro.runtime import executor
 from repro.service import (BatchScheduler, GenomeSiteIndex,
                            SiteIndexVersionError)
+from repro.service import index as index_module
 from repro.variants import decode_haplotypes, search_variants
 
 PATTERN = "NNNNNNRG"
@@ -77,14 +83,19 @@ def _snv(assembly: Assembly, chrom: str, position: int):
     return [chrom, position, ref, "C" if ref == "A" else "A"]
 
 
+#: Every IUPAC code: reverse rows rely on each one's complement.
+IUPAC_CODES = "ACGTRYKMSWBDHVN"
+
+
 @st.composite
 def _sweep_cases(draw):
     """A pattern length, IUPAC/non-IUPAC genome bytes and a batch of
-    distinct guides over ``ACGTRYN`` (the all-N guide included)."""
+    distinct guides over all 15 IUPAC codes (the all-N guide
+    included)."""
     plen = draw(st.sampled_from([8, 32, 33, 40]))
     guide = st.one_of(
         st.just("N" * plen),
-        st.text(alphabet="ACGTRYN", min_size=plen, max_size=plen))
+        st.text(alphabet=IUPAC_CODES, min_size=plen, max_size=plen))
     sequences = draw(st.lists(guide, min_size=1, max_size=3,
                               unique=True))
     budgets = draw(st.lists(st.integers(0, plen * 3 // 4),
@@ -122,13 +133,15 @@ class TestEquivalence:
         _assert_matches_offline(index, QUERIES + [IUPAC_QUERY])
 
     def test_long_pattern_identical(self, small_assembly, tmp_path):
-        """33 positions span two window words; the planes survive a
+        """33 positions span two window words; the table survives a
         save/load roundtrip."""
         pattern = "N" * 31 + "RG"
         index = GenomeSiteIndex.build(small_assembly, pattern,
                                       chunk_size=CHUNK)
-        assert all(entry.packed.words.shape == (2, entry.loci.size)
-                   for entry in index.entries)
+        rows = index.table.loci.size
+        assert rows >= index.site_count
+        assert index.table.words.shape == (2, rows)
+        assert index.table.invalid.shape == (2, rows)
         queries = [Query("GACGTC" + "A" * 25 + "NN", 20),
                    Query("GRCGTC" + "Y" * 25 + "NN", 14)]
         _assert_matches_offline(index, queries)
@@ -137,18 +150,126 @@ class TestEquivalence:
         _assert_matches_offline(loaded, queries)
 
 
+def _packed_window(window: np.ndarray):
+    """Oracle: one window's (words, invalid) columns, bit by bit."""
+    n_words = -(-window.size // 32)
+    words, invalid = [0] * n_words, [0] * n_words
+    for p, byte in enumerate(window.tobytes()):
+        w, shift = divmod(p, 32)
+        if byte in b"ACGT":
+            words[w] |= b"ACGT".index(byte) << (2 * shift)
+        else:
+            invalid[w] |= 1 << (2 * shift)
+    return words, invalid
+
+
+class TestRowTable:
+    def test_layout_follows_emission_order(self, monkeypatch):
+        """Rows run forward-then-reverse per block of candidates, each
+        reverse row packs its reverse-complement window, and
+        ``chunk_rows`` marks where each chunk's rows start."""
+        monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 4)
+        plen = 36  # two window words
+        rng = np.random.default_rng(5)
+        data = rng.choice(np.frombuffer(b"ACGTN", dtype=np.uint8), 120)
+        chunks = [
+            ResidentChunk("c", 0, 80, data,
+                          np.arange(0, 80, 8, dtype=np.uint32),
+                          np.array([0, 1, 2, 0, 2, 2, 1, 0, 1, 2],
+                                   dtype=np.uint8)),
+            ResidentChunk("c", 80, 40, data[:plen],
+                          np.zeros(0, np.uint32), np.zeros(0, np.uint8)),
+            ResidentChunk("d", 0, 60, data[10:],
+                          np.array([3, 9, 30, 41, 55], dtype=np.uint32),
+                          np.array([2, 0, 1, 1, 0], dtype=np.uint8)),
+        ]
+        table = pack_site_table(chunks, plen)
+        expected = []
+        chunk_rows = [0]
+        for chunk in chunks:
+            for start in range(0, chunk.loci.size, 4):
+                block = range(start, min(start + 4, chunk.loci.size))
+                for strand, flag in (("+", 1), ("-", 2)):
+                    expected += [(chunk, int(chunk.loci[i]), strand)
+                                 for i in block
+                                 if chunk.flags[i] in (0, flag)]
+            chunk_rows.append(len(expected))
+        assert table.chunk_rows.tolist() == chunk_rows == [0, 13, 13, 20]
+        assert table.loci.tolist() == [locus for _, locus, _
+                                       in expected]
+        assert table.direction.tobytes() == "".join(
+            strand for _, _, strand in expected).encode()
+        assert table.words.shape == table.invalid.shape == (2, 20)
+        for row, (chunk, locus, strand) in enumerate(expected):
+            window = chunk.data[locus:locus + plen]
+            if strand == "-":
+                window = COMPLEMENT_TABLE[window][::-1]
+            words, invalid = _packed_window(window)
+            assert table.words[:, row].tolist() == words
+            assert table.invalid[:, row].tolist() == invalid
+
+    def test_multi_block_chunk_matches_offline(self, monkeypatch):
+        """A chunk of a few thousand candidates spans many 256-item
+        kernel blocks; serving still emits the offline search's order,
+        the PAM query's every-site rows included."""
+        monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 256)
+        assembly = _random_genome(21, 12000, b"RY")
+        index = GenomeSiteIndex.build(assembly, PATTERN)
+        assert index.chunk_count == 1
+        assert index.site_count > 2000
+        _assert_matches_offline(index,
+                                QUERIES + [IUPAC_QUERY, PAM_QUERY])
+
+
+class TestCompareCalls:
+    def test_one_pass_per_table(self, small_assembly, monkeypatch):
+        """``query_batch`` compares once, over the resident table; a
+        variant search compares the resident table, then one table
+        packed from its patches, and only the first when nothing is
+        patched."""
+        index = GenomeSiteIndex.build(small_assembly, PATTERN,
+                                      chunk_size=CHUNK)
+        tables = []
+        compare = _BasePipeline.compare_resident_triples
+
+        def counting(self, table, queries, compiled):
+            tables.append(table)
+            return compare(self, table, queries, compiled)
+
+        monkeypatch.setattr(_BasePipeline, "compare_resident_triples",
+                            counting)
+        index.query_batch(QUERIES + [IUPAC_QUERY])
+        assert len(tables) == 1 and tables[0] is index.table
+        tables.clear()
+        haplotypes = decode_haplotypes([{"name": "h", "variants": [
+            _snv(small_assembly, "chrA", 777),
+            _snv(small_assembly, "chrB", 900)]}])
+        result = search_variants(index, QUERIES, haplotypes)
+        assert result.patched_chunks == 2
+        assert len(tables) == 2 and tables[0] is index.table
+        assert tables[1].chunk_rows.size == result.patched_chunks + 1
+        tables.clear()
+        search_variants(index, QUERIES, haplotypes,
+                        chromosomes=frozenset({"chrC"}))
+        assert len(tables) == 1 and tables[0] is index.table
+
+
 class TestPersistence:
     def test_roundtrip_reuses_stored_planes(self, small_assembly,
-                                            tmp_path):
+                                            tmp_path, monkeypatch):
         index = GenomeSiteIndex.build(small_assembly, PATTERN,
                                       chunk_size=CHUNK)
         index.save(str(tmp_path))
+
+        def no_packing(*args):
+            raise AssertionError("load must not pack the row table")
+
+        monkeypatch.setattr(index_module, "pack_site_table", no_packing)
         loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly)
-        for ours, theirs in zip(loaded.entries, index.entries):
-            np.testing.assert_array_equal(ours.packed.words,
-                                          theirs.packed.words)
-            np.testing.assert_array_equal(ours.packed.invalid,
-                                          theirs.packed.invalid)
+        for field in ("words", "invalid", "loci", "direction",
+                      "chunk_rows"):
+            np.testing.assert_array_equal(getattr(loaded.table, field),
+                                          getattr(index.table, field))
         _assert_matches_offline(loaded, QUERIES + [IUPAC_QUERY])
 
     def test_old_version_raises_version_error(self, small_assembly,
@@ -158,7 +279,7 @@ class TestPersistence:
         index.save(str(tmp_path))
         manifest = tmp_path / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 2
+        header["version"] = 3
         manifest.write_text(json.dumps(header))
         with pytest.raises(SiteIndexVersionError, match="rebuild"):
             GenomeSiteIndex.load(str(tmp_path), small_assembly)
