@@ -1,10 +1,13 @@
 """Guide-design benchmark: one batched scan vs per-guide rescans.
 
-Measures the payoff of the ``design`` op's single-scan invariant: all
+Measures what the ``design`` op's single-scan invariant buys: all
 enumerated candidates ride ONE ``query_batch`` call through the
 resident index's batched comparer, where the obvious implementation —
 what a script looping ``query one guide, score, next`` does — pays a
-full comparer pass per candidate.
+full comparer pass per candidate.  One pass over the resident row
+table costs about the same per guide at any batch width, so the two
+sides' wall times are close (``speedup_batched`` near 1x); the batch
+count is the part the report proves.
 
 * ``per_guide``: enumerate the region's candidates, then call
   ``index.query_batch([query])`` once per candidate and rank with the

@@ -225,8 +225,8 @@ class OffTargetServer:
                                max_queue=max_queue, adaptive=adaptive))
         #: Runs every variant search off-loop on one thread, so two
         #: searches' patch finder scans never share the pipeline's
-        #: simulated queue at once (the comparer reads only resident
-        #: planes and needs no such guard).  A fixed thread also keeps
+        #: simulated queue at once (the comparer reads only row
+        #: tables and needs no such guard).  A fixed thread also keeps
         #: the searches' allocations in one malloc arena; a pool that
         #: sometimes grew a second thread made peak memory differ from
         #: run to run.
