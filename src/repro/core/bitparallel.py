@@ -46,10 +46,10 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..genome.assembly import Assembly
+from ..runtime import executor
 from .config import Query, SearchRequest
 from .patterns import (MISMATCH_LUT, CompiledPattern, PatternError,
                        compile_pattern)
-from ..runtime import executor
 from .pipeline import (DEFAULT_CHUNK_SIZE, PackedSites, PipelineResult,
                        ResidentChunk, SyclCasOffinder, Triples,
                        empty_triples)

@@ -32,8 +32,7 @@ Persistence reuses the :mod:`repro.resilience.checkpoint` fingerprint
 machinery: ``save`` writes a versioned ``index.json`` header carrying a
 SHA-256 manifest fingerprint over (genome identity, pattern, chunk
 size) plus a SHA-256 digest of the site arrays and row table; ``load``
-refuses
-an index built for a different genome/pattern/chunk size
+refuses an index built for a different genome/pattern/chunk size
 (:class:`SiteIndexMismatchError`), detects corrupted site payloads
 (:class:`SiteIndexError`), and rejects other on-disk format versions
 with :class:`SiteIndexVersionError` so callers (the ``serve`` CLI)
@@ -49,7 +48,6 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
