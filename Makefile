@@ -10,15 +10,12 @@ test:
 fault:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m fault
 
-# Query-service tests plus load-generator smokes: the default
-# scheduler, then the adaptive one.
+# Query-service tests plus the load-generator smoke.
 service:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_service.py \
 		tests/test_packed_service.py
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
 		--clients 4 --duration 5
-	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
-		--clients 4 --duration 5 --adaptive
 
 # Routing-tier tests plus the fleet smoke: 3 subprocess backends, one
 # induced SIGKILL, one zero-downtime rollover, graceful SIGTERM drain;

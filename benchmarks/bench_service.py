@@ -47,7 +47,8 @@ from repro.core.config import Query, SearchRequest
 from repro.core.pipeline import search
 from repro.genome.synthetic import synthetic_assembly
 from repro.service import GenomeSiteIndex, OffTargetServer
-from repro.service.client import ServiceClient, _percentile
+from repro.service.client import ServiceClient
+from repro.service.scheduler import percentile
 
 #: The paper's evaluation shape: SpCas9 NRG PAM, 20-nt guides, up to 4
 #: mismatches.  Few hits per request, so wall time is dominated by the
@@ -106,11 +107,11 @@ def bench_baseline(assembly, clients: int, duration_s: float,
         "latency_ms": {
             "count": len(latencies),
             "mean": (sum(latencies) / len(latencies)
-                     if latencies else 0.0),
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
+                     if latencies else None),
+            "p50": percentile(latencies, 0.50),
+            "p95": percentile(latencies, 0.95),
+            "p99": percentile(latencies, 0.99),
+            "max": latencies[-1] if latencies else None,
         },
     }
 
@@ -229,11 +230,11 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
         "latency_ms": {
             "count": len(latencies),
             "mean": (sum(latencies) / len(latencies)
-                     if latencies else 0.0),
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
+                     if latencies else None),
+            "p50": percentile(latencies, 0.50),
+            "p95": percentile(latencies, 0.95),
+            "p99": percentile(latencies, 0.99),
+            "max": latencies[-1] if latencies else None,
         },
         "server_stats": server_stats,
     }

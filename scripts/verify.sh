@@ -16,7 +16,6 @@ python -m pytest -x -q tests/test_service.py tests/test_packed_service.py \
 # layer spans wrap serving functions by name, so renaming one fails here.
 python -m pytest -q perfbench
 python -m repro.service.client --smoke --clients 4 --duration 5
-python -m repro.service.client --smoke --clients 4 --duration 5 --adaptive
 # Guide-design smoke: a served `design` request must be byte-identical
 # to the in-process reference, with every candidate query covered by
 # exactly one batched comparer pass (no per-guide rescans).

@@ -422,9 +422,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-queue", type=_positive_int, default=64,
                         help="admission-control queue bound; beyond it "
                              "requests are rejected as overloaded")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="let the scheduler retune max_batch from "
-                             "queue depth and latency tails")
     parser.add_argument("--max-retries", type=_nonnegative_int,
                         default=2,
                         help="per-chunk retries during the index build")
@@ -579,8 +576,7 @@ def _run_serve(argv: List[str]) -> int:
         server = OffTargetServer(
             index, host=args.host, port=args.port,
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue, adaptive=args.adaptive,
-            reloader=reloader,
+            max_queue=args.max_queue, reloader=reloader,
             request_fault_plan=args.request_fault_inject,
             drain_s=args.drain_s,
             enzymes=enzymes or None)

@@ -1,7 +1,6 @@
 """Core library: the Cas-OFFinder algorithm and host pipelines."""
 
-from .bitparallel import (BitParallelCasOffinder, BitParallelComparer,
-                          bitparallel_search)
+from .bitparallel import BitParallelCasOffinder, bitparallel_search
 from .bulge import BulgeHit, bulge_search
 from .multidevice import (MultiDeviceCasOffinder, MultiDeviceResult,
                           multi_device_search)
@@ -9,8 +8,7 @@ from .config import (EXAMPLE_INPUT, Query, SearchRequest, example_request)
 from .patterns import (COMPLEMENT_TABLE, CompiledPattern, IUPAC_COMPLEMENT,
                        IUPAC_MASKS, MASK_TABLE, MISMATCH_LUT, PatternError,
                        compile_pattern, count_mismatches, mask_of,
-                       pattern_matches_at, reverse_complement,
-                       validate_iupac)
+                       reverse_complement, validate_iupac)
 from .pipeline import (DEFAULT_CHUNK_SIZE, OpenCLCasOffinder,
                        PipelineResult, SyclCasOffinder,
                        SyclUsmCasOffinder, search)
@@ -22,7 +20,7 @@ from .scoring import (GuideReport, MIT_WEIGHTS, aggregate_specificity,
 from .workload import QueryWorkload, WorkloadProfile
 
 __all__ = [
-    "BitParallelCasOffinder", "BitParallelComparer", "BulgeHit",
+    "BitParallelCasOffinder", "BulgeHit",
     "MultiDeviceCasOffinder", "MultiDeviceResult", "COMPLEMENT_TABLE", "CompiledPattern",
     "DEFAULT_CHUNK_SIZE", "EXAMPLE_INPUT", "HEADER", "IUPAC_COMPLEMENT",
     "IUPAC_MASKS", "MASK_TABLE", "MISMATCH_LUT", "OffTargetHit",
@@ -34,7 +32,7 @@ __all__ = [
     "GuideReport", "MIT_WEIGHTS", "aggregate_specificity",
     "bitparallel_search", "mit_site_score", "multi_device_search",
     "rank_guides", "score_hit",
-    "pattern_matches_at", "read_hits", "reference_search",
+    "read_hits", "reference_search",
     "reverse_complement", "search", "sort_hits", "validate_iupac",
     "write_hits",
 ]

@@ -1,27 +1,24 @@
-"""Bit-parallel mismatch counting: the 2-bit baseline of related work.
+"""Bit-parallel mismatch counting: the 2-bit comparer of related work.
 
 The paper's related-work section describes two relevant systems: the
 Cas-OFFinder authors' own optimization round ("a 2-bit sequence format,
 shared local memory and atomic operations ... improving the performance
 by a factor of 30 approximately") and FlashFry, a CPU tool "two to three
 orders of magnitude faster" built on packed-integer comparisons.  This
-module implements that algorithm, both as an offline baseline engine and
-as the serving index's one comparer:
+module implements that algorithm once, and both the offline baseline
+engine (:class:`BitParallelCasOffinder`, ``--engine bitparallel``) and
+the serving index run it:
 
 * candidate windows are packed two bits per base (A=0, C=1, G=2, T=3)
-  into 64-bit words, via a vectorized gather + dot product;
+  into 64-bit words;
 * mismatches against a packed query are counted in O(1) per word with
   the classic trick: ``x = a ^ b; m = (x | x >> 1) & 0x5555...;
   popcount(m)`` — every differing 2-bit group contributes exactly one
   set bit to ``m``;
 * genome ``N`` (or any non-ACGT byte) at a checked position is forced to
-  mismatch through a separate invalid-position mask, matching the
-  comparer kernel's behaviour for concrete query bases.
+  mismatch a concrete query base through a separate invalid-position
+  plane, matching the comparer kernel's behaviour.
 
-Two packings coexist.  :func:`pack_query_strand` packs only a query's
-*checked* positions (compact, per-site gather at compare time) and backs
-the offline :class:`BitParallelCasOffinder`; like FlashFry it takes only
-concrete A/C/G/T at checked positions, at most 32 of them.
 :func:`pack_site_table` / :func:`pack_query_window` pack *full
 windows* at fixed 2-bit offsets, ``ceil(plen / 32)`` words per window.
 The site table is query-independent, so a resident index builds it
@@ -30,30 +27,30 @@ comparer kernel's emission order, a reverse row holding its window's
 reverse complement.  :func:`compare_packed_batched` then serves any
 number of queries in one tiled pass over the table, no genome gather
 and no per-chunk, per-strand or per-block loop.  That comparer takes
-every IUPAC query: an ambiguity-code position reads the genome code
-back out of the same planes and applies Listing 1's rule, under which
-a genome ``N`` never mismatches an ambiguity code.  Because the rows
-are in emission order, each query's hits come out element-identical
-to the paper pipelines' comparer.
+every IUPAC query of any length: an ambiguity-code position reads the
+genome code back out of the same planes and applies Listing 1's rule,
+under which a genome ``N`` never mismatches an ambiguity code.
+Because the rows are in emission order, each query's hits come out
+element-identical to the paper pipelines' comparer.  The offline
+engine packs a one-chunk table per chunk and query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..genome.assembly import Assembly
 from ..runtime import executor
+from ..runtime.sycl import sycl_read
 from .config import Query, SearchRequest
-from .patterns import (MISMATCH_LUT, CompiledPattern, PatternError,
-                       compile_pattern)
+from .patterns import MISMATCH_LUT, CompiledPattern, compile_pattern
 from .pipeline import (DEFAULT_CHUNK_SIZE, PackedSites, PipelineResult,
                        ResidentChunk, SyclCasOffinder, Triples,
                        empty_triples)
-from .records import OffTargetHit
 
 # 2-bit base codes; non-ACGT bytes map to 0 and are tracked separately.
 _CODE = np.zeros(256, dtype=np.uint64)
@@ -70,43 +67,8 @@ for _b in b"ACGT":
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)],
                       dtype=np.uint8)
 
-_ODD_BITS = np.uint64(0x5555555555555555)
-
 #: A 64-bit word holds 32 two-bit bases.
-MAX_CHECKED_POSITIONS = 32
-
-
-@dataclass(frozen=True)
-class PackedQuery:
-    """One strand of one query, packed for bit-parallel comparison."""
-
-    word: np.uint64
-    checked: np.ndarray        # int64 offsets into the site window
-    weights: np.ndarray        # uint64 shift multipliers per position
-    codes: np.ndarray          # uint64 2-bit code per checked position
-
-
-def pack_query_strand(cq: CompiledPattern, offset: int) -> PackedQuery:
-    """Pack one strand (offset 0 = forward, plen = reverse)."""
-    indices = cq.comp_index[offset:offset + cq.plen]
-    checked = indices[indices >= 0].astype(np.int64)
-    if checked.size > MAX_CHECKED_POSITIONS:
-        raise PatternError(
-            f"bit-parallel comparer supports up to "
-            f"{MAX_CHECKED_POSITIONS} checked positions, got "
-            f"{checked.size}")
-    chars = cq.comp[checked + offset]
-    if not _VALID[chars].all():
-        bad = sorted({chr(c) for c in chars[~_VALID[chars]]})
-        raise PatternError(
-            f"bit-parallel comparer requires concrete A/C/G/T at checked "
-            f"query positions; found {bad}")
-    weights = (np.uint64(1) << (2 * np.arange(checked.size,
-                                              dtype=np.uint64)))
-    codes = _CODE[chars]
-    word = np.uint64((codes * weights).sum())
-    return PackedQuery(word=word, checked=checked, weights=weights,
-                       codes=codes)
+BASES_PER_WORD = 32
 
 
 def _popcount64_lut(values: np.ndarray) -> np.ndarray:
@@ -130,40 +92,12 @@ popcount64 = (_popcount64_native if hasattr(np, "bitwise_count")
               else _popcount64_lut)
 
 
-def count_mismatches_packed(chunk: np.ndarray, loci: np.ndarray,
-                            packed: PackedQuery) -> np.ndarray:
-    """Mismatch counts for all candidate windows against one strand."""
-    if loci.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if packed.checked.size == 0:
-        return np.zeros(loci.size, dtype=np.int64)
-    sites = chunk[loci[:, None] + packed.checked[None, :]]
-    codes = _CODE[sites]
-    words = (codes * packed.weights[None, :]).sum(
-        axis=1, dtype=np.uint64)
-    x = words ^ packed.word
-    mm_mask = (x | (x >> np.uint64(1))) & _ODD_BITS
-    counts = popcount64(mm_mask).astype(np.int64)
-    # Non-ACGT genome bytes packed as code 0 may collide with a query
-    # 'A'; force them to count as mismatches.
-    invalid = ~_VALID[sites]
-    if invalid.any():
-        # A position was counted already iff its 2-bit group differs;
-        # recover per-position equality to add the colliding cases
-        # (invalid byte packed as code 0 matching a query 'A').
-        equal = codes == packed.codes[None, :]
-        counts = counts + (invalid & equal).sum(axis=1, dtype=np.int64)
-    return counts
-
-
 # ---------------------------------------------------------------------------
-# The resident row table: the serving index's one comparer
+# The row table: the one comparer
 # ---------------------------------------------------------------------------
 #
-# The compact per-checked-position packing above needs a genome gather
-# per (site, query-strand) at compare time.  The serving tier instead
-# packs every (candidate, strand) window once into a row table, two
-# bits per window position and 32 positions per uint64 word, so the
+# Every (candidate, strand) window is packed once into a row table,
+# two bits per window position and 32 positions per uint64 word, so the
 # per-batch work is XOR + fold + popcount over arrays that already live
 # in memory.  The invalid plane marks non-ACGT window positions on the
 # same odd-bit lattice the mismatch indicator lands on, so OR-ing it in
@@ -186,7 +120,7 @@ _INVALID = (~_VALID).astype(np.uint64)
 
 def window_words(plen: int) -> int:
     """Number of uint64 words one packed window of ``plen`` bases spans."""
-    return -(-plen // MAX_CHECKED_POSITIONS)
+    return -(-plen // BASES_PER_WORD)
 
 
 def _pack_windows(data: np.ndarray, starts: np.ndarray, plen: int,
@@ -197,7 +131,7 @@ def _pack_windows(data: np.ndarray, starts: np.ndarray, plen: int,
     codes = _RC_CODE if reverse else _CODE
     for p in range(plen):
         base = data[starts + (plen - 1 - p if reverse else p)]
-        w, shift = divmod(p, MAX_CHECKED_POSITIONS)
+        w, shift = divmod(p, BASES_PER_WORD)
         shift = np.uint64(2 * shift)
         words[w] |= codes[base] << shift
         invalid[w] |= _INVALID[base] << shift
@@ -272,8 +206,8 @@ def pack_query_window(cq: CompiledPattern) -> PackedWindowQuery:
     indices = cq.comp_index[:cq.plen]
     checked = indices[indices >= 0].astype(np.int64)
     chars = cq.comp[checked]
-    word_of = checked // MAX_CHECKED_POSITIONS
-    shifts = (2 * (checked % MAX_CHECKED_POSITIONS)).astype(np.uint64)
+    word_of = checked // BASES_PER_WORD
+    shifts = (2 * (checked % BASES_PER_WORD)).astype(np.uint64)
     concrete = _VALID[chars]
     words = np.zeros(window_words(cq.plen), dtype=np.uint64)
     care = np.zeros_like(words)
@@ -331,7 +265,7 @@ def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
     folded = np.empty_like(x)
     # Wide enough for a mismatch at every window position.
     counts = np.empty(width, dtype=np.min_scalar_type(
-        n_words * MAX_CHECKED_POSITIONS))
+        n_words * BASES_PER_WORD))
     one = np.uint64(1)
     three = np.uint64(3)
     # Per query, its hit rows and counts, one part per tile holding any.
@@ -379,65 +313,30 @@ def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
     return dict(sorted(out.items()))
 
 
-class BitParallelComparer:
-    """Precompiled bit-parallel comparer for one query set."""
-
-    def __init__(self, queries: Sequence[Union[str, Query]]):
-        self.packed: List[Tuple[PackedQuery, PackedQuery]] = []
-        for query in queries:
-            text = query.sequence if isinstance(query, Query) else query
-            cq = compile_pattern(text)
-            self.packed.append((pack_query_strand(cq, 0),
-                                pack_query_strand(cq, cq.plen)))
-
-    def counts(self, query_index: int, chunk: np.ndarray,
-               loci: np.ndarray, strand: str) -> np.ndarray:
-        forward, reverse = self.packed[query_index]
-        packed = forward if strand == "+" else reverse
-        return count_mismatches_packed(chunk, loci.astype(np.int64),
-                                       packed)
-
-
 class BitParallelCasOffinder(SyclCasOffinder):
     """The SYCL pipeline with the comparer swapped for the 2-bit packed
-    algorithm — the related-work baseline as a drop-in engine."""
+    algorithm — the related-work baseline as a drop-in engine.
+
+    Each query's comparer step packs the chunk's candidates into a
+    one-chunk row table and runs :func:`compare_packed_batched` over
+    it, so the engine takes any IUPAC query of any length and its hits
+    follow the kernel's per-block emission order by construction.
+    """
 
     api = "sycl-bitparallel"
 
     def _run_comparer(self, chr_buf, loci_buf, flag_buf, count, cq,
                       threshold, vector_mode):
-        if count == 0:
-            return (np.zeros(0, np.uint32), np.zeros(0, np.uint16),
-                    np.zeros(0, np.uint8))
-        from ..runtime.sycl import sycl_read
-        chunk = chr_buf.get_host_access(sycl_read).data
-        loci = loci_buf.get_host_access(sycl_read).data[:count] \
-            .astype(np.int64)
-        flags = flag_buf.get_host_access(sycl_read).data[:count]
-        fwd = pack_query_strand(cq, 0)
-        rev = pack_query_strand(cq, cq.plen)
-        out_loci: List[np.ndarray] = []
-        out_counts: List[np.ndarray] = []
-        out_dirs: List[np.ndarray] = []
-        for packed, direction, selector in (
-                (fwd, ord("+"), (flags == 0) | (flags == 1)),
-                (rev, ord("-"), (flags == 0) | (flags == 2))):
-            sub = loci[selector]
-            if sub.size == 0:
-                continue
-            counts = count_mismatches_packed(chunk, sub, packed)
-            keep = counts <= threshold
-            kept = int(keep.sum())
-            if not kept:
-                continue
-            out_loci.append(sub[keep].astype(np.uint32))
-            out_counts.append(counts[keep].astype(np.uint16))
-            out_dirs.append(np.full(kept, direction, dtype=np.uint8))
-        if not out_loci:
-            return (np.zeros(0, np.uint32), np.zeros(0, np.uint16),
-                    np.zeros(0, np.uint8))
-        return (np.concatenate(out_loci), np.concatenate(out_counts),
-                np.concatenate(out_dirs))
+        # The packing reads only a chunk's bytes, loci and flags.
+        chunk = ResidentChunk(
+            chrom="", start=0, scan_length=0,
+            data=chr_buf.get_host_access(sycl_read).data,
+            loci=loci_buf.get_host_access(sycl_read).data[:count],
+            flags=flag_buf.get_host_access(sycl_read).data[:count])
+        per_chunk = compare_packed_batched(
+            pack_site_table([chunk], cq.plen),
+            [Query(cq.decode(), threshold)], [cq])
+        return per_chunk.get(0, empty_triples(1))[0]
 
 
 def bitparallel_search(assembly: Assembly, request: SearchRequest,

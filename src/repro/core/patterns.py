@@ -132,27 +132,6 @@ def reverse_complement(sequence: Union[str, bytes, np.ndarray]
     return comp[::-1].copy()
 
 
-def pattern_matches_at(pattern_mask: np.ndarray, genome: np.ndarray,
-                       position: int) -> bool:
-    """Mask-match test used by the finder kernel.
-
-    A site at ``position`` matches when every *checked* pattern position
-    (mask != N) admits the genome base there.  A genome ``N`` at a
-    checked position fails the test, which keeps assembly gaps out of the
-    candidate list — the same behaviour as the original finder.
-    """
-    window = genome[position:position + pattern_mask.size]
-    if window.size < pattern_mask.size:
-        return False
-    gmask = MASK_TABLE[window]
-    checked = pattern_mask != 15
-    # Genome N (mask 15) at a checked position fails unless the pattern
-    # admits every base there (i.e. the position is unchecked).
-    concrete = gmask != 15
-    ok = (pattern_mask & gmask) != 0
-    return bool(np.all(np.where(checked, ok & concrete, True)))
-
-
 def count_mismatches(query: np.ndarray, site: np.ndarray) -> int:
     """Reference mismatch count (Listing 1 semantics, no early exit)."""
     n = min(query.size, site.size)

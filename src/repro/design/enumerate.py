@@ -20,23 +20,40 @@ sequence* is its protospacer followed by ``N`` over the PAM — exactly
 the query shape the serving stack already takes — so the whole
 candidate set can ride one batched comparer pass.
 
-The PAM test reuses :func:`repro.core.patterns.pattern_matches_at`,
-i.e. the finder kernel's own mask-matching semantics: every candidate
-this module emits is guaranteed to be a site the index itself indexed.
+The PAM test is the finder kernel's own block matcher,
+:func:`repro.kernels.vectorized.pam_match_block`, run over the
+pattern's compiled layout: every candidate this module emits is
+guaranteed to be a site the index itself indexed.  Enumeration is one
+array pass per strand over the region, in blocks of at most
+:data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` positions; text
+is decoded only for candidates that pass every filter.  A byte outside
+the IUPAC alphabet reads as ``N`` throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.patterns import (mask_of, pattern_matches_at,
-                             reverse_complement, validate_iupac)
+from ..core.patterns import (COMPLEMENT_TABLE, MASK_TABLE,
+                             compile_pattern, validate_iupac)
 from ..genome.assembly import Assembly
+from ..kernels.vectorized import pam_match_block
+from ..runtime import executor
 
-_A, _C, _G, _T = (ord(c) for c in "ACGT")
+#: Text of each genome byte read on the forward strand and, complemented,
+#: on the reverse strand; a non-IUPAC byte reads as ``N`` on both.
+_FORWARD_TEXT = np.where(MASK_TABLE > 0, np.arange(256),
+                         ord("N")).astype(np.uint8)
+_REVERSE_TEXT = np.where(COMPLEMENT_TABLE > 0, COMPLEMENT_TABLE,
+                         ord("N")).astype(np.uint8)
+
+_IS_ACGT = np.zeros(256, dtype=bool)
+_IS_ACGT[np.frombuffer(b"ACGT", dtype=np.uint8)] = True
+_IS_GC = np.zeros(256, dtype=bool)
+_IS_GC[np.frombuffer(b"GC", dtype=np.uint8)] = True
 
 #: Default composition filters: 20-80% GC, homopolymer runs <= 4.
 DEFAULT_GC_MIN = 0.2
@@ -119,9 +136,11 @@ class ProtospacerCandidate:
         return self.protospacer + "N" * len(self.pam)
 
 
-def _guide_gc(guide: np.ndarray, gc_min: float, gc_max: float,
-              max_homopolymer: int) -> Optional[float]:
-    """GC fraction if the guide passes all filters, else ``None``.
+def _filter_guides(guides: np.ndarray, gc_min: float, gc_max: float,
+                   max_homopolymer: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``guides`` (one guide per row, in query
+    orientation) pass the composition filters, and each row's GC
+    fraction.
 
     The GC bounds are **inclusive on both ends**: a guide whose GC
     fraction equals ``gc_min`` or ``gc_max`` exactly passes the
@@ -130,30 +149,19 @@ def _guide_gc(guide: np.ndarray, gc_min: float, gc_max: float,
     an exclusive boundary would drop candidates nondeterministically
     across float round-off of *other* bound choices.
     """
-    if guide.size == 0:
-        # A zero-length guide region cannot carry a designed guide
-        # (and would divide by zero below); pattern_anatomy rejects
-        # guide_length < 1, so this only guards direct callers.
-        return None
-    acgt = ((guide == _A) | (guide == _C)
-            | (guide == _G) | (guide == _T))
-    if not acgt.all():
-        return None
-    gc = float(np.count_nonzero((guide == _G) | (guide == _C)))
-    gc /= guide.size
-    # Inclusive at both boundaries: reject only strictly outside.
-    if gc < gc_min or gc > gc_max:
-        return None
-    if max_homopolymer > 0 and guide.size > max_homopolymer:
-        run = 1
-        for index in range(1, guide.size):
-            if guide[index] == guide[index - 1]:
-                run += 1
-                if run > max_homopolymer:
-                    return None
-            else:
-                run = 1
-    return gc
+    glen = guides.shape[1]
+    gc = np.count_nonzero(_IS_GC[guides], axis=1) / glen
+    keep = _IS_ACGT[guides].all(axis=1) & (gc >= gc_min) & (gc <= gc_max)
+    if 0 < max_homopolymer < glen:
+        # A run longer than max_homopolymer is max_homopolymer equal
+        # neighbour pairs in a row.
+        same = guides[:, 1:] == guides[:, :-1]
+        starts = glen - max_homopolymer
+        run = same[:, :starts]
+        for shift in range(1, max_homopolymer):
+            run = run & same[:, shift:shift + starts]
+        keep &= ~run.any(axis=1)
+    return keep, gc
 
 
 def enumerate_protospacers(assembly: Assembly, chrom: str, start: int,
@@ -165,12 +173,11 @@ def enumerate_protospacers(assembly: Assembly, chrom: str, start: int,
     """All filtered candidate guides whose site starts in [start, end).
 
     ``gc_min``/``gc_max`` are inclusive bounds on the guide's GC
-    fraction (see :func:`_guide_gc`).  Both strands are tested at
-    every position: a reverse-strand
-    candidate is the reverse complement of the same genome window,
-    read 5'->3' with its PAM on the 3' side — the same orientation
-    convention as the finder kernel, so ``position`` is always the
-    forward-strand window start.
+    fraction (see :func:`_filter_guides`).  Both strands are tested at
+    every position: a reverse-strand candidate is the reverse
+    complement of the same genome window, read 5'->3' with its PAM on
+    the 3' side — the same orientation convention as the finder
+    kernel, so ``position`` is always the forward-strand window start.
     """
     lengths = {c.name: len(c) for c in assembly.chromosomes}
     if chrom not in lengths:
@@ -196,36 +203,45 @@ def enumerate_protospacers(assembly: Assembly, chrom: str, start: int,
     glen = anatomy.guide_length
     # Last admissible site start keeps the whole window on-chromosome.
     stop = min(end, lengths[chrom] - plen + 1)
-    if stop <= start:
+    # A zero-length guide region cannot carry a designed guide;
+    # pattern_anatomy rejects it, so this only guards direct callers.
+    if stop <= start or glen < 1:
         return []
     seq = assembly.fetch(chrom, start, stop + plen - 1)
-    pam_mask = mask_of(anatomy.pam)
+    pattern = compile_pattern("N" * glen + anatomy.pam)
+    forward = np.arange(plen)
+    # Per strand: its half of the compiled layout, that half's checked
+    # positions, and the window columns read 5'->3' with their text.
+    strands = ((0, pattern.checked_positions_forward, forward,
+                _FORWARD_TEXT),
+               (plen, pattern.checked_positions_reverse, forward[::-1],
+                _REVERSE_TEXT))
+    block = executor.VECTORIZED_BLOCK_ITEMS
     candidates: List[ProtospacerCandidate] = []
-    for offset in range(stop - start):
-        window = seq[offset:offset + plen]
-        # Forward strand: PAM occupies the window's tail.
-        if pattern_matches_at(pam_mask, window, glen):
-            gc = _guide_gc(window[:glen], gc_min, gc_max,
-                           max_homopolymer)
-            if gc is not None:
-                candidates.append(ProtospacerCandidate(
-                    chrom=chrom, position=start + offset, strand="+",
-                    protospacer=window[:glen].tobytes().decode("ascii"),
-                    pam=window[glen:].tobytes().decode("ascii"),
-                    gc_fraction=gc))
-        # Reverse strand: the same window read as its reverse
-        # complement, guide 5' side first.
-        rc_window = reverse_complement(window)
-        if pattern_matches_at(pam_mask, rc_window, glen):
-            gc = _guide_gc(rc_window[:glen], gc_min, gc_max,
-                           max_homopolymer)
-            if gc is not None:
-                candidates.append(ProtospacerCandidate(
-                    chrom=chrom, position=start + offset, strand="-",
-                    protospacer=rc_window[:glen].tobytes()
-                    .decode("ascii"),
-                    pam=rc_window[glen:].tobytes().decode("ascii"),
-                    gc_fraction=gc))
+    for first in range(0, stop - start, block):
+        offsets = np.arange(first, min(first + block, stop - start))
+        keys, rows, fractions = [], [], []
+        for minus, (half, checked, columns, text) in enumerate(strands):
+            sites = offsets[pam_match_block(pattern.comp, checked, seq,
+                                            offsets, half)]
+            windows = text[seq[sites[:, None] + columns]]
+            keep, gc = _filter_guides(windows[:, :glen], gc_min, gc_max,
+                                      max_homopolymer)
+            # Sorting on 2 * offset + minus puts '+' before '-'.
+            keys.append(2 * sites[keep] + minus)
+            rows.append(windows[keep])
+            fractions.append(gc[keep])
+        order = np.argsort(np.concatenate(keys))
+        text = np.concatenate(rows)[order].tobytes().decode("ascii")
+        for i, (key, gc) in enumerate(zip(
+                np.concatenate(keys)[order].tolist(),
+                np.concatenate(fractions)[order].tolist())):
+            window = text[i * plen:(i + 1) * plen]
+            candidates.append(ProtospacerCandidate(
+                chrom=chrom, position=start + key // 2,
+                strand="-" if key % 2 else "+",
+                protospacer=window[:glen], pam=window[glen:],
+                gc_fraction=gc))
     return candidates
 
 

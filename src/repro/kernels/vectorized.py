@@ -20,13 +20,19 @@ from ..runtime.executor import GroupContext
 _PLUS, _MINUS = ord("+"), ord("-")
 
 
-def _pam_match_block(pat: np.ndarray, checked: np.ndarray,
-                     chr: np.ndarray, pos: np.ndarray,
-                     offset: int) -> np.ndarray:
+def pam_match_block(pat: np.ndarray, checked: np.ndarray,
+                    chr: np.ndarray, pos: np.ndarray,
+                    offset: int) -> np.ndarray:
     """Mask-match a block of positions against one strand's pattern.
 
-    ``checked`` holds the non-N pattern indices; ``offset`` selects the
-    forward (0) or reverse (plen) half of the combined layout.
+    ``pat`` is a compiled pattern's ``comp`` layout, ``checked`` holds
+    the non-N pattern indices and ``offset`` selects the forward (0) or
+    reverse (plen) half of it.  A site matches when every checked
+    position admits the genome base there; a genome ``N`` or non-IUPAC
+    byte at a checked position fails, which keeps assembly gaps out of
+    the candidates.  Every window ``chr[pos:pos + plen]`` must lie
+    inside ``chr``.  The finder kernel and guide design
+    (:mod:`repro.design.enumerate`) both call it.
     """
     if checked.size == 0:
         return np.ones(pos.size, dtype=bool)
@@ -52,8 +58,8 @@ def finder_vectorized(group: GroupContext, chr, pat, pat_index, plen,
     fwd_checked = fwd_checked[fwd_checked >= 0].astype(np.int64)
     rev_checked = pat_index[plen:2 * plen]
     rev_checked = rev_checked[rev_checked >= 0].astype(np.int64)
-    fwd_ok = _pam_match_block(pat, fwd_checked, chr, pos, 0)
-    rev_ok = _pam_match_block(pat, rev_checked, chr, pos, plen)
+    fwd_ok = pam_match_block(pat, fwd_checked, chr, pos, 0)
+    rev_ok = pam_match_block(pat, rev_checked, chr, pos, plen)
     sel = fwd_ok | rev_ok
     count = int(sel.sum())
     if not count:

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import Query
 from ..core.records import OffTargetHit
-from .scheduler import DeadlineExceeded, ServiceOverloaded
+from .scheduler import DeadlineExceeded, ServiceOverloaded, percentile
 
 
 class ServiceError(RuntimeError):
@@ -259,14 +259,6 @@ class ServiceClient:
 # Load generator
 # ---------------------------------------------------------------------------
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
-
-
 def run_load(host: str, port: int, queries: Sequence[Query],
              clients: int = 8, duration_s: float = 5.0,
              deadline_s: Optional[float] = None) -> Dict[str, Any]:
@@ -277,7 +269,8 @@ def run_load(host: str, port: int, queries: Sequence[Query],
     ``errors`` (the server telling us to back off).  Any other failure
     ends its client thread; once every thread has joined, the first
     such exception re-raises.  Returns client-side throughput/latency
-    plus the server's own ``stats`` snapshot taken after the run.
+    plus the server's own ``stats`` snapshot taken after the run; the
+    latency fields are ``None`` when no request completed.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -344,11 +337,11 @@ def run_load(host: str, port: int, queries: Sequence[Query],
         "latency_ms": {
             "count": len(latencies),
             "mean": (sum(latencies) / len(latencies)
-                     if latencies else 0.0),
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
+                     if latencies else None),
+            "p50": percentile(latencies, 0.50),
+            "p95": percentile(latencies, 0.95),
+            "p99": percentile(latencies, 0.99),
+            "max": latencies[-1] if latencies else None,
         },
         "server_stats": server_stats,
     }
@@ -358,8 +351,7 @@ def run_load(host: str, port: int, queries: Sequence[Query],
 # Smoke entry point: `python -m repro.service.client --smoke`
 # ---------------------------------------------------------------------------
 
-def _smoke(clients: int, duration_s: float,
-           adaptive: bool = False) -> int:
+def _smoke(clients: int, duration_s: float) -> int:
     from ..genome.synthetic import synthetic_assembly
     from .index import GenomeSiteIndex
     from .server import OffTargetServer
@@ -367,8 +359,7 @@ def _smoke(clients: int, duration_s: float,
     assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
     index = GenomeSiteIndex.build(assembly, "NNNNNNRG",
                                   chunk_size=1 << 15)
-    server = OffTargetServer(index, max_batch=8, max_wait_ms=2.0,
-                             adaptive=adaptive)
+    server = OffTargetServer(index, max_batch=8, max_wait_ms=2.0)
     handle = server.start_background()
     try:
         report = run_load(handle.host, handle.port,
@@ -398,17 +389,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--duration", type=float, default=5.0)
-    parser.add_argument("--adaptive", action="store_true",
-                        help="with --smoke: adaptive scheduler "
-                             "(max_batch retuning)")
     parser.add_argument("--query", action="append", default=[],
                         metavar="SEQ:MM",
                         help="query spec, repeatable (default two "
                              "demo guides)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return _smoke(args.clients, args.duration,
-                      adaptive=args.adaptive)
+        return _smoke(args.clients, args.duration)
     if not args.port:
         parser.error("--port is required unless --smoke is given")
     if args.query:

@@ -76,6 +76,7 @@ from ..genome.assembly import Assembly
 from ..observability import tracing
 from ..variants.model import VariantError, decode_haplotypes
 from ..variants.overlay import sort_event_rows, variant_payload
+from .scheduler import percentile
 from .server import (MAX_LINE_BYTES, ServerHandle,
                      _decode_chromosomes, _decode_queries)
 
@@ -499,9 +500,7 @@ class OffTargetRouter:
         lat = self._sub_latencies_ms
         if len(lat) < 16:
             return 0.05
-        values = sorted(lat)
-        p95 = values[min(len(values) - 1,
-                         int(round(0.95 * (len(values) - 1))))]
+        p95 = percentile(sorted(lat), 0.95)
         # Hedge a little past p95: a request slower than that is in
         # the tail the hedge exists to cut.
         return min(1.0, max(0.01, p95 * 1.5 / 1000.0))
@@ -1080,13 +1079,6 @@ class OffTargetRouter:
 
     def _stats(self) -> Dict[str, Any]:
         lat = sorted(self._sub_latencies_ms)
-
-        def pct(q: float) -> Optional[float]:
-            if not lat:
-                return None
-            return lat[min(len(lat) - 1,
-                           int(round(q * (len(lat) - 1))))]
-
         return {
             "requests": self._requests,
             "rollovers": self._rollovers,
@@ -1104,9 +1096,9 @@ class OffTargetRouter:
             "backends_total": len(self._backends),
             "subrequest_latency_ms": {
                 "count": len(lat),
-                "p50": pct(0.50),
-                "p95": pct(0.95),
-                "p99": pct(0.99),
+                "p50": percentile(lat, 0.50),
+                "p95": percentile(lat, 0.95),
+                "p99": percentile(lat, 0.99),
             },
             "hedge_delay_s": self._hedge_delay_s(),
         }

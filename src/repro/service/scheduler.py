@@ -16,18 +16,11 @@ letting latency grow without bound.  Each request may carry a deadline;
 requests that expire while queued are failed with
 :class:`DeadlineExceeded` rather than occupying comparer time.
 
-With ``adaptive=True`` the scheduler retunes itself from the stats it
-already tracks: ``max_batch`` doubles (up to ``max_batch_limit``) when
-the queue is backed up a full batch deep, halves (down to
-``min_batch``) when the queue is empty but the latency tail has blown
-out past 3× the median — batching that large buys no coalescing, only
-tail latency.
-
 Observability: every batch runs under a ``service_batch`` tracing span,
 every completed request ships a manually-timed ``service_request`` span
 (queue wait + execution), and :meth:`stats` reports queue depth, a
-batch-size histogram, p50/p95/p99 latency and the adaptive controller's
-state for the ``stats`` server op.
+batch-size histogram and p50/p95/p99 latency for the ``stats`` server
+op.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import Query
@@ -70,12 +63,16 @@ class _PendingRequest:
     enqueued_wall: float
     #: Absolute ``perf_counter`` expiry, or None for no deadline.
     deadline: Optional[float] = None
-    args: Dict[str, object] = field(default_factory=dict)
 
 
-def _percentile(sorted_values: Sequence[float],
-                q: float) -> Optional[float]:
-    """Nearest-rank percentile over an ascending sequence.
+#: Completed-request latencies :meth:`BatchScheduler.stats` keeps.
+LATENCY_WINDOW = 2048
+
+
+def percentile(sorted_values: Sequence[float],
+               q: float) -> Optional[float]:
+    """Nearest-rank percentile (``q`` in [0, 1]) over an ascending
+    sequence: the scheduler's, the router's and the load generator's.
 
     Returns ``None`` when no samples exist: a freshly started scheduler
     has no latency history, and reporting a fabricated ``0.0`` (which
@@ -100,9 +97,7 @@ class BatchScheduler:
 
     def __init__(self, index: GenomeSiteIndex, max_batch: int = 8,
                  max_wait_ms: float = 5.0, max_queue: int = 64,
-                 start: bool = True, latency_window: int = 2048,
-                 adaptive: bool = False, min_batch: int = 1,
-                 max_batch_limit: Optional[int] = None):
+                 start: bool = True):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not max_wait_ms >= 0:
@@ -110,24 +105,10 @@ class BatchScheduler:
                 f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if min_batch < 1 or min_batch > max_batch:
-            raise ValueError(
-                f"min_batch must be in [1, max_batch], got {min_batch}")
-        if max_batch_limit is not None and max_batch_limit < max_batch:
-            raise ValueError(
-                f"max_batch_limit must be >= max_batch, "
-                f"got {max_batch_limit}")
         self.index = index
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
         self.max_queue = int(max_queue)
-        self.adaptive = bool(adaptive)
-        self.min_batch = int(min_batch)
-        self.max_batch_limit = int(
-            max_batch_limit if max_batch_limit is not None
-            else max(max_batch, max_queue))
-        self._grown = 0
-        self._shrunk = 0
         self._queue: "queue.Queue[Optional[_PendingRequest]]" = \
             queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
@@ -157,7 +138,7 @@ class BatchScheduler:
                                                   "design": 0,
                                                   "variant": 0}
         self._batch_sizes: Dict[int, int] = {}
-        self._latencies_ms: "deque[float]" = deque(maxlen=latency_window)
+        self._latencies_ms: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._worker: Optional[threading.Thread] = None
         if start:
             self.start()
@@ -395,8 +376,6 @@ class BatchScheduler:
                           "batch_queries": len(flat)}))
         tracing.merge(request_spans)
         self._request_done(len(live))
-        if self.adaptive:
-            self._adapt()
 
     # -- hot swap / drain -----------------------------------------------
 
@@ -460,44 +439,6 @@ class BatchScheduler:
                 self._exec_cond.wait(timeout=remaining)
         return True
 
-    def _adapt(self) -> None:
-        """Retune ``max_batch`` from queue depth and latency tails.
-
-        Grow when admission is outrunning the flush size (a full
-        batch is already queued behind the one just served); shrink
-        when the queue is drained but the p95 tail has blown out past
-        3× the median — at that point larger batches are buying no
-        coalescing, only latency.  The latency window resets on
-        shrink so one bad tail does not trigger a collapse to
-        ``min_batch``.
-        """
-        depth = self._queue.qsize()
-        with self._stats_lock:
-            if depth >= self.max_batch and \
-                    self.max_batch < self.max_batch_limit:
-                self.max_batch = min(self.max_batch_limit,
-                                     self.max_batch * 2)
-                self._grown += 1
-                changed = ("grow", depth)
-            elif depth == 0 and self.max_batch > self.min_batch \
-                    and len(self._latencies_ms) >= 16:
-                latencies = sorted(self._latencies_ms)
-                p50 = _percentile(latencies, 0.50)
-                p95 = _percentile(latencies, 0.95)
-                if p50 and p95 and p95 > 3.0 * p50:
-                    self.max_batch = max(self.min_batch,
-                                         self.max_batch // 2)
-                    self._shrunk += 1
-                    self._latencies_ms.clear()
-                    changed = ("shrink", depth)
-                else:
-                    return
-            else:
-                return
-        tracing.instant("scheduler_adapt", cat="service",
-                        direction=changed[0], queue_depth=changed[1],
-                        max_batch=self.max_batch)
-
     # -- introspection --------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
@@ -512,7 +453,6 @@ class BatchScheduler:
             histogram = dict(sorted(self._batch_sizes.items()))
             completed, rejected = self._completed, self._rejected
             expired, batches = self._expired, self._batches
-            grown, shrunk = self._grown, self._shrunk
             swaps = self._swaps
             by_kind = dict(self._requests_by_kind)
         return {
@@ -529,20 +469,13 @@ class BatchScheduler:
             "index_swaps": swaps,
             "requests_by_kind": by_kind,
             "batch_size_histogram": histogram,
-            "adaptive": {
-                "enabled": self.adaptive,
-                "min_batch": self.min_batch,
-                "max_batch_limit": self.max_batch_limit,
-                "grown": grown,
-                "shrunk": shrunk,
-            },
             "latency_ms": {
                 "count": len(latencies),
                 "mean": (sum(latencies) / len(latencies)
                          if latencies else None),
-                "p50": _percentile(latencies, 0.50),
-                "p95": _percentile(latencies, 0.95),
-                "p99": _percentile(latencies, 0.99),
+                "p50": percentile(latencies, 0.50),
+                "p95": percentile(latencies, 0.95),
+                "p99": percentile(latencies, 0.99),
                 "max": latencies[-1] if latencies else None,
             },
         }

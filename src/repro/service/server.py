@@ -176,7 +176,6 @@ class OffTargetServer:
     def __init__(self, index: GenomeSiteIndex, host: str = "127.0.0.1",
                  port: int = 0, max_batch: int = 8,
                  max_wait_ms: float = 5.0, max_queue: int = 64,
-                 adaptive: bool = False,
                  reloader: Optional[Callable[[], Any]] = None,
                  request_fault_plan: Optional[str] = None,
                  drain_s: float = 5.0,
@@ -187,8 +186,7 @@ class OffTargetServer:
         self.port = port  # 0 = ephemeral; bound port set once listening
         self.scheduler = BatchScheduler(index, max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
-                                        max_queue=max_queue,
-                                        adaptive=adaptive)
+                                        max_queue=max_queue)
         self._stop_event: Optional[asyncio.Event] = None
         self._closed = False
         #: Builds/loads a replacement index for the ``reload`` op.
@@ -222,7 +220,7 @@ class OffTargetServer:
                 enzyme, enzyme_index,
                 BatchScheduler(enzyme_index, max_batch=max_batch,
                                max_wait_ms=max_wait_ms,
-                               max_queue=max_queue, adaptive=adaptive))
+                               max_queue=max_queue))
         #: Runs every variant search off-loop on one thread, so two
         #: searches' patch finder scans never share the pipeline's
         #: simulated queue at once (the comparer reads only row

@@ -1,44 +1,49 @@
-"""Tests for the bit-parallel (2-bit packed) comparer baseline."""
+"""Tests for the bit-parallel (2-bit packed) comparer and the offline
+``--engine bitparallel`` built on it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitparallel import (BitParallelComparer,
-                                    bitparallel_search,
-                                    count_mismatches_packed,
-                                    pack_query_strand, popcount64)
+from repro.core.bitparallel import (bitparallel_search,
+                                    compare_packed_batched,
+                                    pack_query_window, pack_site_table,
+                                    popcount64)
 from repro.core.config import Query, SearchRequest
-from repro.core.patterns import (MISMATCH_LUT, PatternError,
-                                 compile_pattern)
-from repro.core.pipeline import search
+from repro.core.patterns import MISMATCH_LUT, PatternError, compile_pattern
+from repro.core.pipeline import ResidentChunk, search
 from repro.genome.assembly import Assembly, Chromosome
 from repro.genome.fasta import sequence_to_array
+from repro.runtime import executor
+
+IUPAC = "ACGTRYMKWSBDHVN"
 
 
 class TestPacking:
     def test_pack_query_strand_word(self):
-        cq = compile_pattern("ACGTNN")
-        packed = pack_query_strand(cq, 0)
+        packed = pack_query_window(compile_pattern("ACGTNN"))
         # A=0, C=1, G=2, T=3 -> 0 | 1<<2 | 2<<4 | 3<<6.
-        assert packed.word == 0 + 4 + 32 + 192
-        np.testing.assert_array_equal(packed.checked, [0, 1, 2, 3])
+        assert packed.words.tolist() == [0 + 4 + 32 + 192]
+        assert packed.care.tolist() == [0b01010101]
 
     def test_skipped_n_positions(self):
-        cq = compile_pattern("ANGNTN")
-        packed = pack_query_strand(cq, 0)
-        np.testing.assert_array_equal(packed.checked, [0, 2, 4])
+        packed = pack_query_window(compile_pattern("ANGNTN"))
+        assert packed.care.tolist() == [1 | 1 << 4 | 1 << 8]
+        assert packed.ambiguous == ()
 
-    def test_ambiguity_codes_rejected(self):
-        cq = compile_pattern("ARGT")
-        with pytest.raises(PatternError, match="concrete"):
-            pack_query_strand(cq, 0)
+    def test_ambiguity_codes_decoded_apart(self):
+        packed = pack_query_window(compile_pattern("ARGT"))
+        assert packed.care.tolist() == [1 | 1 << 4 | 1 << 6]
+        ((word, shift, rejects),) = packed.ambiguous
+        assert (word, int(shift)) == (0, 2)
+        # R (A or G) rejects genome codes C=1 and T=3.
+        assert rejects.tolist() == [0, 1, 0, 1]
 
-    def test_too_many_checked_positions_rejected(self):
-        cq = compile_pattern("A" * 33)
-        with pytest.raises(PatternError, match="32"):
-            pack_query_strand(cq, 0)
+    def test_long_query_spans_two_words(self):
+        packed = pack_query_window(compile_pattern("A" * 30 + "CCG"))
+        assert packed.care.tolist() == [0x5555555555555555, 1]
+        assert packed.words.tolist() == [1 << 60 | 1 << 62, 2]
 
     def test_popcount64(self):
         values = np.array([0, 1, 0xFF, (1 << 63) | 1,
@@ -47,13 +52,25 @@ class TestPacking:
                                       [0, 1, 8, 2, 64])
 
 
+def _row_counts(query, data, loci):
+    """Forward-strand mismatch counts of ``query`` at ``loci`` of
+    ``data``, through a one-chunk row table."""
+    cq = compile_pattern(query)
+    chunk = ResidentChunk("c", 0, data.size, data,
+                          np.asarray(loci, dtype=np.uint32),
+                          np.ones(len(loci), dtype=np.uint8))
+    per_chunk = compare_packed_batched(pack_site_table([chunk], cq.plen),
+                                       [Query(query, cq.plen)], [cq])
+    mm_loci, mm_count, direction = per_chunk[0][0]
+    assert mm_loci.tolist() == list(loci)
+    assert direction.tobytes() == b"+" * len(loci)
+    return mm_count.tolist()
+
+
 class TestCounts:
     def count(self, query, site):
-        cq = compile_pattern(query)
-        packed = pack_query_strand(cq, 0)
-        chunk = sequence_to_array(site)
-        return int(count_mismatches_packed(
-            chunk, np.zeros(1, dtype=np.int64), packed)[0])
+        (count,) = _row_counts(query, sequence_to_array(site), [0])
+        return count
 
     def test_exact_match(self):
         assert self.count("ACGT", "ACGT") == 0
@@ -73,28 +90,28 @@ class TestCounts:
         assert self.count("ANNT", "AGGT") == 0
 
     def test_multiple_sites(self):
-        cq = compile_pattern("ACG")
-        packed = pack_query_strand(cq, 0)
-        chunk = sequence_to_array("ACGACCTTG")
-        loci = np.array([0, 3, 6], dtype=np.int64)
-        counts = count_mismatches_packed(chunk, loci, packed)
+        counts = _row_counts("ACG", sequence_to_array("ACGACCTTG"),
+                             [0, 3, 6])
         # Sites: ACG (0 mm), ACC (1 mm), TTG (2 mm).
-        np.testing.assert_array_equal(counts, [0, 1, 2])
+        assert counts == [0, 1, 2]
 
 
-@settings(max_examples=100)
-@given(query=st.text(alphabet="ACGT", min_size=1, max_size=32),
-       site=st.text(alphabet="ACGTN", min_size=32, max_size=32))
+@settings(max_examples=100, deadline=None)
+@given(query=st.text(alphabet=IUPAC, min_size=1, max_size=40),
+       site=st.text(alphabet="ACGTNR*", min_size=40, max_size=40))
 def test_counts_match_lut_property(query, site):
-    """Bit-parallel counts == LUT counts for concrete queries."""
-    cq = compile_pattern(query)
-    packed = pack_query_strand(cq, 0)
+    """Row-table counts == Listing 1's LUT counts for any IUPAC query,
+    one or two window words long, on any genome byte."""
     chunk = sequence_to_array(site)
-    got = int(count_mismatches_packed(
-        chunk, np.zeros(1, dtype=np.int64), packed)[0])
-    expected = int(MISMATCH_LUT[cq.sequence,
+    (got,) = _row_counts(query, chunk, [0])
+    expected = int(MISMATCH_LUT[compile_pattern(query).sequence,
                                 chunk[:len(query)]].sum())
     assert got == expected
+
+
+def _random_assembly(rng, n, alphabet=b"ACGT"):
+    seq = rng.choice(np.frombuffer(alphabet, dtype=np.uint8), n)
+    return Assembly("g", [Chromosome("c", seq)])
 
 
 class TestPipelineEquivalence:
@@ -119,16 +136,67 @@ class TestPipelineEquivalence:
                                   chunk_size=700).sorted_hits()
         assert fast == standard
 
-    def test_comparer_class_api(self):
-        comparer = BitParallelComparer(["ACGTNN", "TTTTNN"])
-        chunk = sequence_to_array("ACGTAATTTTGG")
-        loci = np.array([0, 4], dtype=np.uint32)
-        plus = comparer.counts(0, chunk, loci, "+")
-        assert plus[0] == 0
-        minus = comparer.counts(1, chunk, loci, "-")
-        assert minus.shape == (2,)
+    def test_ambiguous_query_matches_search(self, tiny_assembly):
+        request = SearchRequest("NNNNNNRG", [Query("GACGTRNN", 3),
+                                             Query("NNNNNNNN", 0)])
+        fast = bitparallel_search(tiny_assembly, request).hits
+        assert fast == search(tiny_assembly, request).hits
+        assert any(hit.query == "GACGTRNN" for hit in fast)
 
-    def test_ambiguous_query_rejected_up_front(self, tiny_assembly):
-        request = SearchRequest("NNNNNNRG", [Query("GACGTRNN", 3)])
-        with pytest.raises(PatternError, match="concrete"):
-            bitparallel_search(tiny_assembly, request)
+    def test_multi_block_chunk_keeps_kernel_order(self, monkeypatch):
+        """A chunk of several 256-candidate blocks: hits come out in the
+        kernel's per-block forward-then-reverse order, not merely as the
+        same set."""
+        monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 256)
+        assembly = _random_assembly(np.random.default_rng(8), 6000)
+        request = SearchRequest("NNNNNNRG", [Query("GACGTCNN", 3),
+                                             Query("TTACGANN", 3)])
+        standard = search(assembly, request, chunk_size=1 << 14)
+        assert standard.workload.candidates > 4 * 256
+        fast = bitparallel_search(assembly, request, chunk_size=1 << 14)
+        assert fast.hits == standard.hits
+        assert fast.hits != standard.sorted_hits()
+
+
+def _outcome(run, assembly, request, chunk_size):
+    """A search's hits, or the PatternError it raised."""
+    try:
+        return run(assembly, request, chunk_size=chunk_size).hits
+    except PatternError as exc:
+        return f"PatternError: {exc}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       plen=st.integers(8, 40),
+       pam=st.sampled_from(["G", "RG", "NGG", "TTTV"]),
+       extra=st.sampled_from([b"", b"RYKM", b"*", b"SW*"]),
+       chunk_size=st.sampled_from([None, 90, 1 << 12]),
+       block=st.sampled_from([256, 1 << 20]),
+       data=st.data())
+def test_equals_search_property(seed, plen, pam, extra, chunk_size, block,
+                                data):
+    """``bitparallel_search`` equals ``search`` as ordered hit lists, or
+    raises the same PatternError, over random genomes with N runs and
+    IUPAC or non-IUPAC bytes, guides over all 15 IUPAC codes, patterns
+    of 8-40 bases and several chunk and kernel block sizes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 1500))
+    seq = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), n)
+    lo = int(rng.integers(0, n - 40))
+    seq[lo:lo + int(rng.integers(1, 40))] = ord("N")
+    for byte in extra:
+        seq[int(rng.integers(0, n))] = byte
+    assembly = Assembly("g", [Chromosome("c", seq)])
+    pattern = "N" * (plen - len(pam)) + pam
+    queries = [Query(data.draw(st.text(alphabet=IUPAC, min_size=plen,
+                                       max_size=plen)),
+                     data.draw(st.integers(0, plen // 3)))
+               for _ in range(data.draw(st.integers(1, 3)))]
+    request = SearchRequest(pattern, queries)
+    chunk = max(chunk_size or n, 2 * plen)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", block)
+        expected = _outcome(search, assembly, request, chunk)
+        got = _outcome(bitparallel_search, assembly, request, chunk)
+    assert got == expected

@@ -15,18 +15,24 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import scoring
 from repro.core.config import Query
+from repro.core.patterns import IUPAC_COMPLEMENT, IUPAC_MASKS
 from repro.design import (CFDEstimator, DesignError, MITEstimator,
                           decode_candidates, decode_design_spec,
                           decode_reports, design_guides,
                           encode_candidates, enumerate_protospacers,
                           get_estimator, pattern_anatomy)
+from repro.design.enumerate import PatternAnatomy, ProtospacerCandidate
 from repro.design.ranking import DesignSpec
+from repro.genome.assembly import Assembly, Chromosome
+from repro.genome.fasta import sequence_to_array
+from repro.runtime import executor
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes)
@@ -165,23 +171,28 @@ class TestEnumeration:
                     if gc_min <= c.gc_fraction <= gc_max]
         assert bounded == expected
 
-    def test_gc_filter_strictly_outside_rejected(self, small_assembly):
-        from repro.design.enumerate import _guide_gc
-        import numpy as np
-        guide = np.frombuffer(b"ACGT", dtype=np.uint8).copy()
-        # GC fraction is exactly 0.5: inclusive at either bound.
-        assert _guide_gc(guide, 0.5, 1.0, 0) == 0.5
-        assert _guide_gc(guide, 0.0, 0.5, 0) == 0.5
-        assert _guide_gc(guide, 0.5, 0.5, 0) == 0.5
+    def test_gc_filter_strictly_outside_rejected(self):
+        # The only candidate, guide ACGT at 0 before the AG PAM, has
+        # GC exactly 0.5; the reverse strand reads GT, not RG.
+        assembly = _one_chromosome("ACGTAG")
+        anatomy = pattern_anatomy("NNNNRG")
+
+        def kept(gc_min, gc_max):
+            return [c.gc_fraction for c in enumerate_protospacers(
+                assembly, "c", 0, 1, anatomy, gc_min=gc_min,
+                gc_max=gc_max, max_homopolymer=0)]
+
+        # Inclusive at either bound.
+        assert kept(0.5, 1.0) == kept(0.0, 0.5) == kept(0.5, 0.5) == [0.5]
         # Strictly outside either bound: rejected.
-        assert _guide_gc(guide, 0.51, 1.0, 0) is None
-        assert _guide_gc(guide, 0.0, 0.49, 0) is None
+        assert kept(0.51, 1.0) == kept(0.0, 0.49) == []
 
     def test_zero_length_guide_does_not_divide_by_zero(self):
-        from repro.design.enumerate import _guide_gc
-        import numpy as np
-        empty = np.empty(0, dtype=np.uint8)
-        assert _guide_gc(empty, 0.0, 1.0, 0) is None
+        # pattern_anatomy rejects this anatomy; a direct caller gets no
+        # candidates rather than a division by zero.
+        anatomy = PatternAnatomy(pattern="RG", guide_length=0, pam="RG")
+        assert enumerate_protospacers(_one_chromosome("ACGTAGAG"), "c",
+                                      0, 6, anatomy) == []
 
     def test_n_gap_yields_no_candidates(self, small_assembly):
         # chrA[3000:3100] is an N gap: guides there are unusable.
@@ -215,6 +226,106 @@ class TestEnumeration:
                                             0, 300, anatomy)
         rows = json.loads(json.dumps(encode_candidates(candidates)))
         assert decode_candidates(rows) == candidates
+
+
+def _one_chromosome(text):
+    return Assembly("one", [Chromosome("c", sequence_to_array(text))])
+
+
+def _oracle_enumerate(assembly, chrom, start, end, anatomy, gc_min,
+                      gc_max, max_homopolymer):
+    """Per-position reference enumeration: every window and strand
+    tested one at a time on text, a non-IUPAC byte read as ``N``."""
+    text = "".join(c if c in IUPAC_MASKS else "N" for c in
+                   assembly.fetch(chrom, 0, len(assembly[chrom]))
+                   .tobytes().decode("latin-1"))
+    glen, plen = anatomy.guide_length, anatomy.plen
+    candidates = []
+    for position in range(start, min(end, len(text) - plen + 1)):
+        window = text[position:position + plen]
+        reverse = "".join(IUPAC_COMPLEMENT[c] for c in reversed(window))
+        for strand, site in (("+", window), ("-", reverse)):
+            guide, pam = site[:glen], site[glen:]
+            if not all(code == "N" or (base != "N" and IUPAC_MASKS[base]
+                                       & IUPAC_MASKS[code])
+                       for code, base in zip(anatomy.pam, pam)):
+                continue
+            if not glen or set(guide) - set("ACGT"):
+                continue
+            gc = (guide.count("G") + guide.count("C")) / glen
+            if not gc_min <= gc <= gc_max:
+                continue
+            if max_homopolymer and max(
+                    len(run) for run in _runs(guide)) > max_homopolymer:
+                continue
+            candidates.append(ProtospacerCandidate(
+                chrom=chrom, position=position, strand=strand,
+                protospacer=guide, pam=pam, gc_fraction=gc))
+    return candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       extra=st.sampled_from([b"", b"RYKMSW", b"BDHV*", b"*"]),
+       layout=st.sampled_from([("NNNNNNRG", None), ("NNNNNNNNNGG", 8),
+                               ("N" * 21 + "RG", 20), ("NNNNTTTV", None),
+                               ("NNNNNNNNNRRT", None)]),
+       gc_bounds=st.sampled_from([(0.2, 0.8), (0.0, 1.0), (0.5, 0.5),
+                                  (0.25, 0.75), (0.375, 0.625),
+                                  (0.0, 0.0), (1.0, 1.0)]),
+       max_homopolymer=st.integers(0, 8),
+       block=st.sampled_from([16, 1 << 20]))
+def test_enumeration_matches_per_position_oracle(
+        seed, extra, layout, gc_bounds, max_homopolymer, block):
+    """The vectorized enumeration equals the per-position oracle over
+    genomes with N runs, IUPAC and non-IUPAC bytes, a default and an
+    overridden guide length, exact GC boundary values, homopolymer caps
+    of 0-8 and a region spanning several position blocks."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 400))
+    genome = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), n,
+                        p=[0.35, 0.15, 0.15, 0.35])
+    lo = int(rng.integers(0, n))
+    genome[lo:lo + int(rng.integers(1, 25))] = ord("N")
+    for byte in extra:
+        genome[int(rng.integers(0, n))] = byte
+    assembly = Assembly("h", [Chromosome("c", genome)])
+    anatomy = pattern_anatomy(*layout)
+    start = int(rng.integers(0, n - 1))
+    end = int(rng.integers(start + 1, n + 1))
+    gc_min, gc_max = gc_bounds
+    expected = _oracle_enumerate(assembly, "c", start, end, anatomy,
+                                 gc_min, gc_max, max_homopolymer)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", block)
+        got = enumerate_protospacers(assembly, "c", start, end, anatomy,
+                                     gc_min=gc_min, gc_max=gc_max,
+                                     max_homopolymer=max_homopolymer)
+    assert got == expected
+
+
+def test_non_iupac_byte_enumerates_as_n():
+    """A ``*`` in the region enumerates exactly as an ``N`` there,
+    including where it falls in a PAM's unchecked ``N`` slot."""
+    rng = np.random.default_rng(3)
+    genome = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), 600)
+    anatomy = pattern_anatomy("N" * 21 + "GG", guide_length=20)
+    guide = np.frombuffer(b"ACGTTGCAACGTTGCAACGT", dtype=np.uint8)
+    # A forward site at 80 and a reverse site at 300, each with a
+    # passing guide and a '*' in its PAM's unchecked slot.
+    genome[80:103] = np.concatenate([guide, np.frombuffer(b"AGG", np.uint8)])
+    genome[300:323] = np.concatenate([np.frombuffer(b"CCT", np.uint8),
+                                      guide])
+    for at in (100, 302, 450):
+        genome[at] = ord("*")
+    with_star = enumerate_protospacers(
+        Assembly("s", [Chromosome("c", genome)]), "c", 0, 570, anatomy)
+    genome[genome == ord("*")] = ord("N")
+    with_n = enumerate_protospacers(
+        Assembly("n", [Chromosome("c", genome)]), "c", 0, 570, anatomy)
+    assert with_star == with_n
+    assert {(c.position, c.strand) for c in with_n} >= {(80, "+"),
+                                                      (300, "-")}
 
 
 def _runs(text):

@@ -9,9 +9,9 @@ from repro.core.patterns import (COMPLEMENT_TABLE, IUPAC_COMPLEMENT,
                                  IUPAC_MASKS, MASK_TABLE, MISMATCH_LUT,
                                  PatternError, compile_pattern,
                                  count_mismatches, mask_of,
-                                 pattern_matches_at, reverse_complement,
-                                 validate_iupac)
+                                 reverse_complement, validate_iupac)
 from repro.genome.fasta import sequence_to_array
+from repro.kernels.vectorized import pam_match_block
 
 IUPAC = "ACGTRYMKWSBDHVN"
 
@@ -122,19 +122,27 @@ class TestMismatchLUT:
 
 
 class TestPatternMatchesAt:
+    """The finder's block matcher, which guide design also runs."""
+
+    @staticmethod
+    def matches(pattern, genome):
+        """Forward-strand match at every position whose window fits."""
+        cp = compile_pattern(pattern)
+        genome = seq(genome)
+        positions = np.arange(max(0, genome.size - cp.plen + 1))
+        return pam_match_block(cp.comp, cp.checked_positions_forward,
+                               genome, positions, 0).tolist()
+
     def test_pam_match(self):
-        pattern_mask = mask_of("NNRG")
-        genome = seq("TTAGGC")
-        assert pattern_matches_at(pattern_mask, genome, 0)   # TTAG: A~R,G
-        assert not pattern_matches_at(pattern_mask, genome, 2)  # AGGC
+        # TTAG and TAGG admit R, G; AGGC fails.
+        assert self.matches("NNRG", "TTAGGC") == [True, True, False]
 
     def test_genome_n_fails_checked_positions(self):
-        pattern_mask = mask_of("NG")
-        assert not pattern_matches_at(pattern_mask, seq("AN"), 0)
-        assert pattern_matches_at(pattern_mask, seq("NG"), 0)
+        assert self.matches("NG", "AN") == [False]
+        assert self.matches("NG", "NG") == [True]
 
     def test_window_too_short(self):
-        assert not pattern_matches_at(mask_of("ACGT"), seq("AC"), 0)
+        assert self.matches("ACGT", "AC") == []
 
 
 class TestCompiledPattern:
