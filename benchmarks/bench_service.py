@@ -122,7 +122,7 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     build_began = time.perf_counter()
     index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size, device=device)
+                                  chunk_size=chunk_size)
     build_s = time.perf_counter() - build_began
 
     baseline = {}
@@ -241,7 +241,7 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
 
 
 def run_router_bench(scale: float, chunk_size: int, duration_s: float,
-                     concurrency: list, device: str, max_batch: int,
+                     concurrency: list, max_batch: int,
                      max_wait_ms: float, backends: int) -> dict:
     """Routed fleet vs single server over the same genome."""
     from repro.service import (OffTargetRouter, partition_chromosomes,
@@ -249,7 +249,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
 
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size, device=device)
+                                  chunk_size=chunk_size)
     max_queue = max(64, 4 * max(concurrency))
 
     single = {}
@@ -272,7 +272,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
     backend_handles = [
         OffTargetServer(
             GenomeSiteIndex.build(assembly.subset(chroms), PATTERN,
-                                  chunk_size=chunk_size, device=device),
+                                  chunk_size=chunk_size),
             max_batch=max_batch, max_wait_ms=max_wait_ms,
             max_queue=max_queue).start_background()
         for chroms in held]
@@ -310,8 +310,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
         "workload": {
             "profile": "hg19", "scale": scale, "seed": 42,
             "pattern": PATTERN, "chunk_size": chunk_size,
-            "device": device, "chunks": index.chunk_count,
-            "sites": index.site_count,
+            "chunks": index.chunk_count, "sites": index.site_count,
         },
         "config": {
             "duration_s": duration_s, "concurrency": concurrency,
@@ -344,7 +343,9 @@ def main(argv=None) -> int:
                         help="client counts to measure")
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
-    parser.add_argument("--device", default="MI100")
+    parser.add_argument("--device", default="MI100",
+                        help="modeled device of the fresh-search "
+                             "baseline (the index needs none)")
     parser.add_argument("--router", action="store_true",
                         help="run the routed-fleet vs single-server "
                              "pass only and merge it into the report "
@@ -361,8 +362,8 @@ def main(argv=None) -> int:
         section = run_router_bench(
             scale=args.scale, chunk_size=args.chunk_size,
             duration_s=args.duration, concurrency=args.concurrency,
-            device=args.device, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms, backends=args.backends)
+            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+            backends=args.backends)
         report = {}
         if os.path.exists(path):
             with open(path) as handle:

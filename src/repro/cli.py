@@ -406,10 +406,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="PAM-bearing pattern to index (required "
                              "unless a saved index is loaded)")
     _add_genome_flags(parser)
-    parser.add_argument("--api",
-                        choices=("sycl", "sycl-usm", "opencl"),
-                        default="sycl")
-    parser.add_argument("--device", default="MI100")
     parser.add_argument("--chunk-size", type=_positive_int,
                         default=DEFAULT_CHUNK_SIZE,
                         help="index chunk size in bases")
@@ -496,9 +492,7 @@ def _run_serve(argv: List[str]) -> int:
     if manifest_path and os.path.exists(manifest_path):
         assembly = _serve_assembly(args)
         try:
-            index = GenomeSiteIndex.load(args.index_dir, assembly,
-                                         api=args.api,
-                                         device=args.device)
+            index = GenomeSiteIndex.load(args.index_dir, assembly)
         except SiteIndexVersionError as exc:
             # The genome is right, only the on-disk layout is old:
             # rebuild (and overwrite) instead of refusing to start.
@@ -519,7 +513,6 @@ def _run_serve(argv: List[str]) -> int:
         try:
             index = GenomeSiteIndex.build(
                 assembly, args.pattern, chunk_size=args.chunk_size,
-                api=args.api, device=args.device,
                 fault_plan=args.fault_inject,
                 max_retries=args.max_retries)
         except (SiteIndexError, ValueError) as exc:
@@ -549,8 +542,7 @@ def _run_serve(argv: List[str]) -> int:
                 try:
                     enzyme_index = GenomeSiteIndex.build(
                         assembly, enzyme.pattern,
-                        chunk_size=args.chunk_size, api=args.api,
-                        device=args.device)
+                        chunk_size=args.chunk_size)
                 except (SiteIndexError, ValueError) as exc:
                     raise SystemExit(
                         f"error: enzyme {enzyme.name!r}: "
@@ -603,15 +595,12 @@ def _make_reloader(args: argparse.Namespace, assembly: Assembly,
         index = None
         if manifest_path and os.path.exists(manifest_path):
             try:
-                index = GenomeSiteIndex.load(
-                    args.index_dir, assembly, api=args.api,
-                    device=args.device)
+                index = GenomeSiteIndex.load(args.index_dir, assembly)
             except SiteIndexError:
                 index = None  # stale/corrupt on disk: rebuild
         if index is None:
             index = GenomeSiteIndex.build(
                 assembly, pattern, chunk_size=args.chunk_size,
-                api=args.api, device=args.device,
                 max_retries=args.max_retries)
         return index
 

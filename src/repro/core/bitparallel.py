@@ -32,7 +32,8 @@ genome code back out of the same planes and applies Listing 1's rule,
 under which a genome ``N`` never mismatches an ambiguity code.
 Because the rows are in emission order, each query's hits come out
 element-identical to the paper pipelines' comparer.  The offline
-engine packs a one-chunk table per chunk and query.
+engine packs a one-chunk table per chunk and compares every query
+against it in one pass.
 """
 
 from __future__ import annotations
@@ -317,16 +318,18 @@ class BitParallelCasOffinder(SyclCasOffinder):
     """The SYCL pipeline with the comparer swapped for the 2-bit packed
     algorithm — the related-work baseline as a drop-in engine.
 
-    Each query's comparer step packs the chunk's candidates into a
-    one-chunk row table and runs :func:`compare_packed_batched` over
-    it, so the engine takes any IUPAC query of any length and its hits
-    follow the kernel's per-block emission order by construction.
+    The comparer step packs the chunk's candidates into a one-chunk row
+    table and runs :func:`compare_packed_batched` over it for every
+    query of a batched search at once, so the engine takes any IUPAC
+    query of any length and its hits follow the kernel's per-block
+    emission order by construction.  An unbatched search runs that step
+    once per query.
     """
 
     api = "sycl-bitparallel"
 
-    def _run_comparer(self, chr_buf, loci_buf, flag_buf, count, cq,
-                      threshold, vector_mode):
+    def _run_comparer_batched(self, chr_buf, loci_buf, flag_buf, count,
+                              queries, compiled_queries, vector_mode):
         # The packing reads only a chunk's bytes, loci and flags.
         chunk = ResidentChunk(
             chrom="", start=0, scan_length=0,
@@ -334,16 +337,23 @@ class BitParallelCasOffinder(SyclCasOffinder):
             loci=loci_buf.get_host_access(sycl_read).data[:count],
             flags=flag_buf.get_host_access(sycl_read).data[:count])
         per_chunk = compare_packed_batched(
-            pack_site_table([chunk], cq.plen),
-            [Query(cq.decode(), threshold)], [cq])
-        return per_chunk.get(0, empty_triples(1))[0]
+            pack_site_table([chunk], compiled_queries[0].plen),
+            queries, compiled_queries)
+        return per_chunk.get(0, empty_triples(len(queries)))
+
+    def _run_comparer(self, chr_buf, loci_buf, flag_buf, count, cq,
+                      threshold, vector_mode):
+        return self._run_comparer_batched(
+            chr_buf, loci_buf, flag_buf, count,
+            [Query(cq.decode(), threshold)], [cq], vector_mode)[0]
 
 
 def bitparallel_search(assembly: Assembly, request: SearchRequest,
                        device: str = "MI100",
                        chunk_size: int = DEFAULT_CHUNK_SIZE
                        ) -> PipelineResult:
-    """Run a search with the bit-parallel comparer baseline."""
+    """Run a search with the bit-parallel comparer baseline: each chunk
+    is packed once and compared against every query in one pass."""
     pipeline = BitParallelCasOffinder(device=device,
                                       chunk_size=chunk_size)
-    return pipeline.search(assembly, request)
+    return pipeline.search(assembly, request, batched=True)

@@ -24,6 +24,7 @@ from ..genome.assembly import Assembly, Chunk
 from ..kernels import opencl_kernels, sycl_kernels, vectorized
 from ..observability import tracing
 from ..kernels.variants import VARIANT_ORDER, get_variant
+from ..runtime import executor
 from ..runtime import opencl as ocl
 from ..runtime.launch import LaunchRecord
 from ..runtime.sycl import (Buffer, LocalAccessor, NdRange, Queue, Range,
@@ -342,7 +343,13 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
 
 
 class _BasePipeline:
-    """Shared chunk loop, workload accounting and hit construction."""
+    """Shared chunk loop, workload accounting and hit construction.
+
+    A plain instance owns no queue or device and records no launch:
+    :class:`repro.service.index.GenomeSiteIndex` serves from one, with
+    the numpy finder and the resident comparer.  The paper pipelines
+    below run their simulated kernels in ``_process_chunk``.
+    """
 
     api = "abstract"
 
@@ -364,15 +371,31 @@ class _BasePipeline:
 
     def find_candidates(self, chunk: Chunk, pattern: CompiledPattern
                         ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Run only the finder kernel over one chunk.
+        """The finder's candidate sites for one chunk, in plain numpy.
 
-        Returns ``(count, loci, flags)`` as host arrays trimmed to the
-        entry count.  The finder's output depends only on the chunk and
-        the PAM pattern — not on any guide query — which is what lets
+        Returns ``(count, loci, flags)``: uint32 loci within the chunk
+        and uint8 strand flags, element-identical to what every
+        pipeline's finder kernel emits for the chunk.  The scan walks
+        the chunk in blocks of
+        :data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` positions
+        through :func:`repro.kernels.vectorized.find_sites` and records
+        no launch.  The output depends only on the chunk and the PAM
+        pattern, never on a guide query, which is what lets
         :class:`repro.service.index.GenomeSiteIndex` run this once per
         chunk and amortize the scan across every query that follows.
         """
-        raise NotImplementedError
+        block = executor.VECTORIZED_BLOCK_ITEMS
+        loci = [np.zeros(0, np.uint32)]
+        flags = [np.zeros(0, np.uint8)]
+        for start in range(0, chunk.scan_length, block):
+            sites, site_flags = vectorized.find_sites(
+                chunk.data, pattern.comp, pattern.comp_index,
+                pattern.plen, start,
+                min(start + block, chunk.scan_length))
+            loci.append(sites.astype(np.uint32))
+            flags.append(site_flags)
+        loci, flags = np.concatenate(loci), np.concatenate(flags)
+        return loci.size, loci, flags
 
     def compare_resident_triples(
             self, table: PackedSites, queries: Sequence[Query],
@@ -553,52 +576,6 @@ class SyclCasOffinder(_BasePipeline):
             return _ChunkOutput(candidate_count=count,
                                 per_query=per_query, loci=loci_host,
                                 flags=flag_host)
-
-    def find_candidates(self, chunk, pattern):
-        plen = pattern.plen
-        wg = self._wg
-        scan_len = chunk.scan_length
-        capacity = max(1, scan_len)
-        vector_mode = self.mode == "vectorized"
-        with Buffer(chunk.data, name="chr", write_back=False) as chr_buf, \
-                Buffer(pattern.comp, name="pat",
-                       write_back=False) as pat_buf, \
-                Buffer(pattern.comp_index, name="pat_index",
-                       write_back=False) as pat_index_buf, \
-                Buffer(count=capacity, dtype=np.uint32,
-                       name="loci") as loci_buf, \
-                Buffer(count=capacity, dtype=np.uint8,
-                       name="flag") as flag_buf, \
-                Buffer(count=1, dtype=np.uint32,
-                       name="entrycount") as entry_buf:
-
-            def finder_cg(h):
-                a_chr = chr_buf.get_access(h, sycl_read)
-                a_pat = pat_buf.get_access(h, sycl_read, TARGET_CONSTANT)
-                a_idx = pat_index_buf.get_access(h, sycl_read,
-                                                 TARGET_CONSTANT)
-                a_loci = loci_buf.get_access(h, sycl_write)
-                a_flag = flag_buf.get_access(h, sycl_write)
-                a_entry = entry_buf.get_access(h, sycl_read_write)
-                l_pat = LocalAccessor(np.uint8, plen * 2, h, name="l_pat")
-                l_idx = LocalAccessor(np.int32, plen * 2, h,
-                                      name="l_pat_index")
-                kern = (vectorized.finder_vectorized if vector_mode
-                        else sycl_kernels.finder)
-                h.parallel_for(
-                    NdRange(Range(_round_up(scan_len, wg)), Range(wg)),
-                    kern,
-                    args=(a_chr, a_pat, a_idx, plen, scan_len, a_loci,
-                          a_flag, a_entry, l_pat, l_idx),
-                    vectorized=vector_mode, kernel_name="finder")
-
-            self.queue.submit(finder_cg).wait()
-            count = int(entry_buf.get_host_access(sycl_read)[0])
-            loci_host = loci_buf.get_host_access(sycl_read).data[
-                :count].copy()
-            flag_host = flag_buf.get_host_access(sycl_read).data[
-                :count].copy()
-            return count, loci_host, flag_host
 
     def _run_comparer(self, chr_buf, loci_buf, flag_buf, count, cq,
                       threshold, vector_mode):
@@ -1088,57 +1065,6 @@ class OpenCLCasOffinder(_BasePipeline):
         return _ChunkOutput(candidate_count=count, per_query=per_query,
                             loci=loci_host[:count],
                             flags=flag_host[:count])
-
-    def find_candidates(self, chunk, pattern):
-        plen = pattern.plen
-        scan_len = chunk.scan_length
-        capacity = max(1, scan_len)
-        vector_mode = self.mode == "vectorized"
-        ctx, q = self.context, self.queue
-        chr_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            chunk.data.nbytes, chunk.data, name="chr")
-        pat_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            pattern.comp.nbytes, pattern.comp, name="pat")
-        pat_index_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_ONLY | ocl.CL_MEM_COPY_HOST_PTR,
-            pattern.comp_index.nbytes, pattern.comp_index,
-            name="pat_index")
-        loci_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_WRITE, capacity * 4, name="loci",
-            dtype=np.uint32)
-        flag_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_WRITE, capacity, name="flag",
-            dtype=np.uint8)
-        entry_host = np.zeros(1, dtype=np.uint32)
-        entry_mem = ocl.clCreateBuffer(
-            ctx, ocl.CL_MEM_READ_WRITE | ocl.CL_MEM_COPY_HOST_PTR,
-            4, entry_host, name="entrycount")
-        finder = ocl.clCreateKernel(self.program, "finder")
-        for index, arg in enumerate((
-                chr_mem, pat_mem, pat_index_mem, plen, scan_len, loci_mem,
-                flag_mem, entry_mem,
-                ocl.LocalArg(np.uint8, plen * 2),
-                ocl.LocalArg(np.int32, plen * 2))):
-            ocl.clSetKernelArg(finder, index, arg)
-        ocl.clEnqueueNDRangeKernel(q, finder, _round_up(scan_len, 256),
-                                   None, vectorized=vector_mode)
-        ocl.clFinish(q)
-        ocl.clEnqueueReadBuffer(q, entry_mem, entry_host)
-        count = int(entry_host[0])
-        loci_host = np.zeros(max(1, count), dtype=np.uint32)
-        flag_host = np.zeros(max(1, count), dtype=np.uint8)
-        if count:
-            ocl.clEnqueueReadBuffer(q, loci_mem, loci_host,
-                                    size_bytes=count * 4)
-            ocl.clEnqueueReadBuffer(q, flag_mem, flag_host,
-                                    size_bytes=count)
-        for mem in (chr_mem, pat_mem, pat_index_mem, loci_mem, flag_mem,
-                    entry_mem):
-            ocl.clReleaseMemObject(mem)
-        ocl.clReleaseKernel(finder)
-        return count, loci_host[:count], flag_host[:count]
 
     def _run_comparer(self, chr_mem, loci_mem, flag_mem, count, cq,
                       threshold, vector_mode):

@@ -20,14 +20,15 @@ sequence* is its protospacer followed by ``N`` over the PAM — exactly
 the query shape the serving stack already takes — so the whole
 candidate set can ride one batched comparer pass.
 
-The PAM test is the finder kernel's own block matcher,
-:func:`repro.kernels.vectorized.pam_match_block`, run over the
-pattern's compiled layout: every candidate this module emits is
-guaranteed to be a site the index itself indexed.  Enumeration is one
-array pass per strand over the region, in blocks of at most
-:data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` positions; text
-is decoded only for candidates that pass every filter.  A byte outside
-the IUPAC alphabet reads as ``N`` throughout.
+The PAM test is the finder itself,
+:func:`repro.kernels.vectorized.find_sites`, run over the pattern's
+compiled layout: every candidate this module emits is guaranteed to be
+a site the index itself indexed.  Enumeration is one finder pass over
+the region, in blocks of at most
+:data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` positions: its
+``+`` sites are those flagged 0 or 1 and its ``-`` sites those flagged
+0 or 2.  Text is decoded only for candidates that pass every filter.
+A byte outside the IUPAC alphabet reads as ``N`` throughout.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ import numpy as np
 from ..core.patterns import (COMPLEMENT_TABLE, MASK_TABLE,
                              compile_pattern, validate_iupac)
 from ..genome.assembly import Assembly
-from ..kernels.vectorized import pam_match_block
+from ..kernels.vectorized import find_sites
 from ..runtime import executor
 
-#: Text of each genome byte read on the forward strand and, complemented,
-#: on the reverse strand; a non-IUPAC byte reads as ``N`` on both.
-_FORWARD_TEXT = np.where(MASK_TABLE > 0, np.arange(256),
-                         ord("N")).astype(np.uint8)
-_REVERSE_TEXT = np.where(COMPLEMENT_TABLE > 0, COMPLEMENT_TABLE,
-                         ord("N")).astype(np.uint8)
+#: Text of each genome byte read on the forward strand (row 0) and,
+#: complemented, on the reverse strand (row 1); a non-IUPAC byte reads
+#: as ``N`` on both.
+_TEXT = np.stack([
+    np.where(MASK_TABLE > 0, np.arange(256), ord("N")),
+    np.where(COMPLEMENT_TABLE > 0, COMPLEMENT_TABLE, ord("N")),
+]).astype(np.uint8)
 
 _IS_ACGT = np.zeros(256, dtype=bool)
 _IS_ACGT[np.frombuffer(b"ACGT", dtype=np.uint8)] = True
@@ -209,39 +211,32 @@ def enumerate_protospacers(assembly: Assembly, chrom: str, start: int,
         return []
     seq = assembly.fetch(chrom, start, stop + plen - 1)
     pattern = compile_pattern("N" * glen + anatomy.pam)
-    forward = np.arange(plen)
-    # Per strand: its half of the compiled layout, that half's checked
-    # positions, and the window columns read 5'->3' with their text.
-    strands = ((0, pattern.checked_positions_forward, forward,
-                _FORWARD_TEXT),
-               (plen, pattern.checked_positions_reverse, forward[::-1],
-                _REVERSE_TEXT))
+    # Window columns read 5'->3', per strand (row 0 '+', row 1 '-').
+    columns = np.stack([np.arange(plen), np.arange(plen)[::-1]])
     block = executor.VECTORIZED_BLOCK_ITEMS
     candidates: List[ProtospacerCandidate] = []
     for first in range(0, stop - start, block):
-        offsets = np.arange(first, min(first + block, stop - start))
-        keys, rows, fractions = [], [], []
-        for minus, (half, checked, columns, text) in enumerate(strands):
-            sites = offsets[pam_match_block(pattern.comp, checked, seq,
-                                            offsets, half)]
-            windows = text[seq[sites[:, None] + columns]]
-            keep, gc = _filter_guides(windows[:, :glen], gc_min, gc_max,
-                                      max_homopolymer)
-            # Sorting on 2 * offset + minus puts '+' before '-'.
-            keys.append(2 * sites[keep] + minus)
-            rows.append(windows[keep])
-            fractions.append(gc[keep])
-        order = np.argsort(np.concatenate(keys))
-        text = np.concatenate(rows)[order].tobytes().decode("ascii")
-        for i, (key, gc) in enumerate(zip(
-                np.concatenate(keys)[order].tolist(),
-                np.concatenate(fractions)[order].tolist())):
+        sites, flags = find_sites(seq, pattern.comp, pattern.comp_index,
+                                  plen, first,
+                                  min(first + block, stop - start))
+        # One key per (site, strand), 2 * site + 1 for '-': sorted,
+        # '+' (flags 0|1) comes before '-' (flags 0|2) at one site.
+        keys = np.sort(np.concatenate((2 * sites[flags != 2],
+                                       2 * sites[flags != 1] + 1)))
+        minus = keys % 2
+        windows = _TEXT[minus[:, None],
+                        seq[keys[:, None] // 2 + columns[minus]]]
+        keep, gc = _filter_guides(windows[:, :glen], gc_min, gc_max,
+                                  max_homopolymer)
+        text = windows[keep].tobytes().decode("ascii")
+        for i, (key, fraction) in enumerate(zip(keys[keep].tolist(),
+                                                gc[keep].tolist())):
             window = text[i * plen:(i + 1) * plen]
             candidates.append(ProtospacerCandidate(
                 chrom=chrom, position=start + key // 2,
                 strand="-" if key % 2 else "+",
                 protospacer=window[:glen], pam=window[glen:],
-                gc_fraction=gc))
+                gc_fraction=fraction))
     return candidates
 
 

@@ -12,6 +12,8 @@ launch paths; work-group decomposition is fused into large blocks by
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..core.patterns import MASK_TABLE, MISMATCH_LUT
@@ -31,8 +33,7 @@ def pam_match_block(pat: np.ndarray, checked: np.ndarray,
     position admits the genome base there; a genome ``N`` or non-IUPAC
     byte at a checked position fails, which keeps assembly gaps out of
     the candidates.  Every window ``chr[pos:pos + plen]`` must lie
-    inside ``chr``.  The finder kernel and guide design
-    (:mod:`repro.design.enumerate`) both call it.
+    inside ``chr``.  :func:`find_sites` calls it once per strand.
     """
     if checked.size == 0:
         return np.ones(pos.size, dtype=bool)
@@ -40,6 +41,31 @@ def pam_match_block(pat: np.ndarray, checked: np.ndarray,
     pmask = MASK_TABLE[pat[checked + offset]]
     ok = ((gmask & pmask[None, :]) != 0) & (gmask != 15)
     return ok.all(axis=1)
+
+
+def find_sites(chr, pat, pat_index, plen: int, start: int, end: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate sites among positions ``[start, end)`` of ``chr``.
+
+    Returns ``(loci, flags)`` exactly as the finder kernel emits them
+    for that span: the positions where either strand's half of the
+    compiled pattern (``pat``/``pat_index``, ``2 * plen`` entries each)
+    mask-matches, ascending, and per position the strand flag (0 both
+    strands, 1 forward only, 2 reverse only).  The finder kernel's
+    vectorized body, the serving index's finder
+    (:meth:`repro.core.pipeline._BasePipeline.find_candidates`) and
+    guide design (:mod:`repro.design.enumerate`) all call it.
+    """
+    pos = np.arange(start, end, dtype=np.int64)
+    fwd_checked = pat_index[:plen]
+    fwd_checked = fwd_checked[fwd_checked >= 0].astype(np.int64)
+    rev_checked = pat_index[plen:2 * plen]
+    rev_checked = rev_checked[rev_checked >= 0].astype(np.int64)
+    fwd_ok = pam_match_block(pat, fwd_checked, chr, pos, 0)
+    rev_ok = pam_match_block(pat, rev_checked, chr, pos, plen)
+    sel = fwd_ok | rev_ok
+    flags = np.where(fwd_ok & rev_ok, 0, np.where(fwd_ok, 1, 2))
+    return pos[sel], flags[sel].astype(np.uint8)
 
 
 def finder_vectorized(group: GroupContext, chr, pat, pat_index, plen,
@@ -50,26 +76,16 @@ def finder_vectorized(group: GroupContext, chr, pat, pat_index, plen,
     l_pat[:n] = pat[:n]
     l_pat_index[:n] = pat_index[:n]
     start = group.group_start
-    end = min(start + group.group_size, int(scan_len))
-    if end <= start:
-        return
-    pos = np.arange(start, end, dtype=np.int64)
-    fwd_checked = pat_index[:plen]
-    fwd_checked = fwd_checked[fwd_checked >= 0].astype(np.int64)
-    rev_checked = pat_index[plen:2 * plen]
-    rev_checked = rev_checked[rev_checked >= 0].astype(np.int64)
-    fwd_ok = pam_match_block(pat, fwd_checked, chr, pos, 0)
-    rev_ok = pam_match_block(pat, rev_checked, chr, pos, plen)
-    sel = fwd_ok | rev_ok
-    count = int(sel.sum())
+    sites, flags = find_sites(chr, pat, pat_index, plen, start,
+                              min(start + group.group_size,
+                                  int(scan_len)))
+    count = sites.size
     if not count:
         return
-    flags = np.where(fwd_ok & rev_ok, 0,
-                     np.where(fwd_ok, 1, 2)).astype(flag.dtype)
     old = int(entrycount[0])
     entrycount[0] = old + count
-    loci[old:old + count] = pos[sel]
-    flag[old:old + count] = flags[sel]
+    loci[old:old + count] = sites
+    flag[old:old + count] = flags
 
 
 def comparer_batched_vectorized(group: GroupContext, locicnts, nqueries,

@@ -42,9 +42,9 @@ from .memory import LocalMemory
 DEFAULT_LDS_BYTES = 64 * 1024
 
 #: Work-items per fused call of :meth:`NDRangeExecutor.run_vectorized`
-#: when the caller passes no ``block_items``.  A comparer kernel emits
-#: one block's forward-strand hits before its reverse-strand hits, so
-#: the serving index's row table
+#: when the caller passes no ``block_items``, under any work-group size.
+#: A comparer kernel emits one block's forward-strand hits before its
+#: reverse-strand hits, so the serving index's row table
 #: (:func:`repro.core.bitparallel.pack_site_table`) lays its rows out in
 #: blocks of this size too.  Both read it at call time.
 VECTORIZED_BLOCK_ITEMS = 1 << 20
@@ -271,21 +271,19 @@ class NDRangeExecutor:
         ``[group.group_start, group.group_start + group.group_size)``
         with numpy.  Work-group decomposition only affects shared local
         memory, which vectorized kernels stage internally, so for speed
-        the executor fuses whole multiples of the work-group size into
-        one call (``block_items`` per call, default
-        :data:`VECTORIZED_BLOCK_ITEMS`);
-        reported statistics still count true work-groups.  Vectorized
-        kernels must therefore not rely on ``group_id`` meaning a
-        hardware group index.
+        the executor fuses exactly ``block_items`` work-items into each
+        call (default :data:`VECTORIZED_BLOCK_ITEMS`), whatever the
+        work-group size, so a kernel's blocks are the same under every
+        API; reported statistics still count true work-groups.
+        Vectorized kernels must therefore rely neither on group
+        boundaries nor on ``group_id`` meaning a hardware group index.
         """
         self._validate_range(global_size, local_size)
         stats = ExecutionStats(
             kernel_name=kernel_name or getattr(kernel, "__name__", "kernel"),
             work_group_size=local_size, mode="vectorized")
-        if block_items is None:
-            block_items = VECTORIZED_BLOCK_ITEMS
-        groups_per_block = max(1, block_items // local_size)
-        block_size = groups_per_block * local_size
+        block_size = max(1, VECTORIZED_BLOCK_ITEMS if block_items is None
+                         else block_items)
         n_groups = (global_size + local_size - 1) // local_size
         start = 0
         block_id = 0

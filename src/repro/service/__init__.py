@@ -24,11 +24,12 @@ many-per-query asymmetry:
   zero-downtime index rollover, and responses kept byte-identical to
   one server's by a stable merge on chromosome rank.
 
-The serving layer is backend-agnostic over the OpenCL/SYCL runtimes:
-the index takes the same ``api``/``device`` selectors as
-:func:`repro.core.pipeline.make_pipeline`, and responses are
-byte-identical to an offline CLI search for the same genome, pattern
-and queries (pinned by ``tests/test_service.py``).
+The serving layer runs on plain numpy, off the simulated OpenCL/SYCL
+runtime that reproduces the paper's tables: the index's finder is the
+finder kernel's own numpy body and its comparer reads a resident 2-bit
+row table, so serving appends no launch record.  Responses are
+byte-identical to an offline CLI search under any ``--api`` for the
+same genome, pattern and queries (pinned by ``tests/test_service.py``).
 """
 
 from .index import (GenomeSiteIndex, SiteIndexError,

@@ -8,6 +8,11 @@ chunk over the whole assembly and keeps each chunk's candidate arrays
 (loci within the chunk, strand flags) memory-resident.  Serving a query
 then reduces to the comparer over the stored candidates — the
 expensive genome scan is amortized across every request that follows.
+Serving runs on plain numpy, not on the simulated OpenCL/SYCL runtime
+that reproduces the paper's tables: the finder is the kernel's own
+numpy body (:meth:`~repro.core.pipeline._BasePipeline.find_candidates`),
+element-identical to every paper pipeline's finder, and no serving
+call appends a launch record.
 
 The index also packs every candidate window once, at build time, into
 one resident 2-bit row table
@@ -57,8 +62,7 @@ from ..core.bitparallel import pack_site_table
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
-                             ResidentChunk, Triples, empty_triples,
-                             make_pipeline)
+                             ResidentChunk, Triples, empty_triples)
 from ..core.records import OffTargetHit
 from ..genome.assembly import Assembly
 from ..observability import faults, tracing
@@ -104,10 +108,7 @@ class GenomeSiteIndex:
     """
 
     def __init__(self, assembly: Assembly, pattern: str,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 api: str = "sycl", device: str = "MI100",
-                 variant: str = "base", mode: str = "vectorized",
-                 work_group_size: int = 256):
+                 chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1, got {chunk_size}")
@@ -115,12 +116,9 @@ class GenomeSiteIndex:
         self.pattern = pattern.upper()
         self.compiled_pattern = compile_pattern(self.pattern)
         self.chunk_size = int(chunk_size)
-        self.api = api
-        self.device = device
-        self.pipeline = make_pipeline(api=api, device=device,
-                                      variant=variant, mode=mode,
-                                      chunk_size=chunk_size,
-                                      work_group_size=work_group_size)
+        #: The numpy finder and the resident comparer; owns no queue or
+        #: device, so serving appends no launch record.
+        self.pipeline = _pipeline._BasePipeline(self.chunk_size)
         self.build_wall_s = 0.0
         self._chunks: List[ResidentChunk] = []
         self._table: Optional[PackedSites] = None
@@ -190,25 +188,22 @@ class GenomeSiteIndex:
     @classmethod
     def build(cls, assembly: Assembly, pattern: str,
               chunk_size: int = DEFAULT_CHUNK_SIZE,
-              api: str = "sycl", device: str = "MI100",
-              variant: str = "base", mode: str = "vectorized",
-              work_group_size: int = 256,
               fault_plan: Optional[str] = None,
               max_retries: int = 2) -> "GenomeSiteIndex":
-        """Scan the whole assembly through the finder kernel once.
+        """Scan the whole assembly through the finder once.
 
         ``fault_plan`` accepts the same deterministic spec the streaming
         engine uses (:mod:`repro.observability.faults`); an injected
         failure on a chunk is retried up to ``max_retries`` times, so a
         transient fault during the build never changes the index
-        contents — the serving-equivalence tests pin this down.  After
-        the last finder pass, every candidate window is packed into
-        the resident row table.
+        contents — the serving-equivalence tests pin this down.  The
+        index drives no modeled device, so a device-scoped plan entry
+        (``MI60!raise@0``) fires here too.  After the last finder
+        pass, every candidate window is packed into the resident row
+        table.
         """
-        index = cls(assembly, pattern, chunk_size=chunk_size, api=api,
-                    device=device, variant=variant, mode=mode,
-                    work_group_size=work_group_size)
-        injector = faults.resolve_injector(fault_plan, device=device)
+        index = cls(assembly, pattern, chunk_size=chunk_size)
+        injector = faults.resolve_injector(fault_plan)
         started = time.perf_counter()
         plen = index.compiled_pattern.plen
         for number, chunk in enumerate(
@@ -439,10 +434,8 @@ class GenomeSiteIndex:
         tracing.instant("index_saved", cat="index", directory=directory)
 
     @classmethod
-    def load(cls, directory: str, assembly: Assembly,
-             api: str = "sycl", device: str = "MI100",
-             variant: str = "base", mode: str = "vectorized",
-             work_group_size: int = 256) -> "GenomeSiteIndex":
+    def load(cls, directory: str, assembly: Assembly
+             ) -> "GenomeSiteIndex":
         """Warm-start from a saved directory, validating everything.
 
         The stored fingerprint must match one recomputed from the live
@@ -468,9 +461,7 @@ class GenomeSiteIndex:
                 f"in {manifest_path!r} (this build reads "
                 f"{INDEX_VERSION}); rebuild the index")
         index = cls(assembly, header["pattern"],
-                    chunk_size=int(header["chunk_size"]), api=api,
-                    device=device, variant=variant, mode=mode,
-                    work_group_size=work_group_size)
+                    chunk_size=int(header["chunk_size"]))
         fingerprint = index.manifest().fingerprint()
         if header.get("fingerprint") != fingerprint:
             raise SiteIndexMismatchError(

@@ -78,7 +78,8 @@ from ..variants.model import VariantError, decode_haplotypes
 from ..variants.overlay import sort_event_rows, variant_payload
 from .scheduler import percentile
 from .server import (MAX_LINE_BYTES, ServerHandle,
-                     _decode_chromosomes, _decode_queries)
+                     _decode_chromosomes, _decode_deadline,
+                     _decode_queries)
 
 #: Idle pooled connections kept per backend.
 POOL_MAX_IDLE = 8
@@ -751,12 +752,7 @@ class OffTargetRouter:
         raw_queries = request.get("queries")
         try:
             queries = _decode_queries(raw_queries)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
+            deadline = _decode_deadline(request.get("deadline_s"))
         except ValueError as exc:
             return {"ok": False, "error": "bad-request",
                     "message": str(exc)}
@@ -794,12 +790,7 @@ class OffTargetRouter:
         """
         try:
             spec = decode_design_spec(request)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
+            deadline = _decode_deadline(request.get("deadline_s"))
         except ValueError as exc:
             return {"ok": False, "error": "bad-request",
                     "message": str(exc)}

@@ -122,6 +122,52 @@ def _decode_queries(raw: Any) -> List[Query]:
     return queries
 
 
+def _decode_deadline(raw: Any) -> Optional[float]:
+    """Validate an optional ``deadline_s``: a number of seconds."""
+    if raw is not None and (isinstance(raw, bool)
+                            or not isinstance(raw, (int, float))):
+        raise ValueError(f"deadline_s must be a number, got {raw!r}")
+    return raw
+
+
+async def _submit_and_wait(scheduler: BatchScheduler,
+                           queries: List[Query],
+                           deadline_s: Optional[float],
+                           kind: str = "query"
+                           ) -> Tuple[Optional[List[List[OffTargetHit]]],
+                                      Optional[Dict[str, Any]]]:
+    """Submit one request and await its per-query hit lists.
+
+    Returns ``(results, None)``, or ``(None, error response)`` when the
+    scheduler refuses the request (``bad-request``, ``overloaded``,
+    ``deadline`` when it expired before submit, ``closed``) or its
+    batch fails (``deadline``, ``closed``, ``internal``).
+    """
+    def failure(code: str, exc: BaseException) -> Dict[str, Any]:
+        return {"ok": False, "error": code, "message": str(exc)}
+
+    try:
+        future = scheduler.submit(queries, deadline_s=deadline_s,
+                                  kind=kind)
+    except ValueError as exc:
+        return None, failure("bad-request", exc)
+    except ServiceOverloaded as exc:
+        return None, failure("overloaded", exc)
+    except DeadlineExceeded as exc:
+        return None, failure("deadline", exc)
+    except SchedulerClosed as exc:
+        return None, failure("closed", exc)
+    try:
+        return await asyncio.wrap_future(future), None
+    except DeadlineExceeded as exc:
+        return None, failure("deadline", exc)
+    except SchedulerClosed as exc:
+        return None, failure("closed", exc)
+    except Exception as exc:  # noqa: BLE001 - report, keep serving
+        return None, {"ok": False, "error": "internal",
+                      "message": f"{type(exc).__name__}: {exc}"}
+
+
 def _decode_chromosomes(raw: Any) -> Optional[FrozenSet[str]]:
     """Validate an optional per-request chromosome filter."""
     if raw is None:
@@ -221,13 +267,10 @@ class OffTargetServer:
                 BatchScheduler(enzyme_index, max_batch=max_batch,
                                max_wait_ms=max_wait_ms,
                                max_queue=max_queue))
-        #: Runs every variant search off-loop on one thread, so two
-        #: searches' patch finder scans never share the pipeline's
-        #: simulated queue at once (the comparer reads only row
-        #: tables and needs no such guard).  A fixed thread also keeps
-        #: the searches' allocations in one malloc arena; a pool that
-        #: sometimes grew a second thread made peak memory differ from
-        #: run to run.
+        #: Runs every variant search off-loop on one thread.  A fixed
+        #: thread keeps the searches' allocations in one malloc arena;
+        #: a pool that sometimes grew a second thread made peak memory
+        #: differ from run to run.
         self._variant_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="variant")
 
@@ -273,40 +316,14 @@ class OffTargetServer:
                 queries = _decode_queries(request.get("queries"))
                 allowed = _decode_chromosomes(
                     request.get("chromosomes"))
-                deadline = request.get("deadline_s")
-                if deadline is not None and (
-                        isinstance(deadline, bool)
-                        or not isinstance(deadline, (int, float))):
-                    raise ValueError(
-                        f"deadline_s must be a number, got "
-                        f"{deadline!r}")
-                future = scheduler.submit(queries,
-                                          deadline_s=deadline)
+                deadline = _decode_deadline(request.get("deadline_s"))
             except ValueError as exc:
                 return {"ok": False, "error": "bad-request",
                         "message": str(exc)}
-            except ServiceOverloaded as exc:
-                return {"ok": False, "error": "overloaded",
-                        "message": str(exc)}
-            except DeadlineExceeded as exc:
-                # Already expired at submit: fail fast, same error
-                # code clients see for an in-queue expiry.
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            try:
-                results = await asyncio.wrap_future(future)
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            except Exception as exc:  # noqa: BLE001 - report, keep serving
-                return {"ok": False, "error": "internal",
-                        "message": f"{type(exc).__name__}: {exc}"}
+            results, error = await _submit_and_wait(scheduler, queries,
+                                                    deadline)
+            if error is not None:
+                return error
             if allowed is not None:
                 # Order-preserving subsequence: hits of the allowed
                 # chromosomes keep their single-server relative order,
@@ -439,12 +456,7 @@ class OffTargetServer:
                     f"enzyme {enzyme.name!r} has a 5prime PAM; guide "
                     f"design requires a 3prime-PAM pattern")
             spec = decode_design_spec(request)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
+            deadline = _decode_deadline(request.get("deadline_s"))
             anatomy, candidates, queries = enumerate_for_design(
                 index.assembly, index.pattern, spec)
             estimator = get_estimator(spec.estimator,
@@ -454,35 +466,14 @@ class OffTargetServer:
                     "message": str(exc)}
         hits_by_query: Dict[str, List[OffTargetHit]] = {}
         if queries:
-            try:
-                future = scheduler.submit(
-                    [Query(sequence=query,
-                           max_mismatches=spec.max_mismatches)
-                     for query in queries],
-                    deadline_s=deadline, kind="design")
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
-            except ServiceOverloaded as exc:
-                return {"ok": False, "error": "overloaded",
-                        "message": str(exc)}
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            try:
-                results = await asyncio.wrap_future(future)
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            except Exception as exc:  # noqa: BLE001 - keep serving
-                return {"ok": False, "error": "internal",
-                        "message": f"{type(exc).__name__}: {exc}"}
+            results, error = await _submit_and_wait(
+                scheduler,
+                [Query(sequence=query,
+                       max_mismatches=spec.max_mismatches)
+                 for query in queries],
+                deadline, kind="design")
+            if error is not None:
+                return error
             hits_by_query = dict(zip(queries, results))
         reports = rank_candidates(candidates, hits_by_query, estimator,
                                   spec.top_n)

@@ -9,6 +9,9 @@ the tentpole invariants end to end:
   (the single-batch accounting in ``comparer_stats``);
 * a served ``variant`` response is byte-identical to the in-process
   payload;
+* neither search appends a launch record to ``index.pipeline``: the
+  serving stack runs on numpy, so its memory does not grow with
+  variant traffic;
 * a TOML enzyme config loads, serves, and answers ``enzymes`` and
   enzyme-tagged ``query`` requests.
 """
@@ -85,6 +88,7 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
                                   chunk_size=1 << 15)
     queries = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
     haplotypes = decode_haplotypes(_demo_haplotypes(assembly))
+    launches = len(index.pipeline.launches)
 
     # 1. In-process: single-batch comparer accounting.
     before = index.comparer_stats()
@@ -151,6 +155,11 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
                     "scheduler did not account the variant request")
     finally:
         handle.stop()
+    grown = len(index.pipeline.launches) - launches
+    if grown:
+        failures.append(
+            f"variant searches appended {grown} launch record(s) to "
+            f"the serving pipeline")
 
     if failures:
         for failure in failures:
@@ -158,7 +167,7 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
         return 1
     print(f"smoke OK: {len(expected_payload['events'])} events "
           f"byte-identical between in-process and served, in one "
-          f"comparer batch per search")
+          f"comparer batch per search, no launch record appended")
     return 0
 
 

@@ -574,10 +574,14 @@ def search_variants(index: Any, queries: Sequence[Query],
 
     Only chunks a variant touches are re-fetched, re-scanned and
     re-packed; everything else is served from the resident reference
-    index.  Patch sites are projected to reference coordinates, so the
-    returned events are exactly the sites each haplotype gains or
-    loses relative to the reference — downstream shifts cancel.  No
-    hit objects are built: the diff runs on the comparer's triples.
+    index.  The re-scan is the index pipeline's numpy finder
+    (:meth:`~repro.core.pipeline._BasePipeline.find_candidates`), so a
+    search appends no launch record and a long-lived server's memory
+    does not grow with variant traffic.  Patch sites are projected to
+    reference coordinates, so the returned events are exactly the sites
+    each haplotype gains or loses relative to the reference —
+    downstream shifts cancel.  No hit objects are built: the diff runs
+    on the comparer's triples.
     """
     queries = list(queries)
     if not queries:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bitparallel
 from repro.core.bitparallel import (bitparallel_search,
                                     compare_packed_batched,
                                     pack_query_window, pack_site_table,
@@ -142,6 +143,31 @@ class TestPipelineEquivalence:
         fast = bitparallel_search(tiny_assembly, request).hits
         assert fast == search(tiny_assembly, request).hits
         assert any(hit.query == "GACGTRNN" for hit in fast)
+
+    def test_batched_engine_packs_each_chunk_once(self, monkeypatch):
+        """A two-query search packs each chunk once and compares every
+        query against it in one pass, never through a Listing-1
+        comparer launch, and its hits equal ``search``'s in order."""
+        packed = []
+        pack = bitparallel.pack_site_table
+
+        def counting(chunks, plen):
+            packed.append(len(chunks))
+            return pack(chunks, plen)
+
+        monkeypatch.setattr(bitparallel, "pack_site_table", counting)
+        assembly = _random_assembly(np.random.default_rng(3), 3000)
+        request = SearchRequest("NNNNNNRG", [Query("GACGTCNN", 3),
+                                             Query("TTACGRNN", 3)])
+        standard = search(assembly, request, chunk_size=700)
+        fast = bitparallel_search(assembly, request, chunk_size=700)
+        assert fast.hits == standard.hits
+        assert {query.sequence for query in request.queries} == \
+            {hit.query for hit in fast.hits}
+        assert not [record.name for record in fast.launches
+                    if record.name.startswith("comparer")]
+        assert packed == [1] * fast.workload.chunk_count
+        assert fast.workload.chunk_count > 1
 
     def test_multi_block_chunk_keeps_kernel_order(self, monkeypatch):
         """A chunk of several 256-candidate blocks: hits come out in the

@@ -34,7 +34,8 @@ from repro.genome.assembly import Assembly, Chromosome
 from repro.genome.fasta import sequence_to_array
 from repro.runtime import executor
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
-                           OffTargetServer, ServiceClient, ServiceError,
+                           OffTargetServer, ServiceClient,
+                           ServiceDeadlineError, ServiceError,
                            partition_chromosomes)
 
 PATTERN = "NNNNNNRG"
@@ -541,6 +542,26 @@ class TestDesignOp:
             with pytest.raises(ServiceError,
                                match="no partition holds"):
                 client._call(design_request(chrom="chrZ"))
+
+    def test_deadline_s_is_checked_on_the_wire(self, served, routed):
+        """A ``deadline_s`` that is not a number is a ``bad-request``
+        for ``query`` and ``design`` on the server and the router; on
+        the server a spent one answers ``deadline`` for both ops."""
+        query = {"op": "query", "queries": [["GACGTCNN", 3]]}
+        for handle in (served, routed):
+            with ServiceClient(handle.host, handle.port) as client:
+                for request in (query, design_request()):
+                    for deadline in ("soon", True):
+                        with pytest.raises(ServiceError,
+                                           match="bad-request"):
+                            client._call({**request,
+                                          "deadline_s": deadline})
+        with ServiceClient(served.host, served.port) as client:
+            assert client._call({**design_request(),
+                                 "op": "enumerate"})["queries"]
+            for request in (query, design_request()):
+                with pytest.raises(ServiceDeadlineError):
+                    client._call({**request, "deadline_s": 0})
 
     def test_enumerate_op_round_trips(self, small_assembly, served):
         with ServiceClient(served.host, served.port) as client:

@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitparallel import pack_site_table
+from repro.core.bitparallel import bitparallel_search, pack_site_table
 from repro.core.config import Query, SearchRequest
 from repro.core.patterns import COMPLEMENT_TABLE, PatternError
 from repro.core.pipeline import (ResidentChunk, SyclCasOffinder,
-                                 _BasePipeline)
+                                 _BasePipeline, search)
+from repro.core.records import sort_hits
 from repro.genome.assembly import Assembly, Chromosome
 from repro.runtime import executor
 from repro.service import (BatchScheduler, GenomeSiteIndex,
@@ -220,6 +221,26 @@ class TestRowTable:
         _assert_matches_offline(index,
                                 QUERIES + [IUPAC_QUERY, PAM_QUERY])
 
+    def test_block_below_work_group_keeps_one_order(self, monkeypatch):
+        """A 64-item kernel block is a quarter of SYCL's 256-wide
+        work-groups and one OpenCL group: both offline searches, the
+        bit-parallel engine and the served index still emit one hit
+        order."""
+        monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 64)
+        assembly = _random_genome(4, 3000)
+        queries = QUERIES + [PAM_QUERY]
+        request = SearchRequest(PATTERN, queries)
+        hits = search(assembly, request, api="sycl", chunk_size=CHUNK).hits
+        assert hits != sort_hits(hits)
+        assert search(assembly, request, api="opencl",
+                      chunk_size=CHUNK).hits == hits
+        assert bitparallel_search(assembly, request,
+                                  chunk_size=CHUNK).hits == hits
+        index = GenomeSiteIndex.build(assembly, PATTERN, chunk_size=CHUNK)
+        assert index.query_batch(queries) == [
+            [hit for hit in hits if hit.query == query.sequence]
+            for query in queries]
+
 
 class TestCompareCalls:
     def test_one_pass_per_table(self, small_assembly, monkeypatch):
@@ -312,20 +333,20 @@ class TestStats:
 
 class TestLaunchRecords:
     def test_serving_appends_no_comparer_launches(self, small_assembly):
-        """Only finder scans touch the simulated runtime: a mixed
-        concrete / IUPAC / all-N batch appends no launch record, and a
-        variant search appends one per patched chunk."""
+        """Serving never touches the simulated runtime: the index build,
+        a mixed concrete / IUPAC / all-N batch and repeated variant
+        searches, whose patch scans run the finder, append no launch
+        record."""
         index = GenomeSiteIndex.build(small_assembly, PATTERN,
                                       chunk_size=CHUNK)
+        assert len(index.pipeline.launches) == 0
         queries = [QUERIES[0], IUPAC_QUERY, PAM_QUERY]
-        launches = len(index.pipeline.launches)
         hits = index.query_batch(queries)
         assert all(hits)
-        assert len(index.pipeline.launches) == launches
         haplotypes = decode_haplotypes([{"name": "h", "variants": [
             _snv(small_assembly, "chrA", 777),
             _snv(small_assembly, "chrB", 900)]}])
-        result = search_variants(index, queries, haplotypes)
-        assert result.patched_chunks == 2
-        assert len(index.pipeline.launches) == \
-            launches + result.patched_chunks
+        for _ in range(3):
+            result = search_variants(index, queries, haplotypes)
+            assert result.patched_chunks == 2
+        assert len(index.pipeline.launches) == 0

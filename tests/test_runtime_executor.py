@@ -192,10 +192,9 @@ class TestVectorized:
         assert (out == 1).all()
         assert stats.work_groups == 100
         assert stats.work_items == 6400
-        # Blocks are whole multiples of the work-group size.
-        for start, size in spans[:-1]:
-            assert start % 64 == 0
-            assert size % 64 == 0
+        # Blocks are exactly block_items long, whatever the group size.
+        assert spans == [(start, 1000) for start in range(0, 6000, 1000)
+                         ] + [(6000, 400)]
 
     def test_local_decls_available_per_block(self, executor):
         def kernel(group, scratch):

@@ -14,12 +14,18 @@ import threading
 import time
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Query, SearchRequest
-from repro.core.pipeline import search
+from repro.core.patterns import compile_pattern
+from repro.core.pipeline import _BasePipeline, make_pipeline, search
 from repro.core.records import sort_hits
+from repro.genome.assembly import Chunk
 from repro.observability import tracing
+from repro.runtime import executor
 from repro.service import (BatchScheduler, DeadlineExceeded,
                            GenomeSiteIndex, OffTargetServer,
                            SchedulerClosed, ServiceClient, ServiceError,
@@ -79,13 +85,6 @@ class TestGenomeSiteIndex:
         got = sort_hits([h for per in per_query for h in per])
         assert got == offline_hits(small_assembly)
 
-    def test_opencl_backend_agrees(self, small_assembly):
-        ocl = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                    chunk_size=CHUNK, api="opencl")
-        per_query = ocl.query_batch(QUERIES)
-        got = sort_hits([h for per in per_query for h in per])
-        assert got == offline_hits(small_assembly)
-
     def test_save_load_roundtrip(self, index, small_assembly,
                                  tmp_path):
         index.save(str(tmp_path))
@@ -125,6 +124,46 @@ class TestGenomeSiteIndex:
     def test_bad_chunk_size_rejected(self, small_assembly):
         with pytest.raises(ValueError, match="chunk size"):
             GenomeSiteIndex(small_assembly, PATTERN, chunk_size=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pattern=st.sampled_from(["NNNNNNNNRG", "TTTNNNNNNN"]),
+       extra=st.sampled_from([b"", b"RYKM", b"*", b"SW*"]),
+       block=st.sampled_from([16, 64, 100]))
+def test_find_candidates_matches_finder_kernels(seed, pattern, extra,
+                                                block):
+    """The index's numpy finder emits, in order, the loci and strand
+    flags of every paper pipeline's finder kernel (SYCL buffers, SYCL
+    USM and OpenCL, each vectorized and interpreted), over random
+    genomes with an N run and IUPAC or non-IUPAC bytes, 3'- and 5'-PAM
+    patterns and kernel blocks shorter than the scan."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 500))
+    data = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), n)
+    lo = int(rng.integers(0, n - 30))
+    data[lo:lo + int(rng.integers(1, 30))] = ord("N")
+    for byte in extra:
+        data[int(rng.integers(0, n))] = byte
+    compiled = compile_pattern(pattern)
+    chunk = Chunk(chrom="c", start=0, data=data,
+                  scan_length=n - compiled.plen + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", block)
+        count, loci, flags = _BasePipeline().find_candidates(chunk,
+                                                             compiled)
+        assert (loci.dtype, flags.dtype) == (np.uint32, np.uint8)
+        for api in ("sycl", "sycl-usm", "opencl"):
+            for mode in ("vectorized", "interpreted"):
+                pipeline = make_pipeline(api=api, mode=mode)
+                try:
+                    out = pipeline._process_chunk(chunk, compiled, [], [])
+                finally:
+                    if api == "opencl":
+                        pipeline.release()
+                assert out.candidate_count == count, (api, mode)
+                assert out.loci.tolist() == loci.tolist(), (api, mode)
+                assert out.flags.tolist() == flags.tolist(), (api, mode)
 
 
 @pytest.mark.fault
