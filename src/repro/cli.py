@@ -29,7 +29,7 @@ from typing import List, Optional
 from .analysis.reporting import (render_fig2, render_stage_timings,
                                  render_table8, render_table9,
                                  render_table10, render_trace_summary)
-from .core.config import ExecutionPolicy, SearchRequest
+from .core.config import ExecutionPolicy, Query, SearchRequest
 from .core.pipeline import DEFAULT_CHUNK_SIZE, search
 from .core.records import write_hits
 from .genome.assembly import Assembly, Chromosome
@@ -473,19 +473,23 @@ def _serve_assembly(args: argparse.Namespace) -> Assembly:
     return assembly
 
 
+def _refuse_leftover_ready_file(path: Optional[str], role: str) -> None:
+    """Exit if ``path`` already exists: a supervisor could read a dead
+    process's port announcement there and race this one."""
+    if path and os.path.exists(path):
+        raise SystemExit(
+            f"error: ready file {path!r} already exists (a previous "
+            f"{role} may still be running, or it exited uncleanly); "
+            f"remove it to proceed")
+
+
 def _run_serve(argv: List[str]) -> int:
     from .service import (GenomeSiteIndex, OffTargetServer,
                           SiteIndexError, SiteIndexVersionError)
     from .service.index import INDEX_MANIFEST_NAME
 
     args = build_serve_parser().parse_args(argv)
-    if args.ready_file and os.path.exists(args.ready_file):
-        # A leftover ready file means a supervisor could read a dead
-        # server's port announcement and race us; refuse instead.
-        raise SystemExit(
-            f"error: ready file {args.ready_file!r} already exists "
-            f"(a previous server may still be running, or it exited "
-            f"uncleanly); remove it to proceed")
+    _refuse_leftover_ready_file(args.ready_file, "server")
     index = None
     manifest_path = (os.path.join(args.index_dir, INDEX_MANIFEST_NAME)
                      if args.index_dir else None)
@@ -502,7 +506,7 @@ def _run_serve(argv: List[str]) -> int:
             raise SystemExit(f"error: {exc}") from None
         else:
             print(f"# loaded index from {args.index_dir}: "
-                  f"{index.chunk_count} chunks, "
+                  f"{index.chunk_count} chromosomes, "
                   f"{index.site_count} sites", file=sys.stderr)
     if index is None:
         if not args.pattern:
@@ -517,7 +521,7 @@ def _run_serve(argv: List[str]) -> int:
                 max_retries=args.max_retries)
         except (SiteIndexError, ValueError) as exc:
             raise SystemExit(f"error: {exc}") from None
-        print(f"# built index: {index.chunk_count} chunks, "
+        print(f"# built index: {index.chunk_count} chromosomes, "
               f"{index.site_count} sites in {index.build_wall_s:.2f}s",
               file=sys.stderr)
         if args.index_dir:
@@ -655,11 +659,7 @@ def _run_route(argv: List[str]) -> int:
     from .service.router import OffTargetRouter
 
     args = build_route_parser().parse_args(argv)
-    if args.ready_file and os.path.exists(args.ready_file):
-        raise SystemExit(
-            f"error: ready file {args.ready_file!r} already exists "
-            f"(a previous router may still be running, or it exited "
-            f"uncleanly); remove it to proceed")
+    _refuse_leftover_ready_file(args.ready_file, "router")
     order = None
     if args.chromosome_order:
         order = [c.strip() for c in args.chromosome_order.split(",")
@@ -700,16 +700,12 @@ def build_query_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_query(argv: List[str]) -> int:
-    from .core.config import Query
-    from .core.records import sort_hits
-    from .service import ServiceClient, ServiceError
-
-    args = build_query_parser().parse_args(argv)
+def _parse_query_specs(specs: List[str]) -> List[Query]:
+    """``SEQ:MM`` arguments as queries; a malformed spec exits."""
     queries = []
-    for spec in args.queries:
+    for spec in specs:
         seq, sep, mm = spec.rpartition(":")
-        if not sep or not seq:
+        if not sep or not seq or not mm.isdigit():
             raise SystemExit(f"error: bad query spec {spec!r}; "
                              f"expected SEQ:MM (e.g. GACGTCNN:3)")
         try:
@@ -717,6 +713,15 @@ def _run_query(argv: List[str]) -> int:
         except ValueError as exc:
             raise SystemExit(
                 f"error: bad query spec {spec!r}: {exc}") from None
+    return queries
+
+
+def _run_query(argv: List[str]) -> int:
+    from .core.records import sort_hits
+    from .service import ServiceClient, ServiceError
+
+    args = build_query_parser().parse_args(argv)
+    queries = _parse_query_specs(args.queries)
     try:
         with ServiceClient(args.host, args.port,
                            timeout_s=args.timeout) as client:
@@ -943,21 +948,10 @@ def _parse_variant_spec(text: str) -> List:
 def _run_variants(argv: List[str]) -> int:
     import json as _json
 
-    from .core.config import Query
     from .variants import VariantError, decode_haplotypes
 
     args = build_variants_parser().parse_args(argv)
-    queries = []
-    for spec in args.queries:
-        seq, sep, mm = spec.rpartition(":")
-        if not sep or not seq:
-            raise SystemExit(f"error: bad query spec {spec!r}; "
-                             f"expected SEQ:MM (e.g. GACGTCNN:3)")
-        try:
-            queries.append(Query(seq.upper(), int(mm)))
-        except ValueError as exc:
-            raise SystemExit(
-                f"error: bad query spec {spec!r}: {exc}") from None
+    queries = _parse_query_specs(args.queries)
     if args.haplotypes and args.variants:
         raise SystemExit("error: give either --haplotypes FILE or "
                          "--variant specs, not both")

@@ -22,18 +22,17 @@ the serving index run it:
 :func:`pack_site_table` / :func:`pack_query_window` pack *full
 windows* at fixed 2-bit offsets, ``ceil(plen / 32)`` words per window.
 The site table is query-independent, so a resident index builds it
-once: one row per (candidate, strand) over all its chunks, in the
-comparer kernel's emission order, a reverse row holding its window's
-reverse complement.  :func:`compare_packed_batched` then serves any
-number of queries in one tiled pass over the table, no genome gather
-and no per-chunk, per-strand or per-block loop.  That comparer takes
+once: one row per (candidate, strand) over all its entries, in the
+served hit order (:mod:`repro.core.records`), a reverse row holding its
+window's reverse complement.  :func:`compare_packed_batched` then
+serves any number of queries in one tiled pass over the table, no
+genome gather and no per-entry or per-strand loop.  That comparer takes
 every IUPAC query of any length: an ambiguity-code position reads the
 genome code back out of the same planes and applies Listing 1's rule,
 under which a genome ``N`` never mismatches an ambiguity code.
-Because the rows are in emission order, each query's hits come out
-element-identical to the paper pipelines' comparer.  The offline
-engine packs a one-chunk table per chunk and compares every query
-against it in one pass.
+Because the rows are in served order, each query's hits come out in
+that order with no sort.  The offline engine packs a one-chunk table
+per chunk and compares every query against it in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..genome.assembly import Assembly
-from ..runtime import executor
 from ..runtime.sycl import sycl_read
 from .config import Query, SearchRequest
 from .patterns import MISMATCH_LUT, CompiledPattern, compile_pattern
@@ -138,45 +136,35 @@ def _pack_windows(data: np.ndarray, starts: np.ndarray, plen: int,
         invalid[w] |= _INVALID[base] << shift
 
 
-def pack_site_table(chunks: Sequence[ResidentChunk], plen: int
+def pack_site_table(entries: Sequence[ResidentChunk], plen: int
                     ) -> PackedSites:
-    """Pack every chunk's candidate windows into one resident row table.
+    """Pack every entry's candidate windows into one resident row table.
 
-    Rows run in the comparer kernel's emission order (see
-    :class:`~repro.core.pipeline.PackedSites`): per chunk, per block of
-    :data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS` candidates,
-    the forward rows then the reverse rows.  Query-independent, so the
-    index builds the table once; a variant request builds one over its
-    patched chunks.
+    Rows run in the served hit order (see
+    :class:`~repro.core.pipeline.PackedSites`): per entry, its forward
+    rows (flags 0 and 1), then its reverse rows (flags 0 and 2), each in
+    the entry's loci order.  Query-independent, so the index builds the
+    table once; a variant request builds one over its patched spans.
     """
-    block = executor.VECTORIZED_BLOCK_ITEMS
-    runs: List[Tuple[np.ndarray, np.ndarray, bool]] = []
-    chunk_rows = np.zeros(len(chunks) + 1, dtype=np.int64)
-    for c, chunk in enumerate(chunks):
-        rows = 0
-        for start in range(0, chunk.loci.size, block):
-            loci = chunk.loci[start:start + block]
-            flags = chunk.flags[start:start + block]
-            for reverse, strand_flag in ((False, 1), (True, 2)):
-                selected = loci[(flags == 0) | (flags == strand_flag)]
-                runs.append((chunk.data, selected, reverse))
-                rows += selected.size
-        chunk_rows[c + 1] = chunk_rows[c] + rows
-    n_rows = int(chunk_rows[-1])
+    runs = [(entry.data,
+             entry.loci[(entry.flags == 0) | (entry.flags == flag)],
+             flag == 2)
+            for entry in entries for flag in (1, 2)]
+    run_rows = np.cumsum([0] + [selected.size for _, selected, _ in runs])
+    n_rows = int(run_rows[-1])
     words = np.zeros((window_words(plen), n_rows), dtype=np.uint64)
     invalid = np.zeros_like(words)
     loci = np.empty(n_rows, dtype=np.uint32)
     direction = np.empty(n_rows, dtype=np.uint8)
-    at = 0
-    for data, selected, reverse in runs:
-        end = at + selected.size
+    for (data, selected, reverse), at, end in zip(runs, run_rows,
+                                                  run_rows[1:]):
         _pack_windows(data, selected, plen, reverse, words[:, at:end],
                       invalid[:, at:end])
         loci[at:end] = selected
         direction[at:end] = ord("-") if reverse else ord("+")
-        at = end
+    # Each entry is two runs, forward then reverse.
     return PackedSites(words=words, invalid=invalid, loci=loci,
-                       direction=direction, chunk_rows=chunk_rows)
+                       direction=direction, chunk_rows=run_rows[::2])
 
 
 #: ``_REJECTS[c, k]`` is 1 when query code ``c`` counts a mismatch
@@ -239,12 +227,12 @@ def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
                            ) -> Dict[int, Triples]:
     """All-queries comparer over a resident row table, in one pass.
 
-    Returns, for every chunk of ``table`` where some query hits (keyed
+    Returns, for every entry of ``table`` where some query hits (keyed
     by its position in the table, ascending), one ``(mm_loci,
     mm_count, direction)`` triple per query, filtered to each query's
-    mismatch budget.  The table's rows are in the kernel's emission
-    order, so each triple is element-identical to what the batched
-    vectorized kernel emits for that chunk.
+    mismatch budget.  The table's rows are in the served hit order
+    (:mod:`repro.core.records`), so each triple holds the entry's hits
+    for that query in that order.
 
     Counts follow Listing 1 for any IUPAC query.  Per window word, a
     query's concrete positions count together: XOR with the row word,
@@ -321,9 +309,10 @@ class BitParallelCasOffinder(SyclCasOffinder):
     The comparer step packs the chunk's candidates into a one-chunk row
     table and runs :func:`compare_packed_batched` over it for every
     query of a batched search at once, so the engine takes any IUPAC
-    query of any length and its hits follow the kernel's per-block
-    emission order by construction.  An unbatched search runs that step
-    once per query.
+    query of any length.  Each chunk's hits come out forward strand
+    first, by position: the kernel's order whenever the chunk's
+    candidates fit one kernel block, and always the same set.  An
+    unbatched search runs that step once per query.
     """
 
     api = "sycl-bitparallel"

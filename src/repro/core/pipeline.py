@@ -263,13 +263,13 @@ class SearchAccumulator:
 
 @dataclass
 class PackedSites:
-    """Resident 2-bit row table over a run of chunks.
+    """Resident 2-bit row table over a run of entries.
 
     One row per (candidate site, strand) the comparer kernel tests, in
-    the kernel's emission order: chunk by chunk and, within a chunk,
-    per block of :data:`repro.runtime.executor.VECTORIZED_BLOCK_ITEMS`
-    candidates, the forward rows (flags 0 and 1) then the reverse rows
-    (flags 0 and 2).  ``chunk_rows[c]`` is chunk ``c``'s first row.
+    the served hit order (:mod:`repro.core.records`): entry by entry
+    and, within an entry, its forward rows (flags 0 and 1) then its
+    reverse rows (flags 0 and 2), each in the entry's loci order.
+    ``chunk_rows[c]`` is entry ``c``'s first row.
 
     Both planes have one row per 32-position window word and one column
     per table row.  ``words[w, r]`` packs positions ``32w`` to
@@ -286,30 +286,32 @@ class PackedSites:
 
     words: np.ndarray       # uint64 (words, rows) packed windows
     invalid: np.ndarray     # uint64 (words, rows) non-ACGT odd bits
-    loci: np.ndarray        # uint32 (rows,) window start in its chunk
+    loci: np.ndarray        # uint32 (rows,) window start in its entry
     direction: np.ndarray   # uint8 (rows,) ord("+") or ord("-")
-    chunk_rows: np.ndarray  # int64 (chunks + 1,) row offsets
+    chunk_rows: np.ndarray  # int64 (entries + 1,) row offsets
 
 
 @dataclass
 class ResidentChunk:
-    """One chunk's resident candidate data.
+    """One resident entry's candidate data: a whole chromosome in the
+    serving index, a chunk in the bit-parallel engine, a patched span
+    in a variant search.
 
-    ``loci`` and ``flags`` are the finder's output; ``data`` is there
-    for the row table's packing and for hit construction, which renders
-    site text from the raw bytes.
+    ``loci`` (ascending) and ``flags`` are the finder's output; ``data``
+    is there for the row table's packing and for hit construction,
+    which renders site text from the raw bytes.
     """
 
     chrom: str
     start: int
     scan_length: int
-    data: np.ndarray   # uint8 chunk bases (scan region + overlap)
-    loci: np.ndarray   # uint32 candidate offsets within the chunk
+    data: np.ndarray   # uint8 entry bases (scan region + overlap)
+    loci: np.ndarray   # uint32 candidate offsets within the entry
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
 
 
-#: One chunk's comparer output: an ``(mm_loci, mm_count, direction)``
-#: array triple per query, in query order, loci relative to the chunk.
+#: One entry's comparer output: an ``(mm_loci, mm_count, direction)``
+#: array triple per query, in query order, loci relative to the entry.
 Triples = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -326,11 +328,11 @@ def empty_triples(n_queries: int) -> Triples:
 def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
                      compiled_queries: Sequence[CompiledPattern],
                      per_query: Triples) -> List[List[OffTargetHit]]:
-    """Render final hits for one resident chunk from comparer triples.
+    """Render final hits for one resident entry from comparer triples.
 
     This is the hit-construction step of resident serving:
     :meth:`repro.service.index.GenomeSiteIndex.query_batch` calls it,
-    for each chunk holding hits, on that chunk's triples from
+    for each entry holding hits, on that entry's triples from
     :meth:`_BasePipeline.compare_resident_triples`.  Site text comes
     from one :func:`~repro.core.records.render_sites` call per query.
     """
@@ -405,11 +407,11 @@ class _BasePipeline:
 
         Runs the bit-parallel comparer once over every row of ``table``
         for every query, concrete or IUPAC, and stops before hit
-        construction.  Returns, for each chunk of the table where some
-        query hits (keyed by the chunk's position in the table, in
+        construction.  Returns, for each entry of the table where some
+        query hits (keyed by the entry's position in the table, in
         ascending order), one ``(mm_loci, mm_count, direction)`` triple
-        per query, element-identical to what this pipeline's comparer
-        kernel emits for that chunk.  The variant layer diffs these
+        per query, holding that entry's hits in the served hit order
+        (:mod:`repro.core.records`).  The variant layer diffs these
         arrays without building hits;
         :meth:`repro.service.index.GenomeSiteIndex.query_batch` renders
         :class:`OffTargetHit` objects from them with

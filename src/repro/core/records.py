@@ -5,7 +5,17 @@ results (chromosome number, position, direction, the number of mismatched
 bases and potential off-target DNA sequence with mismatched bases) in a
 file for analysis" (Section II.A).  :class:`OffTargetHit` is that record;
 :func:`write_hits` emits the classic Cas-OFFinder tab-separated format
-with mismatched bases shown in lowercase.
+with mismatched bases shown in lowercase, and :func:`hits_to_rows` /
+:func:`hits_from_rows` are its wire form in the query service.
+
+**The served hit order.**  Every hit list the serving stack returns
+runs chromosome by chromosome in assembly order; within a chromosome,
+every ``+`` hit precedes every ``-`` hit, and each strand ascends by
+position.  It is a property of the genome: no chunk size, kernel block
+size or fleet partitioning changes a response byte.  The paper
+pipelines keep their kernels' emission order (per chunk, per kernel
+block, forward then reverse), which is the served order whenever a
+chromosome is one chunk of one block.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -93,6 +103,22 @@ class OffTargetHit:
     def to_tsv(self) -> str:
         return (f"{self.query}\t{self.chrom}\t{self.position}\t"
                 f"{self.site}\t{self.strand}\t{self.mismatches}")
+
+
+def hits_to_rows(hits: Iterable[OffTargetHit]) -> List[List[Any]]:
+    """Wire rows ``[query, chrom, position, site, strand, mismatches]``,
+    one per hit, in the hits' order."""
+    return [[h.query, h.chrom, int(h.position), h.site, h.strand,
+             int(h.mismatches)] for h in hits]
+
+
+def hits_from_rows(rows: Iterable[Sequence[Any]]) -> List[OffTargetHit]:
+    """Hits from :func:`hits_to_rows` rows; a row that does not decode
+    raises ``IndexError``, ``TypeError`` or ``ValueError``."""
+    return [OffTargetHit(query=str(row[0]), chrom=str(row[1]),
+                         position=int(row[2]), site=str(row[3]),
+                         strand=str(row[4]), mismatches=int(row[5]))
+            for row in rows]
 
 
 def sort_hits(hits: Iterable[OffTargetHit]) -> List[OffTargetHit]:

@@ -44,9 +44,7 @@ DEFAULT_LDS_BYTES = 64 * 1024
 #: Work-items per fused call of :meth:`NDRangeExecutor.run_vectorized`
 #: when the caller passes no ``block_items``, under any work-group size.
 #: A comparer kernel emits one block's forward-strand hits before its
-#: reverse-strand hits, so the serving index's row table
-#: (:func:`repro.core.bitparallel.pack_site_table`) lays its rows out in
-#: blocks of this size too.  Both read it at call time.
+#: reverse-strand hits.  Read at call time.
 VECTORIZED_BLOCK_ITEMS = 1 << 20
 
 

@@ -6,9 +6,10 @@ never on the guide query.  This package exploits that once-per-genome /
 many-per-query asymmetry:
 
 * :mod:`repro.service.index` — :class:`~repro.service.index.
-  GenomeSiteIndex` runs the finder once per chunk and keeps the
-  candidate-site arrays memory-resident (with versioned, fingerprinted
-  save/load so a server can warm-start without rescanning);
+  GenomeSiteIndex` runs the finder once over the genome and keeps each
+  chromosome's candidate-site arrays memory-resident (with versioned,
+  fingerprinted save/load so a server can warm-start without
+  rescanning);
 * :mod:`repro.service.scheduler` — a bounded request queue with
   micro-batching that stacks concurrent requests' guides into a single
   batched comparer launch over the resident index (the
@@ -32,26 +33,31 @@ byte-identical to an offline CLI search under any ``--api`` for the
 same genome, pattern and queries (pinned by ``tests/test_service.py``).
 """
 
+import importlib
+
 from .index import (GenomeSiteIndex, SiteIndexError,
                     SiteIndexMismatchError, SiteIndexVersionError)
 from .scheduler import (BatchScheduler, DeadlineExceeded,
                         SchedulerClosed, ServiceOverloaded)
 from .server import OffTargetServer
-from .client import (ServiceClient, ServiceDeadlineError, ServiceError,
-                     ServiceOverloadedError, run_load)
 
-#: Re-exported lazily: importing .router here would make its
-#: ``python -m repro.service.router`` smoke entry point warn about the
-#: module being imported twice (runpy sees it in sys.modules before
-#: executing it as __main__).
-_ROUTER_EXPORTS = ("OffTargetRouter", "RouterError",
-                   "partition_chromosomes", "replica_plan")
+#: Re-exported lazily, by module: importing .client or .router here
+#: would make their ``python -m repro.service.client`` / ``router``
+#: smoke entry points warn about the module being imported twice
+#: (runpy sees it in sys.modules before executing it as __main__).
+_LAZY_EXPORTS = {
+    "client": ("ServiceClient", "ServiceDeadlineError", "ServiceError",
+               "ServiceOverloadedError", "run_load"),
+    "router": ("OffTargetRouter", "RouterError", "partition_chromosomes",
+               "replica_plan"),
+}
 
 
 def __getattr__(name):
-    if name in _ROUTER_EXPORTS:
-        from . import router
-        return getattr(router, name)
+    for module, names in _LAZY_EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__),
+                           name)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")
 

@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import Query
-from ..core.records import OffTargetHit
+from ..core.records import OffTargetHit, hits_from_rows
 from .scheduler import DeadlineExceeded, ServiceOverloaded, percentile
 
 
@@ -64,13 +64,6 @@ _ERROR_TYPES = {
     "overloaded": ServiceOverloadedError,
     "deadline": ServiceDeadlineError,
 }
-
-
-def _decode_hits(raw: List[List[Any]]) -> List[OffTargetHit]:
-    return [OffTargetHit(query=item[0], chrom=item[1],
-                         position=int(item[2]), site=item[3],
-                         strand=item[4], mismatches=int(item[5]))
-            for item in raw]
 
 
 class ServiceClient:
@@ -182,7 +175,7 @@ class ServiceClient:
         if enzyme is not None:
             request["enzyme"] = enzyme
         response = self._call(request)
-        return [_decode_hits(per) for per in response["hits"]]
+        return [hits_from_rows(per) for per in response["hits"]]
 
     def design(self, chrom: str, start: int, end: int,
                mismatches: int, top: int = 5, estimator: str = "mit",

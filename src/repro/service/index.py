@@ -1,33 +1,34 @@
 """Memory-resident genome site index: scan once, serve many queries.
 
 The finder kernel selects PAM-bearing candidate sites from the genome;
-its output is a pure function of ``(genome, pattern, chunk layout)`` and
-is completely independent of the guide queries.  A
-:class:`GenomeSiteIndex` therefore runs the finder exactly once per
-chunk over the whole assembly and keeps each chunk's candidate arrays
-(loci within the chunk, strand flags) memory-resident.  Serving a query
-then reduces to the comparer over the stored candidates — the
-expensive genome scan is amortized across every request that follows.
-Serving runs on plain numpy, not on the simulated OpenCL/SYCL runtime
-that reproduces the paper's tables: the finder is the kernel's own
-numpy body (:meth:`~repro.core.pipeline._BasePipeline.find_candidates`),
+its output is a pure function of the genome and the pattern and is
+completely independent of the guide queries.  A
+:class:`GenomeSiteIndex` therefore runs the finder exactly once over
+the whole assembly, chunk by chunk, and keeps one resident entry per
+chromosome holding candidates: its loci and strand flags over the
+chromosome's bytes.  Serving a query then reduces to the comparer over
+the stored candidates — the expensive genome scan is amortized across
+every request that follows.  Serving runs on plain numpy, not on the
+simulated OpenCL/SYCL runtime that reproduces the paper's tables: the
+finder is the kernel's own numpy body
+(:meth:`~repro.core.pipeline._BasePipeline.find_candidates`),
 element-identical to every paper pipeline's finder, and no serving
 call appends a launch record.
 
 The index also packs every candidate window once, at build time, into
 one resident 2-bit row table
 (:class:`~repro.core.pipeline.PackedSites`): one row per (site,
-strand), in the comparer kernel's emission order, a reverse row
-holding its window's reverse complement.  Serving runs one comparer
-pass over that table per batch, for every query, pattern length and
-genome byte: the bit-parallel XOR + fold + popcount of
+strand), in the served hit order of :mod:`repro.core.records`, a
+reverse row holding its window's reverse complement.  Serving runs one
+comparer pass over that table per batch, for every query, pattern
+length and genome byte: the bit-parallel XOR + fold + popcount of
 :func:`~repro.core.bitparallel.compare_packed_batched`, which decodes
 ambiguity-code query positions from the same planes.  Its output, one
 ``(mm_loci, mm_count, direction)`` array triple per query for each
-chunk holding hits
+entry holding hits
 (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`),
-is element-identical to the comparer kernel of an offline search over
-the same chunk, and is what the index hands on:
+is already in served order, so neither the chunk size nor the kernel
+block size shows in it.  It is what the index hands on:
 :meth:`GenomeSiteIndex.query_batch` renders it into hits through
 :func:`~repro.core.pipeline.build_entry_hits`, while
 :meth:`GenomeSiteIndex.query_batch_with_extras` returns the triples
@@ -75,10 +76,11 @@ INDEX_MANIFEST_NAME = "index.json"
 #: directory.
 SITES_NAME = "sites.npz"
 
-#: Bumped on any change to the on-disk layout.  Version 4 stores the
-#: index-wide row table (:class:`~repro.core.pipeline.PackedSites`),
+#: Bumped on any change to the on-disk layout.  Version 5 stores one
+#: entry per chromosome holding candidates, and the index-wide row
+#: table (:class:`~repro.core.pipeline.PackedSites`) in served order,
 #: ``ceil(plen / 32)`` words per row.
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 
 class SiteIndexError(RuntimeError):
@@ -96,6 +98,17 @@ class SiteIndexVersionError(SiteIndexError):
     rebuilding (the genome is right, only the layout is old) instead of
     refusing to start.
     """
+
+
+def _chromosome_entry(assembly: Assembly, chrom: str, plen: int,
+                      loci: np.ndarray, flags: np.ndarray
+                      ) -> ResidentChunk:
+    """The resident entry of one chromosome: candidate loci and flags
+    over the chromosome's whole sequence."""
+    sequence = assembly[chrom].sequence
+    return ResidentChunk(chrom=chrom, start=0,
+                         scan_length=sequence.size - plen + 1,
+                         data=sequence, loci=loci, flags=flags)
 
 
 class GenomeSiteIndex:
@@ -120,7 +133,7 @@ class GenomeSiteIndex:
         #: device, so serving appends no launch record.
         self.pipeline = _pipeline._BasePipeline(self.chunk_size)
         self.build_wall_s = 0.0
-        self._chunks: List[ResidentChunk] = []
+        self._entries: List[ResidentChunk] = []
         self._table: Optional[PackedSites] = None
         self._stats_lock = threading.Lock()
         self._batches = 0
@@ -158,25 +171,27 @@ class GenomeSiteIndex:
     def chromosomes(self) -> Tuple[str, ...]:
         """Chromosome names in assembly order.
 
-        Assembly order *is* the global chunk order (``Assembly.chunks``
-        walks chromosomes in sequence), so this tuple doubles as the
-        merge rank the routing tier uses to reassemble partitioned
-        responses byte-identically.
+        Assembly order is the served hit order's chromosome rank
+        (:mod:`repro.core.records`), so this tuple doubles as the merge
+        rank the routing tier uses to reassemble partitioned responses
+        byte-identically.
         """
         return tuple(c.name for c in self.assembly.chromosomes)
 
     @property
     def chunk_count(self) -> int:
-        return len(self._chunks)
+        """Resident entries: one per chromosome holding candidates."""
+        return len(self._entries)
 
     @property
     def site_count(self) -> int:
-        return sum(entry.loci.size for entry in self._chunks)
+        return sum(entry.loci.size for entry in self._entries)
 
     @property
     def entries(self) -> Sequence[ResidentChunk]:
-        """Read-only view of the per-chunk resident candidate arrays."""
-        return tuple(self._chunks)
+        """Read-only view of the per-chromosome resident candidate
+        arrays, in assembly order."""
+        return tuple(self._entries)
 
     @property
     def table(self) -> PackedSites:
@@ -192,6 +207,8 @@ class GenomeSiteIndex:
               max_retries: int = 2) -> "GenomeSiteIndex":
         """Scan the whole assembly through the finder once.
 
+        The finder runs chunk by chunk; each chromosome's chunk outputs
+        are joined into one entry over the chromosome's bytes.
         ``fault_plan`` accepts the same deterministic spec the streaming
         engine uses (:mod:`repro.observability.faults`); an injected
         failure on a chunk is retried up to ``max_retries`` times, so a
@@ -206,6 +223,9 @@ class GenomeSiteIndex:
         injector = faults.resolve_injector(fault_plan)
         started = time.perf_counter()
         plen = index.compiled_pattern.plen
+        # Per chromosome, in assembly order: its chunks' loci (shifted
+        # to chromosome coordinates) and flags.
+        found: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
         for number, chunk in enumerate(
                 assembly.chunks(chunk_size, plen)):
             attempts = max_retries + 1
@@ -230,12 +250,15 @@ class GenomeSiteIndex:
                             f"index build failed on chunk {number} "
                             f"after {attempts} attempt(s): "
                             f"{exc!r}") from exc
-            index._chunks.append(ResidentChunk(
-                chrom=chunk.chrom, start=int(chunk.start),
-                scan_length=int(chunk.scan_length), data=chunk.data,
-                loci=np.ascontiguousarray(loci, dtype=np.uint32),
-                flags=np.ascontiguousarray(flags, dtype=np.uint8)))
-        index._table = pack_site_table(index._chunks, plen)
+            found.setdefault(chunk.chrom, []).append(
+                (loci + np.uint32(chunk.start), flags))
+        for chrom, parts in found.items():
+            loci, flags = (parts[0] if len(parts) == 1
+                           else map(np.concatenate, zip(*parts)))
+            if loci.size:
+                index._entries.append(
+                    _chromosome_entry(assembly, chrom, plen, loci, flags))
+        index._table = pack_site_table(index._entries, plen)
         index.build_wall_s = time.perf_counter() - started
         tracing.instant("index_built", cat="index",
                         chunks=index.chunk_count,
@@ -251,8 +274,9 @@ class GenomeSiteIndex:
         Returns one hit list per query, in input order.  All queries of
         a micro-batch — potentially from many concurrent requests —
         ride in a single comparer pass over the resident row table,
-        which is the continuous-batching payoff.  Hits are built only
-        for the chunks that hold some.
+        which is the continuous-batching payoff.  Each list is in the
+        served hit order (:mod:`repro.core.records`).  Hits are built
+        only for the entries that hold some.
         """
         if not queries:
             return []
@@ -265,31 +289,30 @@ class GenomeSiteIndex:
             # Through the module, so a wrapper installed on it (the
             # perfbench spans) sees every call.
             for qi, query_hits in enumerate(_pipeline.build_entry_hits(
-                    self._chunks[number], queries, compiled, per_query)):
+                    self._entries[number], queries, compiled, per_query)):
                 hits[qi].extend(query_hits)
         with self._stats_lock:
-            self._entries_scanned += self._resident_chunks
+            self._entries_scanned += len(self._entries)
         return hits
 
     def query_batch_with_extras(
             self, queries: Sequence[Query],
             extras: Sequence[ResidentChunk],
-    ) -> Tuple[List[Tuple[ResidentChunk, Triples]], List[Triples], int]:
-        """One comparer batch over resident chunks *plus* extras.
+    ) -> Tuple[List[Tuple[ResidentChunk, Triples]], List[Triples]]:
+        """One comparer batch over resident entries *plus* extras.
 
         ``extras`` are ephemeral, request-scoped resident entries —
-        the variant layer's patched haplotype chunks.  They are packed
+        the variant layer's patched haplotype spans.  They are packed
         into a row table of their own and compared right after the
         resident table, in the same batch (the ``batches`` counter
         moves by exactly one), which is the whole point: searching K
         haplotypes costs one batch, not K+1.
 
-        Returns ``(reference, extra_triples, reference_chunks)``:
-        every non-empty resident chunk paired with its comparer triples
-        (one ``(mm_loci, mm_count, direction)`` array triple per query,
-        loci relative to the chunk), then the triples of each extra
-        entry in ``extras`` order (in that extra's own coordinate
-        frame), and the number of resident chunks scanned.  No hit
+        Returns ``(reference, extra_triples)``: every resident entry
+        paired with its comparer triples (one ``(mm_loci, mm_count,
+        direction)`` array triple per query, loci relative to the
+        entry), then the triples of each extra entry in ``extras``
+        order (in that extra's own coordinate frame).  No hit
         objects are built: the variant layer diffs the triples and
         renders site text only for the rows it reports.
         """
@@ -300,13 +323,12 @@ class GenomeSiteIndex:
         extras = list(extras)
         compiled = self._compile_batch(queries)
         with self._stats_lock:
-            self._entries_scanned += self._resident_chunks + len(extras)
+            self._entries_scanned += len(self._entries) + len(extras)
         empty = empty_triples(len(queries))
         found = self.pipeline.compare_resident_triples(
             self._table, queries, compiled)
         reference = [(entry, found.get(number, empty))
-                     for number, entry in enumerate(self._chunks)
-                     if entry.loci.size]
+                     for number, entry in enumerate(self._entries)]
         extra_triples: List[Triples] = []
         if extras:
             found = self.pipeline.compare_resident_triples(
@@ -314,7 +336,7 @@ class GenomeSiteIndex:
                 queries, compiled)
             extra_triples = [found.get(number, empty)
                              for number in range(len(extras))]
-        return reference, extra_triples, self._resident_chunks
+        return reference, extra_triples
 
     def _compile_batch(self, queries: Sequence[Query]
                        ) -> List[CompiledPattern]:
@@ -336,11 +358,6 @@ class GenomeSiteIndex:
             self._queries_total += len(compiled)
         return compiled
 
-    @property
-    def _resident_chunks(self) -> int:
-        """Chunks holding candidate sites: what one batch covers."""
-        return sum(1 for entry in self._chunks if entry.loci.size)
-
     def comparer_stats(self) -> Dict[str, object]:
         """Comparer counters for the ``stats`` server op."""
         with self._stats_lock:
@@ -349,15 +366,15 @@ class GenomeSiteIndex:
             entries_scanned = self._entries_scanned
         return {
             # One ``query_batch`` call == one batched comparer pass over
-            # the resident chunks.  ``queries_total / batches`` therefore
+            # the resident table.  ``queries_total / batches`` therefore
             # proves how many guides shared each launch pass — the
             # design op's no-per-guide-rescan evidence.
             "batches": batches,
             "queries_total": queries_total,
-            # Entries (resident chunks + ephemeral variant patches) the
-            # comparer visited; the variant op's single-batch proof
+            # Entries (resident chromosomes + ephemeral variant patches)
+            # the comparer visited; the variant op's single-batch proof
             # checks ``batches`` moved by one while this moved by
-            # reference chunks + patched chunks.
+            # reference entries + patched chunks.
             "entries_scanned": entries_scanned,
         }
 
@@ -375,27 +392,17 @@ class GenomeSiteIndex:
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        chrom_names = sorted({entry.chrom for entry in self._chunks})
-        chrom_ids = {name: i for i, name in enumerate(chrom_names)}
-        offsets = np.zeros(len(self._chunks) + 1, dtype=np.int64)
-        for i, entry in enumerate(self._chunks):
-            offsets[i + 1] = offsets[i] + entry.loci.size
+        entries = self._entries
         table = self._table
         arrays = {
-            "chunk_chrom": np.array(
-                [chrom_ids[e.chrom] for e in self._chunks],
-                dtype=np.int64),
-            "chunk_start": np.array([e.start for e in self._chunks],
-                                    dtype=np.int64),
-            "chunk_scan": np.array(
-                [e.scan_length for e in self._chunks], dtype=np.int64),
-            "chunk_length": np.array([e.data.size for e in self._chunks],
-                                     dtype=np.int64),
-            "site_offsets": offsets,
-            "loci": (np.concatenate([e.loci for e in self._chunks])
-                     if self._chunks else np.zeros(0, np.uint32)),
-            "flags": (np.concatenate([e.flags for e in self._chunks])
-                      if self._chunks else np.zeros(0, np.uint8)),
+            "entry_chroms": np.array([e.chrom for e in entries],
+                                     dtype=str),
+            "site_offsets": np.cumsum([0] + [e.loci.size
+                                             for e in entries]),
+            "loci": (np.concatenate([e.loci for e in entries])
+                     if entries else np.zeros(0, np.uint32)),
+            "flags": (np.concatenate([e.flags for e in entries])
+                      if entries else np.zeros(0, np.uint8)),
             "table_words": table.words,
             "table_invalid": table.invalid,
             "table_loci": table.loci,
@@ -426,9 +433,8 @@ class GenomeSiteIndex:
                 "genome": self.assembly.name,
                 "pattern": self.pattern,
                 "chunk_size": self.chunk_size,
-                "chunks": self.chunk_count,
+                "entries": self.chunk_count,
                 "sites": self.site_count,
-                "chrom_names": chrom_names,
                 "sites_sha256": sites_sha,
             })
         tracing.instant("index_saved", cat="index", directory=directory)
@@ -485,23 +491,16 @@ class GenomeSiteIndex:
                 f"(stored {header.get('sites_sha256')!r}, actual "
                 f"{digest!r}); the file is corrupt — rebuild the index")
         import io
+        plen = index.compiled_pattern.plen
         with np.load(io.BytesIO(blob)) as arrays:
-            chrom_names = list(header["chrom_names"])
-            offsets = arrays["site_offsets"]
+            offsets = arrays["site_offsets"].tolist()
             loci_all = arrays["loci"]
             flags_all = arrays["flags"]
-            chunks = zip(arrays["chunk_chrom"].tolist(),
-                         arrays["chunk_start"].tolist(),
-                         arrays["chunk_scan"].tolist(),
-                         arrays["chunk_length"].tolist())
-            for i, (chrom_id, start, scan, length) in enumerate(chunks):
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                chrom = chrom_names[chrom_id]
-                index._chunks.append(ResidentChunk(
-                    chrom=chrom, start=start, scan_length=scan,
-                    data=assembly.fetch(chrom, start, start + length),
-                    loci=loci_all[lo:hi].copy(),
-                    flags=flags_all[lo:hi].copy()))
+            for chrom, lo, hi in zip(arrays["entry_chroms"].tolist(),
+                                     offsets, offsets[1:]):
+                index._entries.append(_chromosome_entry(
+                    assembly, chrom, plen, loci_all[lo:hi].copy(),
+                    flags_all[lo:hi].copy()))
             index._table = PackedSites(
                 words=arrays["table_words"],
                 invalid=arrays["table_invalid"],

@@ -8,13 +8,13 @@ of the genome's chromosomes.  The backends may run on other hosts or
 as several ``serve --chromosomes`` processes on one host; the router is
 how the service uses more than one process.
 
-The core invariant is a deterministic merge: a single-process server
-emits hits in global chunk order, which is chromosome-major in
-assembly order; each backend returns its partition's hits in that same
-relative order; so a stable sort of the gathered wire rows by
+The core invariant is a deterministic merge: every server answers in
+the served hit order of :mod:`repro.core.records`, chromosome-major in
+assembly order, and a backend's partition of a response is that order
+over its chromosomes; so a stable sort of the gathered wire rows by
 chromosome rank reproduces the single-server byte stream exactly — no
 matter which replica answered, whether a hedge won, or whether the
-fleet was mid-rollover.
+fleet was mid-rollover, to any chunk size.
 
 Robustness machinery, all exercised deterministically in tests via the
 server's request-level fault plans (``crash`` / ``disconnect`` /
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..core.records import OffTargetHit
+from ..core.records import OffTargetHit, hits_from_rows
 from ..design.enumerate import PatternAnatomy, decode_candidates
 from ..design.estimators import get_estimator
 from ..design.ranking import (decode_design_spec, design_payload,
@@ -315,7 +315,6 @@ class OffTargetRouter:
         self._draining = False
         self._inflight = 0
         self._probe_task: Optional[asyncio.Task] = None
-        self._closed = False
 
     # -- connection pool ------------------------------------------------
 
@@ -713,8 +712,9 @@ class OffTargetRouter:
         Returns ``(error_response, merged_rows)`` — exactly one is
         meaningful.  The generalized deterministic merge: within one
         chromosome all rows come from a single partition already in
-        single-server order, so a *stable* sort by chromosome rank
-        reproduces the global chunk-major order byte-for-byte.
+        the served hit order (:mod:`repro.core.records`), so a
+        *stable* sort by chromosome rank reproduces the single-server
+        order byte-for-byte.
         """
         results = await asyncio.gather(
             *(self._group_request(group, raw_queries, deadline)
@@ -732,8 +732,14 @@ class OffTargetRouter:
                                     f"expected {n_queries}"}, [])
             for per_query, rows in zip(merged, partition_hits):
                 per_query.extend(rows)
-        for per_query in merged:
-            per_query.sort(key=lambda row: rank.get(row[1], len(rank)))
+        try:
+            for per_query in merged:
+                per_query.sort(key=lambda row: rank.get(row[1],
+                                                        len(rank)))
+        except (IndexError, KeyError, TypeError) as exc:
+            return ({"ok": False, "error": "internal",
+                     "message": f"malformed hit row: "
+                                f"{type(exc).__name__}: {exc}"}, [])
         return None, merged
 
     def _route_guard(self) -> Optional[Dict[str, Any]]:
@@ -840,11 +846,7 @@ class OffTargetRouter:
                     return error
                 try:
                     hits_by_query = {
-                        query: [OffTargetHit(
-                            query=str(row[0]), chrom=str(row[1]),
-                            position=int(row[2]), strand=str(row[4]),
-                            mismatches=int(row[5]), site=str(row[3]))
-                            for row in rows]
+                        query: hits_from_rows(rows)
                         for query, rows in zip(queries, merged)}
                 except (IndexError, TypeError, ValueError) as exc:
                     return {"ok": False, "error": "internal",
@@ -1294,7 +1296,7 @@ class OffTargetRouter:
                             _server=self, _thread=thread, _loop=loop)
 
     def close(self) -> None:
-        self._closed = True
+        """Nothing to release beyond the event loop the handle stops."""
 
 
 # ---------------------------------------------------------------------------
@@ -1323,7 +1325,8 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     Asserts byte-identity of every routed response against an
     in-process single-server reference, zero failed client requests
     across the induced SIGKILL, and zero leaked processes/ready
-    files at the end.
+    files at the end.  The backends split chromosomes the reference
+    keeps whole, so every check also shows that chunking is invisible.
     """
     import os
     import signal
@@ -1366,7 +1369,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                      "--seed", str(seed),
                      "--chromosomes", ",".join(held[i]),
                      "--pattern", pattern,
-                     "--chunk-size", str(1 << 15),
+                     "--chunk-size", "4096",
                      "--max-wait-ms", "1.0",
                      "--drain-s", "5.0",
                      "--ready-file", ready]))

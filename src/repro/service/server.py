@@ -6,8 +6,9 @@ object per line in each direction.  Requests carry an ``op`` —
 * ``query``: ``{"op": "query", "queries": [["GACGTCNN", 3], ...],
   "deadline_s": 0.5}`` → per-query hit lists; an optional
   ``"chromosomes": [...]`` list restricts hits to those chromosomes
-  (order-preserving — the routing tier uses this so replicated
-  backends can each serve a disjoint partition of a request);
+  (still in the served hit order of :mod:`repro.core.records` — the
+  routing tier uses this so replicated backends can each serve a
+  disjoint partition of a request);
 * ``design``: ``{"op": "design", "chrom": "chrA", "start": 0,
   "end": 2000, "mismatches": 3, "top": 5, "estimator": "mit"}`` →
   ranked guide-design reports for the region; every enumerated
@@ -20,7 +21,7 @@ object per line in each direction.  Requests carry an ``op`` —
 * ``variant``: guide × {reference + K haplotypes} — per-haplotype
   gained/lost off-targets with causal-variant provenance (see
   :mod:`repro.variants`): only variant-touched chunks are re-scanned,
-  and the patches ride the resident chunks through one batched
+  and the patches ride the resident index through one batched
   comparer pass;
 * ``enzymes``: the declarative Cas enzyme registry this server hosts;
   ``query``/``design``/``enumerate``/``variant`` take an optional
@@ -75,7 +76,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
 from ..core.config import Query
-from ..core.records import OffTargetHit
+from ..core.records import OffTargetHit, hits_to_rows
 from ..design.ranking import (decode_design_spec, design_payload,
                               enumerate_for_design, enumerate_payload,
                               rank_candidates, scoring_guide_length)
@@ -94,11 +95,6 @@ MAX_LINE_BYTES = 1 << 20
 #: Sentinel returned by the fault applier when the connection should
 #: be dropped without a response (a half-open connection).
 _DROP_CONNECTION: Dict[str, Any] = {"_drop": True}
-
-
-def _encode_hits(hits: List[OffTargetHit]) -> List[List[Any]]:
-    return [[h.query, h.chrom, int(h.position), h.site, h.strand,
-             int(h.mismatches)] for h in hits]
 
 
 def _decode_queries(raw: Any) -> List[Query]:
@@ -325,14 +321,13 @@ class OffTargetServer:
             if error is not None:
                 return error
             if allowed is not None:
-                # Order-preserving subsequence: hits of the allowed
-                # chromosomes keep their single-server relative order,
-                # which is what lets a router reassemble partitions
-                # byte-identically.
+                # A subsequence of the served order is that order over
+                # the allowed chromosomes, which is what lets a router
+                # reassemble partitions byte-identically.
                 results = [[hit for hit in per if hit.chrom in allowed]
                            for per in results]
             return {"ok": True,
-                    "hits": [_encode_hits(per) for per in results]}
+                    "hits": [hits_to_rows(per) for per in results]}
         return {"ok": False, "error": "unknown-op",
                 "message": f"unknown op {op!r}; expected query, design, "
                            f"enumerate, variant, enzymes, stats, "

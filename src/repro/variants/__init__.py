@@ -16,7 +16,7 @@ incrementally:
   reference bytes zero-copy and materializes only windows a variant
   touches; :func:`~repro.variants.overlay.search_variants` rebuilds
   (finder scan + 2-bit re-pack) only the touched chunks and rides them
-  with the resident reference chunks through **one** batched comparer
+  with the resident reference entries through **one** batched comparer
   pass, then projects haplotype sites back to reference coordinates
   so downstream indel shifts cancel and the report is exactly the
   per-haplotype gained/lost off-targets, with causal-variant

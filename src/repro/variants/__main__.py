@@ -100,7 +100,7 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
     expected_scanned = result.reference_chunks + result.patched_chunks
     print(f"# in-process: {len(expected_payload['events'])} events, "
           f"{result.patched_chunks} patches over "
-          f"{result.reference_chunks} reference chunks, "
+          f"{result.reference_chunks} reference entries, "
           f"{batches} comparer batch(es)")
     if batches != 1:
         failures.append(

@@ -18,7 +18,7 @@ version:
   replacing ``ref`` perturbs exactly the site starts in
   ``[pos - plen + 1, pos + len(ref))``), builds **patch entries** for
   only those chunks — a finder scan over the fetched window — and
-  rides reference chunks *and* all patches through one comparer batch
+  rides the reference *and* all patches through one comparer batch
   (:meth:`GenomeSiteIndex.query_batch_with_extras`: one pass over the
   resident row table, one over a row table packed from the patches);
 * the comparer's output stays columnar — per chunk and query, arrays
@@ -374,10 +374,6 @@ class _SiteRows:
             *((p.position, p.minus, p.mismatches, p.sites)
               for p in parts))))
 
-    def take(self, rows: np.ndarray) -> "_SiteRows":
-        return _SiteRows(self.position[rows], self.minus[rows],
-                         self.mismatches[rows], self.sites[rows])
-
     def strand(self, i: int) -> str:
         return "-" if self.minus[i] else "+"
 
@@ -594,36 +590,38 @@ def search_variants(index: Any, queries: Sequence[Query],
     plen = index.compiled_pattern.plen
 
     patches, overlays = _build_patches(index, haplotypes, allowed)
-    reference, patch_triples, reference_chunks = \
-        index.query_batch_with_extras(
-            queries, [patch.entry for patch in patches])
+    reference, patch_triples = index.query_batch_with_extras(
+        queries, [patch.entry for patch in patches])
     if chromosomes is not None:
+        # A routed partition reports only its own chromosomes, so the
+        # router's per-partition sums reproduce the single-server
+        # totals.
         reference = [(entry, triples) for entry, triples in reference
                      if entry.chrom in chromosomes]
-        # Scope the chunk count to the filter too: a routed partition
-        # reports only its own chromosomes' chunks, so the router's
-        # per-partition sums reproduce the single-server totals.
-        reference_chunks = sum(
-            1 for entry in index.entries
-            if entry.loci.size and entry.chrom in chromosomes)
     compiled = [compile_pattern(q.sequence) for q in queries]
 
     patch_of_layer: Dict[Tuple[int, str], List[int]] = {}
     for pi, patch in enumerate(patches):
         patch_of_layer.setdefault((patch.hap_index, patch.chrom),
                                   []).append(pi)
-    reference_of_chrom: Dict[str, List[int]] = {}
-    for ri, (entry, _) in enumerate(reference):
-        reference_of_chrom.setdefault(entry.chrom, []).append(ri)
-    # A reference chunk several haplotypes touch is rendered once.
-    rendered: Dict[Tuple[int, int], _SiteRows] = {}
+    # The index holds one entry per chromosome.  The reference rows of
+    # a patched chunk are rendered once per query, whichever
+    # haplotypes patched it.
+    reference_of_chrom = {entry.chrom: (entry, triples)
+                          for entry, triples in reference}
+    rendered: Dict[Tuple[str, Tuple[int, int], int], _SiteRows] = {}
 
-    def reference_rows(ri: int, qi: int) -> _SiteRows:
-        if (ri, qi) not in rendered:
-            entry, triples = reference[ri]
-            rendered[(ri, qi)] = _SiteRows.render(entry, triples[qi],
-                                                  compiled[qi])
-        return rendered[(ri, qi)]
+    def reference_rows(chrom: str, bounds: Tuple[int, int],
+                       qi: int) -> _SiteRows:
+        key = (chrom, bounds, qi)
+        if key not in rendered:
+            entry, triples = reference_of_chrom[chrom]
+            position = entry.start + triples[qi][0]
+            keep = (position >= bounds[0]) & (position < bounds[1])
+            rendered[key] = _SiteRows.render(
+                entry, tuple(column[keep] for column in triples[qi]),
+                compiled[qi])
+        return rendered[key]
 
     events: List[List[Any]] = []
     for (hap_index, chrom), layer_patches in patch_of_layer.items():
@@ -631,18 +629,9 @@ def search_variants(index: Any, queries: Sequence[Query],
         haplotype = haplotypes[hap_index]
         intervals = [patches[pi].ref_bounds for pi in layer_patches]
         for qi, query in enumerate(queries):
-            ref_parts = []
-            for ri in reference_of_chrom.get(chrom, []):
-                entry = reference[ri][0]
-                if not any(lo < entry.start + entry.scan_length
-                           and hi > entry.start for lo, hi in intervals):
-                    continue
-                rows = reference_rows(ri, qi)
-                inside = np.zeros(rows.position.size, dtype=bool)
-                for lo, hi in intervals:
-                    inside |= (rows.position >= lo) & (rows.position < hi)
-                ref_parts.append(rows.take(inside))
-            ref = _SiteRows.concat(ref_parts, plen)
+            ref = _SiteRows.concat(
+                [reference_rows(chrom, bounds, qi) for bounds in intervals]
+                if chrom in reference_of_chrom else [], plen)
             hap = _SiteRows.concat(
                 [_SiteRows.render(patches[pi].entry,
                                   patch_triples[pi][qi], compiled[qi])
@@ -685,4 +674,4 @@ def search_variants(index: Any, queries: Sequence[Query],
                             for _, triples in reference)
                         for qi in range(len(queries))],
         patched_chunks=len(patches),
-        reference_chunks=int(reference_chunks))
+        reference_chunks=len(reference))

@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic genomes and requests."""
+"""Shared fixtures: small deterministic genomes and requests, and the
+served hit order as a sort."""
 
 from __future__ import annotations
 
@@ -8,6 +9,19 @@ import pytest
 from repro.core.config import ExecutionPolicy, Query, SearchRequest
 from repro.genome.assembly import Assembly, Chromosome
 from repro.genome.synthetic import synthetic_assembly
+
+
+def served_order(hits, assembly: Assembly):
+    """``hits`` in the served hit order of :mod:`repro.core.records`,
+    grouped by query in first-appearance order: chromosome in assembly
+    order, ``+`` before ``-``, then position."""
+    query_rank = {}
+    for hit in hits:
+        query_rank.setdefault(hit.query, len(query_rank))
+    chrom_rank = {c.name: i for i, c in enumerate(assembly.chromosomes)}
+    return sorted(hits, key=lambda h: (query_rank[h.query],
+                                       chrom_rank[h.chrom],
+                                       h.strand != "+", h.position))
 
 
 def random_sequence(rng: np.random.Generator, n: int,

@@ -1,6 +1,7 @@
 """End-to-end tests for the cas-offinder-py CLI."""
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -342,14 +343,14 @@ class TestServiceSubcommands:
         assert main(argv) == 0
         manifest = index_dir / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 3
+        header["version"] = 4
         manifest.write_text(json.dumps(header))
         capsys.readouterr()
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "stale index format" in err
         assert f"# index saved to {index_dir}" in err
-        assert json.loads(manifest.read_text())["version"] == 4
+        assert json.loads(manifest.read_text())["version"] == 5
         assert main(argv) == 0
         assert f"# loaded index from {index_dir}" in \
             capsys.readouterr().err
@@ -378,6 +379,22 @@ class TestServiceSubcommands:
     def test_query_bad_spec_rejected(self):
         with pytest.raises(SystemExit, match="SEQ:MM"):
             main(["query", "GACGTCNN", "--port", "1"])
+
+    @pytest.mark.parametrize("command", ["query", "variants"])
+    def test_bad_spec_refused_before_connecting(self, command,
+                                                monkeypatch):
+        """A spec without a colon and one with a non-integer budget
+        exit with one message, and no connection is tried."""
+        def no_connection(*args, **kwargs):
+            raise AssertionError("connected before checking the spec")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        for spec in ("GACGTCNN", "GACGTCNN:x"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, spec, "--port", "1"])
+            assert str(exit_info.value) == (
+                f"error: bad query spec {spec!r}; expected SEQ:MM "
+                f"(e.g. GACGTCNN:3)")
 
     def test_query_unreachable_service_errors(self):
         with pytest.raises(SystemExit, match="cannot reach"):

@@ -37,6 +37,7 @@ from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient,
                            ServiceDeadlineError, ServiceError,
                            partition_chromosomes)
+from repro.service import server as server_module
 
 PATTERN = "NNNNNNRG"
 CHUNK = 1 << 12
@@ -542,6 +543,25 @@ class TestDesignOp:
             with pytest.raises(ServiceError,
                                match="no partition holds"):
                 client._call(design_request(chrom="chrZ"))
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    def test_routed_malformed_hit_rows_are_internal(self, routed,
+                                                    monkeypatch, fields):
+        """Backend hit rows too short to merge by chromosome, or that
+        merge but do not decode, answer ``internal``."""
+        monkeypatch.setattr(
+            server_module, "hits_to_rows",
+            lambda hits: [[hit.query, hit.chrom][:fields]
+                          for hit in hits])
+        requests = [design_request(mismatches=3)]
+        if fields == 1:
+            requests.append({"op": "query",
+                             "queries": [["GACGTCNN", 3]]})
+        with ServiceClient(routed.host, routed.port) as client:
+            for request in requests:
+                with pytest.raises(ServiceError,
+                                   match="internal.*malformed hit row"):
+                    client._call(request)
 
     def test_deadline_s_is_checked_on_the_wire(self, served, routed):
         """A ``deadline_s`` that is not a number is a ``bad-request``

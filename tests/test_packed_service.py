@@ -3,13 +3,14 @@
 The serving index runs one comparer, one bit-parallel pass per batch
 over its resident row table, for every guide, genome byte and pattern
 length.  Every test here pins its output to the offline search through
-the SYCL pipeline, whose Listing 1 byte comparer is the reference:
-across random genomes with N runs and other IUPAC or non-IUPAC bytes,
-guides over all 15 IUPAC codes, patterns longer than one 32-base word,
-chunks spanning several kernel blocks, and save/load roundtrips.  The
-table's row layout is checked against a direct packing, a stale
-on-disk version must be refused, not misread, and serving must append
-no simulator launch records.
+the SYCL pipeline, whose Listing 1 byte comparer is the reference, its
+hits put in the served order of ``repro.core.records``: across random
+genomes with N runs and other IUPAC or non-IUPAC bytes, guides over all
+15 IUPAC codes, patterns longer than one 32-base word, any chunk and
+kernel block size, and save/load roundtrips.  The table's row layout is
+checked against a direct packing, a stale on-disk version must be
+refused, not misread, and serving must append no simulator launch
+records.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from repro.service import (BatchScheduler, GenomeSiteIndex,
 from repro.service import index as index_module
 from repro.variants import decode_haplotypes, search_variants
 
+from .conftest import served_order
+
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
 #: R at a checked position: the comparer decodes it from the planes.
@@ -57,9 +60,14 @@ def _random_genome(seed: int, n: int, extra: bytes = b"") -> Assembly:
     return Assembly(f"rand-{seed}", [Chromosome("c", seq)])
 
 
+def _per_query(hits, queries):
+    return [[hit for hit in hits if hit.query == query.sequence]
+            for query in queries]
+
+
 def _assert_matches_offline(index: GenomeSiteIndex, queries) -> None:
     """``index.query_batch`` equals the offline SYCL search's hits per
-    query, in order, at the index's chunk size.
+    query, put in served order.
 
     Queries must have distinct sequences (hits are grouped by them).
     Where the offline search cannot render a ``-`` hit window holding a
@@ -73,9 +81,8 @@ def _assert_matches_offline(index: GenomeSiteIndex, queries) -> None:
         with pytest.raises(PatternError):
             index.query_batch(queries)
         return
-    assert index.query_batch(queries) == [
-        [hit for hit in hits if hit.query == query.sequence]
-        for query in queries]
+    assert index.query_batch(queries) == _per_query(
+        served_order(hits, index.assembly), queries)
 
 
 def _snv(assembly: Assembly, chrom: str, position: int):
@@ -164,11 +171,59 @@ def _packed_window(window: np.ndarray):
     return words, invalid
 
 
+@st.composite
+def _multi_chromosome_cases(draw):
+    """A genome of 2-4 chromosomes with N runs (one long enough to
+    split), distinct IUPAC guides (the all-N one included) with budgets
+    0-4, and a chunk size that splits the longest chromosome."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lengths = [draw(st.integers(400, 1200))] + draw(
+        st.lists(st.integers(5, 600), min_size=1, max_size=3))
+    chromosomes = []
+    for i, n in enumerate(lengths):
+        seq = rng.choice(_ACGT, n)
+        lo = int(rng.integers(0, n))
+        seq[lo:lo + int(rng.integers(1, 60))] = ord("N")
+        chromosomes.append(Chromosome(f"c{i}", seq))
+    sequences = draw(st.lists(
+        st.one_of(st.just("N" * 8),
+                  st.text(alphabet=IUPAC_CODES, min_size=8, max_size=8)),
+        min_size=1, max_size=3, unique=True))
+    queries = [Query(seq, draw(st.integers(0, 4))) for seq in sequences]
+    chunk = draw(st.integers(16, 300))
+    return Assembly("multi", chromosomes), queries, chunk
+
+
+class TestHitOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(case=_multi_chromosome_cases())
+    def test_order_is_a_property_of_the_genome(self, case):
+        """Served lists are identical at a chunk size that splits a
+        chromosome and one that does not, and at kernel blocks of 16
+        and 1<<20 candidates; they equal the offline search's hits put
+        in served order."""
+        assembly, queries, chunk = case
+        served = []
+        for block in (16, 1 << 20):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", block)
+                for chunk_size in (chunk, 1 << 12):
+                    index = GenomeSiteIndex.build(assembly, PATTERN,
+                                                  chunk_size=chunk_size)
+                    served.append(index.query_batch(queries))
+                hits = search(assembly, SearchRequest(PATTERN, queries),
+                              chunk_size=1 << 12).hits
+        assert served[1:] == served[:-1]
+        assert served[0] == _per_query(served_order(hits, assembly),
+                                       queries)
+
+
 class TestRowTable:
-    def test_layout_follows_emission_order(self, monkeypatch):
-        """Rows run forward-then-reverse per block of candidates, each
-        reverse row packs its reverse-complement window, and
-        ``chunk_rows`` marks where each chunk's rows start."""
+    def test_layout_follows_served_order(self, monkeypatch):
+        """Per entry, the forward rows then the reverse rows, each in
+        loci order, at any kernel block size; each reverse row packs
+        its reverse-complement window, and ``chunk_rows`` marks where
+        each entry's rows start."""
         monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 4)
         plen = 36  # two window words
         rng = np.random.default_rng(5)
@@ -188,12 +243,10 @@ class TestRowTable:
         expected = []
         chunk_rows = [0]
         for chunk in chunks:
-            for start in range(0, chunk.loci.size, 4):
-                block = range(start, min(start + 4, chunk.loci.size))
-                for strand, flag in (("+", 1), ("-", 2)):
-                    expected += [(chunk, int(chunk.loci[i]), strand)
-                                 for i in block
-                                 if chunk.flags[i] in (0, flag)]
+            for strand, flag in (("+", 1), ("-", 2)):
+                expected += [(chunk, int(locus), strand) for locus, f
+                             in zip(chunk.loci, chunk.flags)
+                             if f in (0, flag)]
             chunk_rows.append(len(expected))
         assert table.chunk_rows.tolist() == chunk_rows == [0, 13, 13, 20]
         assert table.loci.tolist() == [locus for _, locus, _
@@ -209,23 +262,11 @@ class TestRowTable:
             assert table.words[:, row].tolist() == words
             assert table.invalid[:, row].tolist() == invalid
 
-    def test_multi_block_chunk_matches_offline(self, monkeypatch):
-        """A chunk of a few thousand candidates spans many 256-item
-        kernel blocks; serving still emits the offline search's order,
-        the PAM query's every-site rows included."""
-        monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 256)
-        assembly = _random_genome(21, 12000, b"RY")
-        index = GenomeSiteIndex.build(assembly, PATTERN)
-        assert index.chunk_count == 1
-        assert index.site_count > 2000
-        _assert_matches_offline(index,
-                                QUERIES + [IUPAC_QUERY, PAM_QUERY])
-
     def test_block_below_work_group_keeps_one_order(self, monkeypatch):
         """A 64-item kernel block is a quarter of SYCL's 256-wide
-        work-groups and one OpenCL group: both offline searches, the
-        bit-parallel engine and the served index still emit one hit
-        order."""
+        work-groups and one OpenCL group: both offline searches still
+        emit one hit order, and the bit-parallel engine and the served
+        index give the same hits in served order."""
         monkeypatch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", 64)
         assembly = _random_genome(4, 3000)
         queries = QUERIES + [PAM_QUERY]
@@ -234,12 +275,11 @@ class TestRowTable:
         assert hits != sort_hits(hits)
         assert search(assembly, request, api="opencl",
                       chunk_size=CHUNK).hits == hits
-        assert bitparallel_search(assembly, request,
-                                  chunk_size=CHUNK).hits == hits
+        served = served_order(hits, assembly)
+        assert served_order(bitparallel_search(
+            assembly, request, chunk_size=CHUNK).hits, assembly) == served
         index = GenomeSiteIndex.build(assembly, PATTERN, chunk_size=CHUNK)
-        assert index.query_batch(queries) == [
-            [hit for hit in hits if hit.query == query.sequence]
-            for query in queries]
+        assert index.query_batch(queries) == _per_query(served, queries)
 
 
 class TestCompareCalls:

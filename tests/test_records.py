@@ -1,6 +1,7 @@
 """Unit tests for off-target hit records and the output format."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import PatternError, reverse_complement
-from repro.core.records import (HEADER, OffTargetHit, read_hits,
-                                render_sites, site_strings, sort_hits,
-                                write_hits)
+from repro.core.records import (HEADER, OffTargetHit, hits_from_rows,
+                                hits_to_rows, read_hits, render_sites,
+                                site_strings, sort_hits, write_hits)
 from repro.genome.fasta import sequence_to_array
 
 
@@ -156,6 +157,19 @@ class TestIO:
     def test_to_tsv_fields(self):
         hit = OffTargetHit("Q", "chr1", 3, "-", 2, "site")
         assert hit.to_tsv() == "Q\tchr1\t3\tsite\t-\t2"
+
+    def test_wire_rows_roundtrip_through_json(self):
+        hits = self.make_hits()
+        rows = hits_to_rows(hits)
+        assert rows[0] == ["ACGT", "chr2", 5, "ACgT", "+", 1]
+        assert hits_from_rows(json.loads(json.dumps(rows))) == hits
+
+    @pytest.mark.parametrize("row", [["ACGT", "chr1", 2, "AcgT", "+"],
+                                     ["ACGT", "chr1", "x", "AcgT", "+", 2],
+                                     ["ACGT", "chr1", None, "AcgT", "+", 2]])
+    def test_malformed_wire_row_rejected(self, row):
+        with pytest.raises((IndexError, TypeError, ValueError)):
+            hits_from_rows([row])
 
 
 class TestAtomicWrite:

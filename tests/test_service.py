@@ -9,7 +9,10 @@ protocol are all supposed to be invisible in the output.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.config import Query, SearchRequest
 from repro.core.patterns import compile_pattern
 from repro.core.pipeline import _BasePipeline, make_pipeline, search
@@ -66,8 +70,13 @@ class TestGenomeSiteIndex:
         got = sort_hits([h for per in per_query for h in per])
         assert got == offline_hits(small_assembly)
 
-    def test_index_counts(self, index):
-        assert index.chunk_count > 1, "workload must span chunks"
+    def test_index_counts(self, index, small_assembly):
+        plen = index.compiled_pattern.plen
+        assert small_assembly.chunk_count(CHUNK, plen) > 2, \
+            "the finder must scan several chunks"
+        assert [entry.chrom for entry in index.entries] == \
+            ["chrA", "chrB"]
+        assert index.chunk_count == 2
         assert index.site_count > 0
 
     def test_empty_query_list(self, index):
@@ -529,3 +538,17 @@ class TestLoadGenerator:
         assert client_main(["--smoke", "--clients", "2",
                             "--duration", "0.5"]) == 0
         assert "smoke OK" in capsys.readouterr().out
+
+
+def test_client_entry_point_imports_once():
+    """``python -m repro.service.client`` runs without runpy's
+    double-import RuntimeWarning: the package exports the client
+    lazily."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.service.client", "--help"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120, check=True)
+    assert "usage:" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
