@@ -55,15 +55,13 @@ def _stats_delta(before: dict, after: dict, repeats: int) -> dict:
                               - before["queries_total"]) // repeats}
 
 
-def run_bench(scale: float, chunk_size: int, region_bp: int,
-              mismatches: int, top: int, estimator: str,
-              repeats: int) -> dict:
+def run_bench(scale: float, region_bp: int, mismatches: int, top: int,
+              estimator: str, repeats: int) -> dict:
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     chrom = assembly.chromosomes[0].name
     end = min(region_bp, len(assembly.chromosomes[0].sequence))
     build_began = time.perf_counter()
-    index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size)
+    index = GenomeSiteIndex.build(assembly, PATTERN)
     build_s = time.perf_counter() - build_began
 
     spec = DesignSpec(chrom=chrom, start=0, end=end,
@@ -105,8 +103,8 @@ def run_bench(scale: float, chunk_size: int, region_bp: int,
         "host": {"cpus": os.cpu_count()},
         "workload": {
             "profile": "hg19", "scale": scale, "seed": 42,
-            "pattern": PATTERN, "chunk_size": chunk_size,
-            "region": f"{chrom}:0-{end}", "mismatches": mismatches,
+            "pattern": PATTERN, "region": f"{chrom}:0-{end}",
+            "mismatches": mismatches,
             "top": top, "estimator": estimator,
             "candidates": len(candidates),
             "unique_queries": len(queries),
@@ -131,8 +129,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.0002,
                         help="synthetic hg19 scale (~620 kbp)")
-    parser.add_argument("--chunk-size", type=int, default=1 << 16,
-                        help="index chunk size in bases")
     parser.add_argument("--region-bp", type=int, default=600,
                         help="target region length on chr1")
     parser.add_argument("--mismatches", type=int, default=3,
@@ -147,8 +143,7 @@ def main(argv=None) -> int:
                         default=os.path.join(os.path.dirname(__file__),
                                              "..", "BENCH_DESIGN.json"))
     args = parser.parse_args(argv)
-    report = run_bench(scale=args.scale, chunk_size=args.chunk_size,
-                       region_bp=args.region_bp,
+    report = run_bench(scale=args.scale, region_bp=args.region_bp,
                        mismatches=args.mismatches, top=args.top,
                        estimator=args.estimator, repeats=args.repeats)
     path = os.path.abspath(args.output)

@@ -2,7 +2,7 @@
 
 Measures the payoff of the query service's two amortizations — the
 resident site index (finder runs once, not per request) and continuous
-batching (concurrent requests share one comparer launch per chunk) —
+batching (concurrent requests share one comparer pass) —
 against the obvious alternative: every request runs a fresh end-to-end
 search, as a one-process-per-query deployment would.
 
@@ -121,8 +121,7 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
               max_wait_ms: float) -> dict:
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     build_began = time.perf_counter()
-    index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size)
+    index = GenomeSiteIndex.build(assembly, PATTERN)
     build_s = time.perf_counter() - build_began
 
     baseline = {}
@@ -240,7 +239,7 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
     }
 
 
-def run_router_bench(scale: float, chunk_size: int, duration_s: float,
+def run_router_bench(scale: float, duration_s: float,
                      concurrency: list, max_batch: int,
                      max_wait_ms: float, backends: int) -> dict:
     """Routed fleet vs single server over the same genome."""
@@ -248,8 +247,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
                                replica_plan)
 
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
-    index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size)
+    index = GenomeSiteIndex.build(assembly, PATTERN)
     max_queue = max(64, 4 * max(concurrency))
 
     single = {}
@@ -271,8 +269,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
                         replication=2)
     backend_handles = [
         OffTargetServer(
-            GenomeSiteIndex.build(assembly.subset(chroms), PATTERN,
-                                  chunk_size=chunk_size),
+            GenomeSiteIndex.build(assembly.subset(chroms), PATTERN),
             max_batch=max_batch, max_wait_ms=max_wait_ms,
             max_queue=max_queue).start_background()
         for chroms in held]
@@ -309,7 +306,7 @@ def run_router_bench(scale: float, chunk_size: int, duration_s: float,
         "host": {"cpus": os.cpu_count()},
         "workload": {
             "profile": "hg19", "scale": scale, "seed": 42,
-            "pattern": PATTERN, "chunk_size": chunk_size,
+            "pattern": PATTERN,
             "chunks": index.chunk_count, "sites": index.site_count,
         },
         "config": {
@@ -335,7 +332,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.0002,
                         help="synthetic hg19 scale (~620 kbp)")
     parser.add_argument("--chunk-size", type=int, default=1 << 16,
-                        help="index chunk size in bases")
+                        help="chunk size in bases of the fresh-search "
+                             "baseline (the index scans each "
+                             "chromosome whole)")
     parser.add_argument("--duration", type=float, default=5.0,
                         help="seconds per measurement window")
     parser.add_argument("--concurrency", type=int, nargs="+",
@@ -360,7 +359,7 @@ def main(argv=None) -> int:
     path = os.path.abspath(args.output)
     if args.router:
         section = run_router_bench(
-            scale=args.scale, chunk_size=args.chunk_size,
+            scale=args.scale,
             duration_s=args.duration, concurrency=args.concurrency,
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
             backends=args.backends)

@@ -1,10 +1,11 @@
 """Variant-search benchmark: diff-layer overlay vs full re-index.
 
-Measures the payoff of the variant tentpole's central claim: a
+Measures the payoff of the variant search's central claim: a
 haplotype differs from the reference by a handful of bases, so
-re-scanning and re-packing only the *touched* chunks — and riding the
-resident reference index plus those patch entries through ONE batched
-comparer pass — beats the obvious implementation, which splices each
+re-scanning and re-packing only the *variant windows* — the site
+starts a run of nearby variants can change — and riding the resident
+reference index plus those patch entries through ONE batched comparer
+pass beats the obvious implementation, which splices each
 haplotype into a complete genome, rebuilds a full
 :class:`~repro.service.GenomeSiteIndex` per haplotype, and diffs the
 query results.
@@ -103,8 +104,7 @@ def _naive_events(index, assembly, queries, haplotypes):
                 chromosome.name,
                 overlay.fetch(0, overlay.length).copy()))
         hap_index = GenomeSiteIndex.build(
-            Assembly("naive-" + haplotype.name, chroms), index.pattern,
-            chunk_size=index.chunk_size)
+            Assembly("naive-" + haplotype.name, chroms), index.pattern)
         hap_hits = hap_index.query_batch(list(queries))
         for chrom, overlay in overlays.items():
             if not overlay.variants:
@@ -135,13 +135,11 @@ def _overlay_keys(result):
             for row in result.events}
 
 
-def run_bench(scale: float, chunk_size: int, haplotype_count: int,
-              variants_per: int, mismatches: int,
-              repeats: int) -> dict:
+def run_bench(scale: float, haplotype_count: int, variants_per: int,
+              mismatches: int, repeats: int) -> dict:
     assembly = synthetic_assembly("hg19", scale=scale, seed=42)
     build_began = time.perf_counter()
-    index = GenomeSiteIndex.build(assembly, PATTERN,
-                                  chunk_size=chunk_size)
+    index = GenomeSiteIndex.build(assembly, PATTERN)
     build_s = time.perf_counter() - build_began
 
     queries = [Query("N" * 23, 0),
@@ -178,8 +176,7 @@ def run_bench(scale: float, chunk_size: int, haplotype_count: int,
         "host": {"cpus": os.cpu_count()},
         "workload": {
             "profile": "hg19", "scale": scale, "seed": 42,
-            "pattern": PATTERN, "chunk_size": chunk_size,
-            "haplotypes": haplotype_count,
+            "pattern": PATTERN, "haplotypes": haplotype_count,
             "variants_total": total_variants,
             "queries": len(queries), "mismatches": mismatches,
             "chunks": index.chunk_count, "sites": index.site_count,
@@ -210,8 +207,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.0002,
                         help="synthetic hg19 scale (~620 kbp)")
-    parser.add_argument("--chunk-size", type=int, default=1 << 16,
-                        help="index chunk size in bases")
     parser.add_argument("--haplotypes", type=int, default=4,
                         help="haplotype diff layers per search")
     parser.add_argument("--variants-per", type=int, default=3,
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
                                              "..",
                                              "BENCH_VARIANTS.json"))
     args = parser.parse_args(argv)
-    report = run_bench(scale=args.scale, chunk_size=args.chunk_size,
+    report = run_bench(scale=args.scale,
                        haplotype_count=args.haplotypes,
                        variants_per=args.variants_per,
                        mismatches=args.mismatches,
@@ -241,7 +236,7 @@ def main(argv=None) -> int:
     print(f"{workload['haplotypes']} haplotypes, "
           f"{workload['variants_total']} variants, "
           f"{workload['events']} events over {workload['chunks']} "
-          f"chunks ({workload['sites']} sites)")
+          f"chromosomes ({workload['sites']} sites)")
     print(f"naive:   {naive['wall_s']*1000:8.1f} ms "
           f"({naive['index_builds_per_run']} full index rebuilds "
           f"per run)")

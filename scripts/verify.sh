@@ -27,5 +27,6 @@ python -m repro.variants --smoke
 # Routing-tier smoke: 3 subprocess backends behind a router, one
 # SIGKILLed mid-load, one zero-downtime rollover, SIGTERM drain of the
 # survivors; asserts byte-identity against a single-process server and
-# a routed `design` request checked before and after the rollover.
+# a routed `design` and `variant` request checked before and after the
+# rollover.
 python -m repro.service.router --smoke --duration 6

@@ -406,9 +406,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="PAM-bearing pattern to index (required "
                              "unless a saved index is loaded)")
     _add_genome_flags(parser)
-    parser.add_argument("--chunk-size", type=_positive_int,
-                        default=DEFAULT_CHUNK_SIZE,
-                        help="index chunk size in bases")
     parser.add_argument("--max-batch", type=_positive_int, default=8,
                         help="flush a micro-batch at this many queries")
     parser.add_argument("--max-wait-ms", type=_nonnegative_float,
@@ -420,10 +417,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "requests are rejected as overloaded")
     parser.add_argument("--max-retries", type=_nonnegative_int,
                         default=2,
-                        help="per-chunk retries during the index build")
+                        help="per-chromosome retries during the index "
+                             "build")
     parser.add_argument("--fault-inject", default=None, metavar="PLAN",
                         help="deterministic fault plan exercised during "
-                             "the index build")
+                             "the index build (indices are ordinals of "
+                             "the chromosomes scanned)")
     parser.add_argument("--duration-s", type=_positive_float,
                         default=None,
                         help="serve for this long then exit (smoke "
@@ -516,8 +515,7 @@ def _run_serve(argv: List[str]) -> int:
         assembly = _serve_assembly(args)
         try:
             index = GenomeSiteIndex.build(
-                assembly, args.pattern, chunk_size=args.chunk_size,
-                fault_plan=args.fault_inject,
+                assembly, args.pattern, fault_plan=args.fault_inject,
                 max_retries=args.max_retries)
         except (SiteIndexError, ValueError) as exc:
             raise SystemExit(f"error: {exc}") from None
@@ -545,8 +543,7 @@ def _run_serve(argv: List[str]) -> int:
                 seen.add(enzyme.name)
                 try:
                     enzyme_index = GenomeSiteIndex.build(
-                        assembly, enzyme.pattern,
-                        chunk_size=args.chunk_size)
+                        assembly, enzyme.pattern)
                 except (SiteIndexError, ValueError) as exc:
                     raise SystemExit(
                         f"error: enzyme {enzyme.name!r}: "
@@ -604,8 +601,7 @@ def _make_reloader(args: argparse.Namespace, assembly: Assembly,
                 index = None  # stale/corrupt on disk: rebuild
         if index is None:
             index = GenomeSiteIndex.build(
-                assembly, pattern, chunk_size=args.chunk_size,
-                max_retries=args.max_retries)
+                assembly, pattern, max_retries=args.max_retries)
         return index
 
     return reloader
@@ -793,9 +789,6 @@ def build_design_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pattern", default=None,
                         help="PAM-bearing pattern (local mode)")
     _add_genome_flags(parser)
-    parser.add_argument("--chunk-size", type=_positive_int,
-                        default=DEFAULT_CHUNK_SIZE,
-                        help="index chunk size in bases (local mode)")
     return parser
 
 
@@ -852,8 +845,7 @@ def _run_design(argv: List[str]) -> int:
                              "--port (local mode builds an index)")
         assembly = _load_assembly(args, args.genome)
         try:
-            index = GenomeSiteIndex.build(assembly, args.pattern,
-                                          chunk_size=args.chunk_size)
+            index = GenomeSiteIndex.build(assembly, args.pattern)
             result = design_guides(
                 index, chrom, start, end, args.mismatches,
                 top_n=args.top, estimator=args.estimator,
@@ -920,9 +912,6 @@ def build_variants_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pattern", default=None,
                         help="PAM-bearing pattern (local mode)")
     _add_genome_flags(parser)
-    parser.add_argument("--chunk-size", type=_positive_int,
-                        default=DEFAULT_CHUNK_SIZE,
-                        help="index chunk size in bases (local mode)")
     return parser
 
 
@@ -1007,8 +996,7 @@ def _run_variants(argv: List[str]) -> int:
         from .variants import search_variants
         assembly = _load_assembly(args, args.genome)
         try:
-            index = GenomeSiteIndex.build(assembly, args.pattern,
-                                          chunk_size=args.chunk_size)
+            index = GenomeSiteIndex.build(assembly, args.pattern)
             result = search_variants(
                 index, queries, haplotypes,
                 chromosomes=(frozenset(chromosomes)
@@ -1032,8 +1020,8 @@ def _run_variants(argv: List[str]) -> int:
     lost = sum(row["lost"] for row in payload["summary"])
     print(f"# {len(payload['events'])} events ({gained} gained, "
           f"{lost} lost) | {len(payload['haplotypes'])} haplotype(s) | "
-          f"{payload['patched_chunks']} patched / "
-          f"{payload['reference_chunks']} reference chunks",
+          f"{payload['patched_chunks']} variant window(s) / "
+          f"{payload['reference_chunks']} reference chromosomes",
           file=sys.stderr)
     return 0
 

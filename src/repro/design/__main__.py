@@ -31,8 +31,7 @@ def _smoke(scale: float, mismatches: int, top: int,
     assembly = synthetic_assembly("hg19", scale=scale, seed=7)
     chrom = assembly.chromosomes[0].name
     end = min(400, len(assembly.chromosomes[0].sequence))
-    index = GenomeSiteIndex.build(assembly, "NNNNNNRG",
-                                  chunk_size=1 << 15)
+    index = GenomeSiteIndex.build(assembly, "NNNNNNRG")
     before = index.comparer_stats()
     reference = design_guides(index, chrom, 0, end, mismatches,
                               top_n=top, estimator=estimator)

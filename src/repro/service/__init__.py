@@ -6,10 +6,12 @@ never on the guide query.  This package exploits that once-per-genome /
 many-per-query asymmetry:
 
 * :mod:`repro.service.index` — :class:`~repro.service.index.
-  GenomeSiteIndex` runs the finder once over the genome and keeps each
-  chromosome's candidate-site arrays memory-resident (with versioned,
-  fingerprinted save/load so a server can warm-start without
-  rescanning);
+  GenomeSiteIndex` runs the finder once over each chromosome and keeps
+  its candidate-site arrays memory-resident (with versioned save/load,
+  fingerprinted by genome and pattern, so a server can warm-start
+  without rescanning).  It takes no chunk size: the paper's host
+  program chunks a chromosome to fit device memory, and the index has
+  no device;
 * :mod:`repro.service.scheduler` — a bounded request queue with
   micro-batching that stacks concurrent requests' guides into a single
   batched comparer launch over the resident index (the

@@ -350,8 +350,7 @@ def _smoke(clients: int, duration_s: float) -> int:
     from .server import OffTargetServer
 
     assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
-    index = GenomeSiteIndex.build(assembly, "NNNNNNRG",
-                                  chunk_size=1 << 15)
+    index = GenomeSiteIndex.build(assembly, "NNNNNNRG")
     server = OffTargetServer(index, max_batch=8, max_wait_ms=2.0)
     handle = server.start_background()
     try:

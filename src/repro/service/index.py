@@ -4,14 +4,15 @@ The finder kernel selects PAM-bearing candidate sites from the genome;
 its output is a pure function of the genome and the pattern and is
 completely independent of the guide queries.  A
 :class:`GenomeSiteIndex` therefore runs the finder exactly once over
-the whole assembly, chunk by chunk, and keeps one resident entry per
-chromosome holding candidates: its loci and strand flags over the
-chromosome's bytes.  Serving a query then reduces to the comparer over
-the stored candidates — the expensive genome scan is amortized across
-every request that follows.  Serving runs on plain numpy, not on the
-simulated OpenCL/SYCL runtime that reproduces the paper's tables: the
-finder is the kernel's own numpy body
-(:meth:`~repro.core.pipeline._BasePipeline.find_candidates`),
+each chromosome and keeps one resident entry per chromosome holding
+candidates: its loci and strand flags over the chromosome's bytes.
+The paper's host program cuts chromosomes into chunks that fit device
+memory; the index has no device, so it takes no chunk size.  Serving a
+query then reduces to the comparer over the stored candidates — the
+expensive genome scan is amortized across every request that follows.
+Serving runs on plain numpy, not on the simulated OpenCL/SYCL runtime
+that reproduces the paper's tables: the finder is the kernel's own
+numpy body (:meth:`~repro.core.pipeline._BasePipeline.find_candidates`),
 element-identical to every paper pipeline's finder, and no serving
 call appends a launch record.
 
@@ -27,18 +28,18 @@ ambiguity-code query positions from the same planes.  Its output, one
 ``(mm_loci, mm_count, direction)`` array triple per query for each
 entry holding hits
 (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`),
-is already in served order, so neither the chunk size nor the kernel
-block size shows in it.  It is what the index hands on:
+is already in served order, so the kernel block size does not show
+in it.  It is what the index hands on:
 :meth:`GenomeSiteIndex.query_batch` renders it into hits through
 :func:`~repro.core.pipeline.build_entry_hits`, while
 :meth:`GenomeSiteIndex.query_batch_with_extras` returns the triples
 themselves, so the variant layer builds no hit objects.
 
-Persistence reuses the :mod:`repro.resilience.checkpoint` fingerprint
-machinery: ``save`` writes a versioned ``index.json`` header carrying a
-SHA-256 manifest fingerprint over (genome identity, pattern, chunk
-size) plus a SHA-256 digest of the site arrays and row table; ``load``
-refuses an index built for a different genome/pattern/chunk size
+Persistence: ``save`` writes a versioned ``index.json`` header
+carrying the index fingerprint (SHA-256 over the format version, the
+genome's name, chromosome names and lengths, and the pattern) plus a
+SHA-256 digest of the site arrays and row table; ``load`` refuses an
+index built for a different genome or pattern
 (:class:`SiteIndexMismatchError`), detects corrupted site payloads
 (:class:`SiteIndexError`), and rejects other on-disk format versions
 with :class:`SiteIndexVersionError` so callers (the ``serve`` CLI)
@@ -62,12 +63,12 @@ from ..core import pipeline as _pipeline
 from ..core.bitparallel import pack_site_table
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
-from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
-                             ResidentChunk, Triples, empty_triples)
+from ..core.pipeline import (PackedSites, ResidentChunk, Triples,
+                             empty_triples)
 from ..core.records import OffTargetHit
-from ..genome.assembly import Assembly
+from ..genome.assembly import Assembly, Chunk
 from ..observability import faults, tracing
-from ..resilience.checkpoint import RunManifest, _atomic_write_json
+from ..resilience.checkpoint import _atomic_write_json
 
 #: Header file inside an index directory.
 INDEX_MANIFEST_NAME = "index.json"
@@ -76,11 +77,11 @@ INDEX_MANIFEST_NAME = "index.json"
 #: directory.
 SITES_NAME = "sites.npz"
 
-#: Bumped on any change to the on-disk layout.  Version 5 stores one
+#: Bumped on any change to the on-disk layout.  Version 6 stores one
 #: entry per chromosome holding candidates, and the index-wide row
 #: table (:class:`~repro.core.pipeline.PackedSites`) in served order,
-#: ``ceil(plen / 32)`` words per row.
-INDEX_VERSION = 5
+#: ``ceil(plen / 32)`` words per row; its header carries no chunk size.
+INDEX_VERSION = 6
 
 
 class SiteIndexError(RuntimeError):
@@ -88,7 +89,7 @@ class SiteIndexError(RuntimeError):
 
 
 class SiteIndexMismatchError(SiteIndexError):
-    """A stored index was built for a different genome/pattern/layout."""
+    """A stored index was built for a different genome or pattern."""
 
 
 class SiteIndexVersionError(SiteIndexError):
@@ -120,18 +121,13 @@ class GenomeSiteIndex:
     the stored candidates.
     """
 
-    def __init__(self, assembly: Assembly, pattern: str,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if chunk_size < 1:
-            raise ValueError(
-                f"chunk size must be >= 1, got {chunk_size}")
+    def __init__(self, assembly: Assembly, pattern: str):
         self.assembly = assembly
         self.pattern = pattern.upper()
         self.compiled_pattern = compile_pattern(self.pattern)
-        self.chunk_size = int(chunk_size)
         #: The numpy finder and the resident comparer; owns no queue or
         #: device, so serving appends no launch record.
-        self.pipeline = _pipeline._BasePipeline(self.chunk_size)
+        self.pipeline = _pipeline._BasePipeline()
         self.build_wall_s = 0.0
         self._entries: List[ResidentChunk] = []
         self._table: Optional[PackedSites] = None
@@ -142,30 +138,26 @@ class GenomeSiteIndex:
 
     # -- identity -------------------------------------------------------
 
-    def manifest(self) -> RunManifest:
-        """The index's fingerprintable identity.
-
-        Reuses the checkpoint manifest with an empty query tuple: the
-        finder's output depends on everything a search manifest names
-        *except* the queries.
-        """
-        return RunManifest(
-            genome=self.assembly.name,
-            chromosomes=tuple((chrom.name, len(chrom))
-                              for chrom in self.assembly.chromosomes),
-            pattern=self.pattern,
-            queries=(),
-            chunk_size=self.chunk_size)
-
     def fingerprint(self) -> str:
-        """SHA-256 identity of this index (manifest fingerprint).
+        """SHA-256 identity of this index.
 
-        Two indexes with equal fingerprints were built from the same
-        genome, pattern and chunk layout and therefore produce
-        identical wire responses — the property the zero-downtime
-        rollover path checks before and after a swap.
+        Hashes the on-disk format version, the genome's name, its
+        chromosome names and lengths, and the pattern: everything the
+        finder's output depends on.  Two indexes with equal
+        fingerprints therefore produce identical wire responses — the
+        property the zero-downtime rollover path checks before and
+        after a swap.
         """
-        return self.manifest().fingerprint()
+        identity = {
+            "version": INDEX_VERSION,
+            "genome": self.assembly.name,
+            "chromosomes": [[chrom.name, len(chrom)]
+                            for chrom in self.assembly.chromosomes],
+            "pattern": self.pattern,
+        }
+        canonical = json.dumps(identity, sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
     @property
     def chromosomes(self) -> Tuple[str, ...]:
@@ -202,16 +194,17 @@ class GenomeSiteIndex:
 
     @classmethod
     def build(cls, assembly: Assembly, pattern: str,
-              chunk_size: int = DEFAULT_CHUNK_SIZE,
               fault_plan: Optional[str] = None,
               max_retries: int = 2) -> "GenomeSiteIndex":
-        """Scan the whole assembly through the finder once.
+        """Scan each chromosome through the finder once.
 
-        The finder runs chunk by chunk; each chromosome's chunk outputs
-        are joined into one entry over the chromosome's bytes.
+        Each chromosome of at least the pattern's length is one finder
+        call over its whole sequence (the finder walks it in kernel
+        blocks), and its candidates are its resident entry.
         ``fault_plan`` accepts the same deterministic spec the streaming
-        engine uses (:mod:`repro.observability.faults`); an injected
-        failure on a chunk is retried up to ``max_retries`` times, so a
+        engine uses (:mod:`repro.observability.faults`), its ordinals
+        counting scanned chromosomes; an injected failure on a
+        chromosome is retried up to ``max_retries`` times, so a
         transient fault during the build never changes the index
         contents — the serving-equivalence tests pin this down.  The
         index drives no modeled device, so a device-scoped plan entry
@@ -219,15 +212,15 @@ class GenomeSiteIndex:
         pass, every candidate window is packed into the resident row
         table.
         """
-        index = cls(assembly, pattern, chunk_size=chunk_size)
+        index = cls(assembly, pattern)
         injector = faults.resolve_injector(fault_plan)
         started = time.perf_counter()
         plen = index.compiled_pattern.plen
-        # Per chromosome, in assembly order: its chunks' loci (shifted
-        # to chromosome coordinates) and flags.
-        found: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        for number, chunk in enumerate(
-                assembly.chunks(chunk_size, plen)):
+        scanned = [c for c in assembly.chromosomes if len(c) >= plen]
+        for number, chromosome in enumerate(scanned):
+            chunk = Chunk(chrom=chromosome.name, start=0,
+                          data=chromosome.sequence,
+                          scan_length=len(chromosome) - plen + 1)
             attempts = max_retries + 1
             for attempt in range(attempts):
                 try:
@@ -235,7 +228,7 @@ class GenomeSiteIndex:
                                       chunk=number, attempt=attempt):
                         if injector is not None:
                             injector.inject(number)
-                        count, loci, flags = \
+                        _count, loci, flags = \
                             index.pipeline.find_candidates(
                                 chunk, index.compiled_pattern)
                     break
@@ -247,17 +240,13 @@ class GenomeSiteIndex:
                                     error=type(exc).__name__)
                     if attempt + 1 >= attempts:
                         raise SiteIndexError(
-                            f"index build failed on chunk {number} "
-                            f"after {attempts} attempt(s): "
-                            f"{exc!r}") from exc
-            found.setdefault(chunk.chrom, []).append(
-                (loci + np.uint32(chunk.start), flags))
-        for chrom, parts in found.items():
-            loci, flags = (parts[0] if len(parts) == 1
-                           else map(np.concatenate, zip(*parts)))
+                            f"index build failed on chromosome "
+                            f"{chunk.chrom!r} (ordinal {number}) after "
+                            f"{attempts} attempt(s): {exc!r}") from exc
             if loci.size:
                 index._entries.append(
-                    _chromosome_entry(assembly, chrom, plen, loci, flags))
+                    _chromosome_entry(assembly, chunk.chrom, plen, loci,
+                                      flags))
         index._table = pack_site_table(index._entries, plen)
         index.build_wall_s = time.perf_counter() - started
         tracing.instant("index_built", cat="index",
@@ -374,7 +363,7 @@ class GenomeSiteIndex:
             # Entries (resident chromosomes + ephemeral variant patches)
             # the comparer visited; the variant op's single-batch proof
             # checks ``batches`` moved by one while this moved by
-            # reference entries + patched chunks.
+            # reference entries + variant windows.
             "entries_scanned": entries_scanned,
         }
 
@@ -429,10 +418,9 @@ class GenomeSiteIndex:
         _atomic_write_json(
             os.path.join(directory, INDEX_MANIFEST_NAME), {
                 "version": INDEX_VERSION,
-                "fingerprint": self.manifest().fingerprint(),
+                "fingerprint": self.fingerprint(),
                 "genome": self.assembly.name,
                 "pattern": self.pattern,
-                "chunk_size": self.chunk_size,
                 "entries": self.chunk_count,
                 "sites": self.site_count,
                 "sites_sha256": sites_sha,
@@ -445,7 +433,7 @@ class GenomeSiteIndex:
         """Warm-start from a saved directory, validating everything.
 
         The stored fingerprint must match one recomputed from the live
-        ``assembly`` plus the stored pattern/chunk size — so loading an
+        ``assembly`` plus the stored pattern — so loading an
         index against a different genome (or after the genome changed)
         refuses instead of silently serving wrong sites.  A different
         on-disk format version raises :class:`SiteIndexVersionError`
@@ -466,13 +454,12 @@ class GenomeSiteIndex:
                 f"unsupported index version {header.get('version')!r} "
                 f"in {manifest_path!r} (this build reads "
                 f"{INDEX_VERSION}); rebuild the index")
-        index = cls(assembly, header["pattern"],
-                    chunk_size=int(header["chunk_size"]))
-        fingerprint = index.manifest().fingerprint()
+        index = cls(assembly, header["pattern"])
+        fingerprint = index.fingerprint()
         if header.get("fingerprint") != fingerprint:
             raise SiteIndexMismatchError(
                 f"index at {directory!r} was built for a different "
-                f"genome/pattern/chunk layout (stored fingerprint "
+                f"genome or pattern (stored fingerprint "
                 f"{header.get('fingerprint')!r}, this run "
                 f"{fingerprint!r}); rebuild the index or point the "
                 f"server at the matching genome")

@@ -14,7 +14,7 @@ assembly order, and a backend's partition of a response is that order
 over its chromosomes; so a stable sort of the gathered wire rows by
 chromosome rank reproduces the single-server byte stream exactly — no
 matter which replica answered, whether a hedge won, or whether the
-fleet was mid-rollover, to any chunk size.
+fleet was mid-rollover.
 
 Robustness machinery, all exercised deterministically in tests via the
 server's request-level fault plans (``crash`` / ``disconnect`` /
@@ -1325,8 +1325,9 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     Asserts byte-identity of every routed response against an
     in-process single-server reference, zero failed client requests
     across the induced SIGKILL, and zero leaked processes/ready
-    files at the end.  The backends split chromosomes the reference
-    keeps whole, so every check also shows that chunking is invisible.
+    files at the end.  A ``design`` and a ``variant`` request (two
+    SNVs far apart on the first chromosome) are checked before and
+    after the rollover.
     """
     import os
     import signal
@@ -1349,8 +1350,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     queries = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
 
     # In-process single-server reference for byte-identity.
-    reference_index = GenomeSiteIndex.build(assembly, pattern,
-                                            chunk_size=1 << 15)
+    reference_index = GenomeSiteIndex.build(assembly, pattern)
     reference_server = OffTargetServer(reference_index, max_wait_ms=1.0)
     reference = reference_server.start_background()
 
@@ -1369,7 +1369,6 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                      "--seed", str(seed),
                      "--chromosomes", ",".join(held[i]),
                      "--pattern", pattern,
-                     "--chunk-size", "4096",
                      "--max-wait-ms", "1.0",
                      "--drain-s", "5.0",
                      "--ready-file", ready]))
@@ -1381,36 +1380,51 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                                      hedge_ms=200.0)
             router_handle = router.start_background()
 
-            design_request = {"op": "design", "chrom": order[0],
-                              "start": 0, "end": 400,
-                              "mismatches": 2, "top": 5,
-                              "estimator": "cfd"}
+            first = assembly[order[0]].sequence
+            snvs = []
+            for lo in (len(first) // 5, len(first) * 4 // 5):
+                at = next(p for p in range(lo, len(first))
+                          if first[p] in b"ACGT")
+                ref = chr(first[at])
+                snvs.append([order[0], at, ref, "A" if ref != "A"
+                             else "C"])
+            checked_ops = {
+                "design": {"op": "design", "chrom": order[0],
+                           "start": 0, "end": 400, "mismatches": 2,
+                           "top": 5, "estimator": "cfd"},
+                "variant": {"op": "variant",
+                            "queries": [[q.sequence, q.max_mismatches]
+                                        for q in queries],
+                            "haplotypes": [{"name": "edited",
+                                            "variants": snvs}]}}
+            op_expected: Dict[str, str] = {}
             with ServiceClient(reference.host,
                                reference.port) as ref_client:
                 expected = ref_client._call({
                     "op": "query",
                     "queries": [[q.sequence, q.max_mismatches]
                                 for q in queries]})["hits"]
-                design_expected = ref_client._call(
-                    dict(design_request))
-                design_expected.pop("id", None)
+                for op, request in checked_ops.items():
+                    body = ref_client._call(dict(request))
+                    body.pop("id", None)
+                    op_expected[op] = json.dumps(body)
 
             client = ServiceClient(router_handle.host,
                                    router_handle.port, retries=4)
             requests = 0
             mismatches = 0
-            design_requests = 0
-            design_mismatches = 0
+            op_checks = {op: 0 for op in checked_ops}
+            op_mismatches = {op: 0 for op in checked_ops}
 
-            def check_design() -> None:
-                nonlocal design_requests, design_mismatches
-                routed = client._call(dict(design_request))
-                routed.pop("id", None)
-                design_requests += 1
-                if routed != design_expected:
-                    design_mismatches += 1
+            def check_ops() -> None:
+                for op, request in checked_ops.items():
+                    routed = client._call(dict(request))
+                    routed.pop("id", None)
+                    op_checks[op] += 1
+                    if json.dumps(routed) != op_expected[op]:
+                        op_mismatches[op] += 1
 
-            check_design()  # fresh fleet: routed design == in-process
+            check_ops()  # fresh fleet: routed == in-process
             kill_at = time.perf_counter() + duration_s * 0.3
             roll_at = time.perf_counter() + duration_s * 0.6
             stop_at = time.perf_counter() + duration_s
@@ -1438,7 +1452,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                         1 for entry in rollover_report["backends"]
                         if entry.get("ok"))
                     print(f"# rolled {survivors} live backend(s)")
-                    check_design()  # design survives the rollover
+                    check_ops()  # both survive the rollover
             stats = client._call({"op": "stats"})["stats"]
             client.close()
             if requests == 0:
@@ -1447,14 +1461,14 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                 failures.append(
                     f"{mismatches}/{requests} responses diverged "
                     f"from the single-server reference")
-            if design_requests < 2:
-                failures.append("design was not checked before and "
-                                "after the rollover")
-            if design_mismatches:
-                failures.append(
-                    f"{design_mismatches}/{design_requests} design "
-                    f"responses diverged from the single-server "
-                    f"reference")
+            for op, checks in op_checks.items():
+                if checks < 2:
+                    failures.append(f"{op} was not checked before "
+                                    f"and after the rollover")
+                if op_mismatches[op]:
+                    failures.append(
+                        f"{op_mismatches[op]}/{checks} {op} responses "
+                        f"diverged from the single-server reference")
             if not killed:
                 failures.append("backend crash was never induced")
             if rollover_report is None:
@@ -1501,8 +1515,9 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
             print(f"smoke FAILED: {failure}")
         return 1
     print(f"smoke OK: {requests} routed requests and "
-          f"{design_requests} design requests byte-identical "
-          f"across a SIGKILL and a rollover")
+          f"{op_checks['design']} design and {op_checks['variant']} "
+          f"variant requests byte-identical across a SIGKILL and a "
+          f"rollover")
     return 0
 
 

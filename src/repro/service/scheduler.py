@@ -259,7 +259,7 @@ class BatchScheduler:
     def count_request(self, kind: str) -> None:
         """Count one request served outside the micro-batch path.
 
-        The ``variant`` op builds request-scoped patch chunks and runs
+        The ``variant`` op builds request-scoped patch entries and runs
         its own single batched pass through
         ``query_batch_with_extras`` — it cannot coalesce with queued
         guide lookups — but it should still show up in the

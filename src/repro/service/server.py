@@ -20,9 +20,9 @@ object per line in each direction.  Requests carry an ``op`` —
   chromosome);
 * ``variant``: guide × {reference + K haplotypes} — per-haplotype
   gained/lost off-targets with causal-variant provenance (see
-  :mod:`repro.variants`): only variant-touched chunks are re-scanned,
-  and the patches ride the resident index through one batched
-  comparer pass;
+  :mod:`repro.variants`): only the windows its variants can change
+  are re-scanned, and the patches ride the resident index through one
+  batched comparer pass;
 * ``enzymes``: the declarative Cas enzyme registry this server hosts;
   ``query``/``design``/``enumerate``/``variant`` take an optional
   ``"enzyme": name`` field to run against that enzyme's own resident

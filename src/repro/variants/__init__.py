@@ -15,13 +15,13 @@ incrementally:
   :class:`~repro.variants.overlay.HaplotypeOverlay` shares untouched
   reference bytes zero-copy and materializes only windows a variant
   touches; :func:`~repro.variants.overlay.search_variants` rebuilds
-  (finder scan + 2-bit re-pack) only the touched chunks and rides them
-  with the resident reference entries through **one** batched comparer
-  pass, then projects haplotype sites back to reference coordinates
-  so downstream indel shifts cancel and the report is exactly the
-  per-haplotype gained/lost off-targets, with causal-variant
-  provenance.  The diff runs on the comparer's columnar output; site
-  text is rendered only for the reported events.
+  (finder scan + 2-bit re-pack) only the windows its variants can
+  change and rides them with the resident reference entries through
+  **one** batched comparer pass, then projects haplotype sites back to
+  reference coordinates so downstream indel shifts cancel and the
+  report is exactly the per-haplotype gained/lost off-targets, with
+  causal-variant provenance.  The diff runs on the comparer's columnar
+  output; site text is rendered only for the reported events.
 
 The ``variant`` server op, the router fan-out and the client's
 ``variant_search`` all serialize through
@@ -35,9 +35,9 @@ _MODEL_EXPORTS = ("Variant", "Haplotype", "VariantError",
                   "decode_haplotypes")
 _OVERLAY_EXPORTS = ("EVENT_FIELDS", "HaplotypeOverlay",
                     "VariantSearchResult", "affected_site_interval",
-                    "event_sort_key", "reference_scan_bounds",
-                    "search_variants", "sort_event_rows",
-                    "validate_haplotypes", "variant_payload")
+                    "event_sort_key", "search_variants",
+                    "sort_event_rows", "validate_haplotypes",
+                    "variant_payload")
 
 
 def __getattr__(name):

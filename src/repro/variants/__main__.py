@@ -84,8 +84,7 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
     pattern = "NNNNNNRG"
     failures: List[str] = []
     assembly = synthetic_assembly("hg19", scale=scale, seed=seed)
-    index = GenomeSiteIndex.build(assembly, pattern,
-                                  chunk_size=1 << 15)
+    index = GenomeSiteIndex.build(assembly, pattern)
     queries = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
     haplotypes = decode_haplotypes(_demo_haplotypes(assembly))
     launches = len(index.pipeline.launches)
@@ -121,9 +120,7 @@ def _smoke(scale: float = 0.0002, seed: int = 7) -> int:
         from ..enzymes import load_enzymes
         enzymes = load_enzymes(config_path)
         enzyme_pairs = [
-            (enzyme,
-             GenomeSiteIndex.build(assembly, enzyme.pattern,
-                                   chunk_size=1 << 15))
+            (enzyme, GenomeSiteIndex.build(assembly, enzyme.pattern))
             for enzyme in enzymes]
     server = OffTargetServer(index, max_wait_ms=1.0,
                              enzymes=enzyme_pairs)

@@ -11,21 +11,22 @@ version:
   outside variant intervals and small alt arrays inside them, plus
   monotone coordinate maps between reference and haplotype positions.
   Fetching a window only materializes the bytes of that window —
-  untouched chunks are never copied, never re-scanned, never
+  bases away from a variant are never copied, never re-scanned, never
   re-packed;
-* :func:`search_variants` classifies which reference chunks a
-  haplotype's variants can possibly affect (a variant at ``pos``
-  replacing ``ref`` perturbs exactly the site starts in
-  ``[pos - plen + 1, pos + len(ref))``), builds **patch entries** for
-  only those chunks — a finder scan over the fetched window — and
-  rides the reference *and* all patches through one comparer batch
+* :func:`search_variants` computes the site starts a haplotype's
+  variants can possibly affect (a variant at ``pos`` replacing ``ref``
+  perturbs exactly the site starts in ``[pos - plen + 1,
+  pos + len(ref))``), merges them per chromosome into **variant
+  windows**, builds one **patch entry** per window — a finder scan
+  over just that window of the haplotype — and rides the reference
+  *and* all patches through one comparer batch
   (:meth:`GenomeSiteIndex.query_batch_with_extras`: one pass over the
   resident row table, one over a row table packed from the patches);
-* the comparer's output stays columnar — per chunk and query, arrays
+* the comparer's output stays columnar — per entry and query, arrays
   of loci, mismatch counts and strands.  Patch rows are projected back
   to reference coordinates through the overlay's coordinate map, and
   each (haplotype, chromosome, query) layer is diffed against the
-  reference rows of the chunks it touched on fixed-width byte keys of
+  reference rows inside its windows on fixed-width byte keys of
   (position, strand, site, mismatches), so sites that merely
   *shifted* downstream of an indel cancel against their reference
   twins.  Event rows, and their site text, are built only for the
@@ -76,8 +77,8 @@ class HaplotypeOverlay:
     assembly's byte array (zero-copy), variant spans are small alt
     arrays.  :meth:`fetch` materializes only the requested window;
     :attr:`materialized_bases` counts the bytes actually copied, which
-    is how the overlay's central claim — untouched chunks are shared
-    by reference, not duplicated — is audited.
+    is how the overlay's central claim — bases away from a variant are
+    shared by reference, not duplicated — is audited.
     """
 
     def __init__(self, chrom: str, sequence: np.ndarray,
@@ -247,49 +248,40 @@ def affected_site_interval(variant: Variant, plen: int
     return (max(0, variant.position - plen + 1), variant.end)
 
 
-def reference_scan_bounds(length: int, chunk_size: int, plen: int
-                          ) -> List[Tuple[int, int]]:
-    """Per-chunk ``[scan_start, scan_end)`` bounds of one chromosome.
-
-    Replicates :meth:`Assembly.chunks` exactly, so patch chunks align
-    one-to-one with the chunks the resident index was built from.
-    """
-    overlap = plen - 1
-    bounds: List[Tuple[int, int]] = []
-    if length < plen:
-        return bounds
-    start = 0
-    while start < length - overlap:
-        end = min(start + chunk_size, length)
-        scan_end = min(end - overlap, length - overlap)
-        if scan_end - start <= 0:
-            break
-        bounds.append((start, scan_end))
-        start = scan_end
-    return bounds
-
-
 @dataclass
-class _PatchChunk:
-    """One rebuilt chunk of one haplotype, ready for the comparer."""
+class _Patch:
+    """One variant window of one haplotype, ready for the comparer."""
 
     hap_index: int
     chrom: str
-    ref_bounds: Tuple[int, int]     # the reference chunk it replaces
+    ref_bounds: Tuple[int, int]     # reference site starts it replaces
     entry: ResidentChunk            # loci/flags over hap bytes
 
 
 def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                    allowed: FrozenSet[str],
-                   ) -> Tuple[List[_PatchChunk],
+                   ) -> Tuple[List[_Patch],
                               Dict[Tuple[int, str], HaplotypeOverlay]]:
-    """Overlays plus patch entries for every touched chunk."""
+    """Overlays plus one patch entry per variant window.
+
+    Per haplotype and chromosome, the variants' affected site
+    intervals merge into runs wherever they overlap or touch.  A run
+    ``[lo, hi)`` covers the reference site starts ``[lo, hi + 1)`` and
+    the haplotype site starts ``[map_ref_to_hap(lo),
+    map_ref_to_hap(hi) + 1)``, each clamped to its scan end.  The
+    ``+ 1`` is needed on both sides: a site starting inside an
+    insertion projects to ``hi``, the reference position just past the
+    variant, and must meet its reference twin there, while the
+    reference site at ``hi`` must meet its own haplotype image.
+    Merging touching runs keeps those windows from sharing a position,
+    and the clamp hands a run that reaches the reference scan end the
+    whole haplotype tail.
+    """
     assembly = index.assembly
     compiled = index.compiled_pattern
     plen = compiled.plen
-    chunk_size = index.chunk_size
     overlap = plen - 1
-    patches: List[_PatchChunk] = []
+    patches: List[_Patch] = []
     overlays: Dict[Tuple[int, str], HaplotypeOverlay] = {}
     chrom_order = [c.name for c in assembly.chromosomes]
     for hap_index, haplotype in enumerate(haplotypes):
@@ -304,39 +296,29 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
             sequence = assembly[chrom].sequence
             overlay = HaplotypeOverlay(chrom, sequence, variants)
             overlays[(hap_index, chrom)] = overlay
-            bounds = reference_scan_bounds(sequence.size, chunk_size,
-                                           plen)
-            if not bounds or overlay.length < plen:
-                continue
-            affected = [affected_site_interval(v, plen)
-                        for v in overlay.variants]
+            ref_scan_end = sequence.size - overlap
             hap_scan_end = overlay.length - overlap
-            final_ref_end = bounds[-1][1]
-            for ref_lo, ref_hi in bounds:
-                touched = any(lo < ref_hi and hi > ref_lo
-                              for lo, hi in affected)
-                if not touched:
-                    continue
-                hap_lo = min(overlay.map_ref_to_hap(ref_lo),
-                             hap_scan_end)
-                if ref_hi == final_ref_end:
-                    # The last chunk owns the haplotype's tail: an
-                    # insertion near the chromosome end creates site
-                    # starts past the image of the reference bound.
-                    hap_hi = hap_scan_end
+            if ref_scan_end <= 0 or hap_scan_end <= 0:
+                continue
+            runs: List[List[int]] = []
+            for variant in overlay.variants:
+                lo, hi = affected_site_interval(variant, plen)
+                if runs and lo <= runs[-1][1]:
+                    runs[-1][1] = hi
                 else:
-                    hap_hi = min(overlay.map_ref_to_hap(ref_hi),
-                                 hap_scan_end)
-                if hap_hi <= hap_lo:
-                    continue
+                    runs.append([lo, hi])
+            for lo, hi in runs:
+                hap_lo = overlay.map_ref_to_hap(lo)
+                hap_hi = min(overlay.map_ref_to_hap(hi) + 1,
+                             hap_scan_end)
                 data = overlay.fetch(hap_lo, hap_hi + overlap)
                 chunk = Chunk(chrom=chrom, start=hap_lo, data=data,
                               scan_length=hap_hi - hap_lo)
                 _count, loci, flags = index.pipeline.find_candidates(
                     chunk, compiled)
-                patches.append(_PatchChunk(
+                patches.append(_Patch(
                     hap_index=hap_index, chrom=chrom,
-                    ref_bounds=(ref_lo, ref_hi),
+                    ref_bounds=(lo, min(hi + 1, ref_scan_end)),
                     entry=ResidentChunk(
                         chrom=chrom, start=hap_lo,
                         scan_length=hap_hi - hap_lo, data=data,
@@ -346,9 +328,9 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
 
 @dataclass
 class _SiteRows:
-    """One query's comparer rows over some chunks, as columns."""
+    """One query's comparer rows over some entries, as columns."""
 
-    position: np.ndarray    # int64 site start in the chunks' frame
+    position: np.ndarray    # int64 site start in the entries' frame
     minus: np.ndarray       # bool, True for "-" sites
     mismatches: np.ndarray  # int64
     sites: np.ndarray       # (n, plen) uint8 display bytes
@@ -565,12 +547,14 @@ def search_variants(index: Any, queries: Sequence[Query],
 
     ``index`` is a :class:`~repro.service.index.GenomeSiteIndex` or
     anything duck-typing its surface: it must expose ``assembly``,
-    ``pattern``, ``compiled_pattern``, ``chunk_size``, ``pipeline``,
-    ``entries`` and ``query_batch_with_extras``.
+    ``pattern``, ``compiled_pattern``, ``pipeline`` and
+    ``query_batch_with_extras``.
 
-    Only chunks a variant touches are re-fetched, re-scanned and
-    re-packed; everything else is served from the resident reference
-    index.  The re-scan is the index pipeline's numpy finder
+    Only the variant windows — the site starts a run of nearby
+    variants can change, plus one position past it — are re-fetched,
+    re-scanned, re-packed and diffed; everything else is served from
+    the resident reference index.  ``patched_chunks`` counts those
+    windows.  The re-scan is the index pipeline's numpy finder
     (:meth:`~repro.core.pipeline._BasePipeline.find_candidates`), so a
     search appends no launch record and a long-lived server's memory
     does not grow with variant traffic.  Patch sites are projected to
@@ -605,8 +589,8 @@ def search_variants(index: Any, queries: Sequence[Query],
         patch_of_layer.setdefault((patch.hap_index, patch.chrom),
                                   []).append(pi)
     # The index holds one entry per chromosome.  The reference rows of
-    # a patched chunk are rendered once per query, whichever
-    # haplotypes patched it.
+    # a variant window are rendered once per query, whichever
+    # haplotypes share it.
     reference_of_chrom = {entry.chrom: (entry, triples)
                           for entry, triples in reference}
     rendered: Dict[Tuple[str, Tuple[int, int], int], _SiteRows] = {}

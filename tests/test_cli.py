@@ -274,8 +274,7 @@ class TestServiceSubcommands:
         import threading
         ready = tmp_path / "ready"
         argv = ["serve", "--pattern", "NNNNNNRG", "--synthetic", "hg19",
-                "--scale", "0.00005", "--seed", "7",
-                "--chunk-size", str(1 << 15), "--port", "0",
+                "--scale", "0.00005", "--seed", "7", "--port", "0",
                 "--max-wait-ms", "1", "--ready-file", str(ready),
                 "--duration-s", "30"] + list(extra)
         thread = threading.Thread(target=main, args=(argv,),
@@ -337,20 +336,20 @@ class TestServiceSubcommands:
         and rewritten, and the next start warm-loads the new one."""
         index_dir = tmp_path / "index"
         argv = ["serve", "--pattern", "NNNNNNRG", "--synthetic", "hg19",
-                "--scale", "0.00005", "--seed", "7",
-                "--chunk-size", str(1 << 15), "--index-dir",
+                "--scale", "0.00005", "--seed", "7", "--index-dir",
                 str(index_dir), "--port", "0", "--duration-s", "0.2"]
         assert main(argv) == 0
         manifest = index_dir / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 4
+        header["version"] = 5
+        header["chunk_size"] = 1 << 15
         manifest.write_text(json.dumps(header))
         capsys.readouterr()
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "stale index format" in err
         assert f"# index saved to {index_dir}" in err
-        assert json.loads(manifest.read_text())["version"] == 5
+        assert json.loads(manifest.read_text())["version"] == 6
         assert main(argv) == 0
         assert f"# loaded index from {index_dir}" in \
             capsys.readouterr().err
@@ -370,8 +369,8 @@ class TestServiceSubcommands:
         ready = tmp_path / "ready"
         assert main(["serve", "--pattern", "NNNNNNRG",
                      "--synthetic", "hg19", "--scale", "0.00005",
-                     "--seed", "7", "--chunk-size", str(1 << 15),
-                     "--port", "0", "--ready-file", str(ready),
+                     "--seed", "7", "--port", "0",
+                     "--ready-file", str(ready),
                      "--duration-s", "1"]) == 0
         assert not ready.exists(), \
             "a stopped server must stop announcing its port"
@@ -400,6 +399,19 @@ class TestServiceSubcommands:
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["query", "GACGTCNN:3", "--host", "127.0.0.1",
                   "--port", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--pattern", "NNNNNNRG"],
+        ["design", "chr1:0-300", "--mismatches", "2"],
+        ["variants", "GACGTCNN:3"],
+    ])
+    def test_serving_commands_take_no_chunk_size(self, argv, capsys):
+        """The serving index scans each chromosome whole; only the
+        offline search keeps ``--chunk-size``."""
+        with pytest.raises(SystemExit):
+            main(argv + ["--chunk-size", "4096"])
+        assert "unrecognized arguments: --chunk-size 4096" in \
+            capsys.readouterr().err
 
     def test_serve_requires_pattern_without_index(self, capsys):
         with pytest.raises(SystemExit, match="pattern"):

@@ -40,13 +40,11 @@ from repro.service import (GenomeSiteIndex, OffTargetRouter,
 from repro.service import server as server_module
 
 PATTERN = "NNNNNNRG"
-CHUNK = 1 << 12
 
 
 @pytest.fixture(scope="module")
 def design_index(small_assembly) -> GenomeSiteIndex:
-    return GenomeSiteIndex.build(small_assembly, PATTERN,
-                                 chunk_size=CHUNK)
+    return GenomeSiteIndex.build(small_assembly, PATTERN)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +61,7 @@ def routed(small_assembly):
     parts = partition_chromosomes(small_assembly, 2)
     handles = [
         OffTargetServer(
-            GenomeSiteIndex.build(small_assembly.subset(chroms),
-                                  PATTERN, chunk_size=CHUNK),
+            GenomeSiteIndex.build(small_assembly.subset(chroms), PATTERN),
             max_wait_ms=1.0).start_background()
         for chroms in parts]
     router = OffTargetRouter(

@@ -65,15 +65,16 @@ def _per_query(hits, queries):
             for query in queries]
 
 
-def _assert_matches_offline(index: GenomeSiteIndex, queries) -> None:
+def _assert_matches_offline(index: GenomeSiteIndex, queries,
+                            chunk_size: int = CHUNK) -> None:
     """``index.query_batch`` equals the offline SYCL search's hits per
-    query, put in served order.
+    query at ``chunk_size``-base chunks, put in served order.
 
     Queries must have distinct sequences (hits are grouped by them).
     Where the offline search cannot render a ``-`` hit window holding a
     non-IUPAC byte, serving must refuse it the same way.
     """
-    pipeline = SyclCasOffinder(chunk_size=index.chunk_size)
+    pipeline = SyclCasOffinder(chunk_size=chunk_size)
     request = SearchRequest(index.pattern, list(queries))
     try:
         hits = pipeline.search(index.assembly, request).hits
@@ -116,8 +117,7 @@ def _sweep_cases(draw):
 
 class TestEquivalence:
     def test_iupac_query_identical(self, small_assembly):
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         _assert_matches_offline(index, QUERIES + [IUPAC_QUERY])
 
     @settings(max_examples=60, deadline=None)
@@ -128,24 +128,23 @@ class TestEquivalence:
         guides, and one- and two-word windows."""
         plen, extra, queries = case
         assembly = _random_genome(seed, 1500 + seed % 700, extra)
-        index = GenomeSiteIndex.build(assembly, "N" * (plen - 2) + "RG",
-                                      chunk_size=600)
-        _assert_matches_offline(index, queries)
+        index = GenomeSiteIndex.build(assembly, "N" * (plen - 2) + "RG")
+        _assert_matches_offline(index, queries, chunk_size=600)
 
     def test_non_acgtn_genome_bytes_identical(self):
         rng = np.random.default_rng(11)
         seq = rng.choice(_ACGT, 2000)
         seq[500] = ord("R")  # a real-world IUPAC base in the reference
         assembly = Assembly("iupac", [Chromosome("c", seq)])
-        index = GenomeSiteIndex.build(assembly, PATTERN, chunk_size=600)
-        _assert_matches_offline(index, QUERIES + [IUPAC_QUERY])
+        index = GenomeSiteIndex.build(assembly, PATTERN)
+        _assert_matches_offline(index, QUERIES + [IUPAC_QUERY],
+                                chunk_size=600)
 
     def test_long_pattern_identical(self, small_assembly, tmp_path):
         """33 positions span two window words; the table survives a
         save/load roundtrip."""
         pattern = "N" * 31 + "RG"
-        index = GenomeSiteIndex.build(small_assembly, pattern,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, pattern)
         rows = index.table.loci.size
         assert rows >= index.site_count
         assert index.table.words.shape == (2, rows)
@@ -198,24 +197,24 @@ class TestHitOrder:
     @settings(max_examples=30, deadline=None)
     @given(case=_multi_chromosome_cases())
     def test_order_is_a_property_of_the_genome(self, case):
-        """Served lists are identical at a chunk size that splits a
-        chromosome and one that does not, and at kernel blocks of 16
-        and 1<<20 candidates; they equal the offline search's hits put
-        in served order."""
+        """Served lists are identical at kernel blocks of 16 and 1<<20
+        candidates, and equal the offline search's hits put in served
+        order, at a chunk size that splits a chromosome and one that
+        does not."""
         assembly, queries, chunk = case
         served = []
         for block in (16, 1 << 20):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(executor, "VECTORIZED_BLOCK_ITEMS", block)
+                served.append(GenomeSiteIndex.build(
+                    assembly, PATTERN).query_batch(queries))
                 for chunk_size in (chunk, 1 << 12):
-                    index = GenomeSiteIndex.build(assembly, PATTERN,
-                                                  chunk_size=chunk_size)
-                    served.append(index.query_batch(queries))
-                hits = search(assembly, SearchRequest(PATTERN, queries),
-                              chunk_size=1 << 12).hits
-        assert served[1:] == served[:-1]
-        assert served[0] == _per_query(served_order(hits, assembly),
-                                       queries)
+                    hits = search(assembly,
+                                  SearchRequest(PATTERN, queries),
+                                  chunk_size=chunk_size).hits
+                    assert served[-1] == _per_query(
+                        served_order(hits, assembly), queries)
+        assert served[0] == served[1]
 
 
 class TestRowTable:
@@ -278,7 +277,7 @@ class TestRowTable:
         served = served_order(hits, assembly)
         assert served_order(bitparallel_search(
             assembly, request, chunk_size=CHUNK).hits, assembly) == served
-        index = GenomeSiteIndex.build(assembly, PATTERN, chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(assembly, PATTERN)
         assert index.query_batch(queries) == _per_query(served, queries)
 
 
@@ -288,8 +287,7 @@ class TestCompareCalls:
         variant search compares the resident table, then one table
         packed from its patches, and only the first when nothing is
         patched."""
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         tables = []
         compare = _BasePipeline.compare_resident_triples
 
@@ -318,8 +316,7 @@ class TestCompareCalls:
 class TestPersistence:
     def test_roundtrip_reuses_stored_planes(self, small_assembly,
                                             tmp_path, monkeypatch):
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         index.save(str(tmp_path))
 
         def no_packing(*args):
@@ -335,8 +332,7 @@ class TestPersistence:
 
     def test_old_version_raises_version_error(self, small_assembly,
                                               tmp_path):
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         index.save(str(tmp_path))
         manifest = tmp_path / "index.json"
         header = json.loads(manifest.read_text())
@@ -348,8 +344,7 @@ class TestPersistence:
 
 class TestStats:
     def test_comparer_stats_counters(self, small_assembly):
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         index.query_batch(QUERIES + [IUPAC_QUERY])
         assert index.comparer_stats() == {
             "batches": 1,
@@ -359,8 +354,7 @@ class TestStats:
 
     def test_scheduler_stats_carry_comparer_section(self,
                                                     small_assembly):
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         scheduler = BatchScheduler(index, max_batch=4, max_wait_ms=1.0)
         try:
             scheduler.submit(QUERIES).result(timeout=30.0)
@@ -377,8 +371,7 @@ class TestLaunchRecords:
         a mixed concrete / IUPAC / all-N batch and repeated variant
         searches, whose patch scans run the finder, append no launch
         record."""
-        index = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
         assert len(index.pipeline.launches) == 0
         queries = [QUERIES[0], IUPAC_QUERY, PAM_QUERY]
         hits = index.query_batch(queries)

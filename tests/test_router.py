@@ -32,7 +32,6 @@ from repro.service.router import parse_backend
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
-CHUNK = 1 << 12
 QUERY_POOL = ["GACGTCNN", "TTACGANN", "AAACCCNN", "GGGTTTNN",
               "CATCATNN", "TGCAGTNN"]
 
@@ -72,8 +71,7 @@ def wide_assembly() -> Assembly:
 
 @pytest.fixture(scope="module")
 def full_index(wide_assembly) -> GenomeSiteIndex:
-    return GenomeSiteIndex.build(wide_assembly, PATTERN,
-                                 chunk_size=CHUNK)
+    return GenomeSiteIndex.build(wide_assembly, PATTERN)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +88,7 @@ def part_indexes(wide_assembly):
     parts = partition_chromosomes(wide_assembly, 3)
     held = replica_plan(parts, replication=2)
     return [(chroms,
-             GenomeSiteIndex.build(wide_assembly.subset(chroms),
-                                   PATTERN, chunk_size=CHUNK))
+             GenomeSiteIndex.build(wide_assembly.subset(chroms), PATTERN))
             for chroms in held]
 
 
@@ -444,18 +441,18 @@ class TestHedging:
 
 class TestReload:
     def make_server(self, assembly, reloader):
-        index = GenomeSiteIndex.build(assembly, PATTERN,
-                                      chunk_size=CHUNK)
+        index = GenomeSiteIndex.build(assembly, PATTERN)
         server = OffTargetServer(index, max_wait_ms=1.0,
                                  reloader=reloader)
         return server, server.start_background()
 
     def test_reload_same_parameters_is_byte_stable(
             self, wide_assembly, expected_wire):
-        # A refresh rebuild (same chunking) keeps the fingerprint and
-        # every response byte — the rollover-under-load contract.
+        # A refresh rebuild of one genome and pattern keeps the
+        # fingerprint and every response byte — the rollover-under-load
+        # contract.
         reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, PATTERN, chunk_size=CHUNK)
+            wide_assembly, PATTERN)
         server, handle = self.make_server(wide_assembly, reloader)
         old_fp = server.index.fingerprint()
         try:
@@ -471,29 +468,6 @@ class TestReload:
             assert summary["fingerprint"] == old_fp
             assert summary["canaries"] == 1
             assert before == after == expected_wire
-        finally:
-            handle.stop()
-
-    def test_reload_new_chunking_changes_fingerprint(
-            self, wide_assembly, expected_wire):
-        # A different chunk size is a *new* index: the fingerprint
-        # changes, but hit order is a property of the genome, so every
-        # response byte stays.
-        reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, PATTERN, chunk_size=CHUNK * 2)
-        server, handle = self.make_server(wide_assembly, reloader)
-        old_fp = server.index.fingerprint()
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                before = raw_query(client)["hits"]
-                summary = client._call({"op": "reload"})
-                after = raw_query(client)["hits"]
-            assert summary["swapped"]
-            assert summary["changed"]
-            assert summary["previous_fingerprint"] == old_fp
-            assert summary["fingerprint"] == \
-                server.index.fingerprint() != old_fp
-            assert after == before == expected_wire
         finally:
             handle.stop()
 
@@ -526,7 +500,7 @@ class TestReload:
     def test_bad_canary_aborts_before_swap(self, wide_assembly,
                                            expected_wire):
         reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, PATTERN, chunk_size=CHUNK)
+            wide_assembly, PATTERN)
         server, handle = self.make_server(wide_assembly, reloader)
         fp = server.index.fingerprint()
         try:
@@ -543,7 +517,7 @@ class TestReload:
     def test_pattern_change_is_refused(self, wide_assembly,
                                        expected_wire):
         reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, "NNNNNNNNGG", chunk_size=CHUNK)
+            wide_assembly, "NNNNNNNNGG")
         server, handle = self.make_server(wide_assembly, reloader)
         try:
             with ServiceClient(handle.host, handle.port) as client:
@@ -562,12 +536,10 @@ class TestRollover:
         handles = []
         for chroms in held:
             sub = wide_assembly.subset(chroms)
-            # A new chunk size (chrA splits at CHUNK, not at twice it):
-            # the replacement index must still be wire-identical.
-            reloader = (lambda s=sub: GenomeSiteIndex.build(
-                s, PATTERN, chunk_size=CHUNK * 2))
-            index = GenomeSiteIndex.build(sub, PATTERN,
-                                          chunk_size=CHUNK)
+            # A fresh build of the same partition: the replacement
+            # index has the same fingerprint and wire bytes.
+            reloader = (lambda s=sub: GenomeSiteIndex.build(s, PATTERN))
+            index = GenomeSiteIndex.build(sub, PATTERN)
             handles.append(OffTargetServer(
                 index, max_wait_ms=1.0,
                 reloader=reloader).start_background())
@@ -587,8 +559,8 @@ class TestRollover:
                 assert len(report["backends"]) == 3
                 for entry in report["backends"]:
                     assert entry["ok"], entry
-                    assert entry["changed"] is True, \
-                        "a new chunk size changes the fingerprint"
+                    assert entry["changed"] is False, \
+                        "one genome and pattern keep one fingerprint"
                 assert raw_query(client)["hits"] == expected_wire
                 topo = client._call({"op": "topology"})["topology"]
                 fingerprints = {b["fingerprint"]
@@ -861,8 +833,7 @@ class TestSubprocessAcceptance:
             from repro.genome.synthetic import synthetic_assembly
             assembly = synthetic_assembly(
                 "hg19", scale=scale, seed=seed, chromosomes=order)
-            ref_index = GenomeSiteIndex.build(assembly, PATTERN,
-                                              chunk_size=CHUNK)
+            ref_index = GenomeSiteIndex.build(assembly, PATTERN)
             reference = OffTargetServer(
                 ref_index, max_wait_ms=1.0).start_background()
             with ServiceClient(reference.host,

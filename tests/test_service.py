@@ -50,8 +50,7 @@ def offline_hits(assembly, queries=QUERIES, chunk_size=CHUNK):
 
 @pytest.fixture(scope="module")
 def index(small_assembly) -> GenomeSiteIndex:
-    return GenomeSiteIndex.build(small_assembly, PATTERN,
-                                 chunk_size=CHUNK)
+    return GenomeSiteIndex.build(small_assembly, PATTERN)
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +70,32 @@ class TestGenomeSiteIndex:
         assert got == offline_hits(small_assembly)
 
     def test_index_counts(self, index, small_assembly):
-        plen = index.compiled_pattern.plen
-        assert small_assembly.chunk_count(CHUNK, plen) > 2, \
-            "the finder must scan several chunks"
         assert [entry.chrom for entry in index.entries] == \
             ["chrA", "chrB"]
+        assert [(entry.start, entry.scan_length)
+                for entry in index.entries] == [(0, 8000 - 7),
+                                                (0, 4000 - 7)]
         assert index.chunk_count == 2
         assert index.site_count > 0
+
+    def test_fingerprint_names_genome_and_pattern(self, index,
+                                                  small_assembly,
+                                                  tmp_path):
+        """Two builds of one genome and pattern share a fingerprint;
+        another pattern or chromosome set does not.  The saved header
+        carries no chunk size."""
+        again = GenomeSiteIndex.build(small_assembly, PATTERN)
+        assert again.fingerprint() == index.fingerprint()
+        assert GenomeSiteIndex(small_assembly, "NNNNNNGG").fingerprint() \
+            != index.fingerprint()
+        assert GenomeSiteIndex(small_assembly.subset(["chrA"]),
+                               PATTERN).fingerprint() != \
+            index.fingerprint()
+        index.save(str(tmp_path))
+        header = json.loads((tmp_path / "index.json").read_text())
+        assert header["version"] == 6
+        assert header["fingerprint"] == index.fingerprint()
+        assert "chunk_size" not in header
 
     def test_empty_query_list(self, index):
         assert index.query_batch([]) == []
@@ -85,14 +103,6 @@ class TestGenomeSiteIndex:
     def test_wrong_length_query_rejected(self, index):
         with pytest.raises(ValueError, match="length"):
             index.query_batch([Query("GACGTCNNA", 3)])
-
-    def test_chunk_size_independence(self, small_assembly):
-        """Candidate chunking must not leak into the hit set."""
-        coarse = GenomeSiteIndex.build(small_assembly, PATTERN,
-                                       chunk_size=1 << 14)
-        per_query = coarse.query_batch(QUERIES)
-        got = sort_hits([h for per in per_query for h in per])
-        assert got == offline_hits(small_assembly)
 
     def test_save_load_roundtrip(self, index, small_assembly,
                                  tmp_path):
@@ -129,10 +139,6 @@ class TestGenomeSiteIndex:
         manifest.write_text(json.dumps(header))
         with pytest.raises(SiteIndexError, match="version"):
             GenomeSiteIndex.load(str(tmp_path), small_assembly)
-
-    def test_bad_chunk_size_rejected(self, small_assembly):
-        with pytest.raises(ValueError, match="chunk size"):
-            GenomeSiteIndex(small_assembly, PATTERN, chunk_size=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,25 +185,25 @@ def test_find_candidates_matches_finder_kernels(seed, pattern, extra,
 class TestFaultInjectedBuild:
     def test_build_equivalent_under_faults(self, small_assembly):
         """Transient finder faults retried during the build must not
-        change the served hits."""
+        change the served hits.  Fault ordinals count the scanned
+        chromosomes (chrA, chrB)."""
         faulted = GenomeSiteIndex.build(
-            small_assembly, PATTERN, chunk_size=CHUNK,
-            fault_plan="raise@0,raise@2x2", max_retries=2)
+            small_assembly, PATTERN, fault_plan="raise@0,raise@1x2",
+            max_retries=2)
         per_query = faulted.query_batch(QUERIES)
         got = sort_hits([h for per in per_query for h in per])
         assert got == offline_hits(small_assembly)
 
     def test_build_fails_when_retries_exhausted(self, small_assembly):
-        with pytest.raises(SiteIndexError, match="chunk 1"):
+        with pytest.raises(SiteIndexError,
+                           match="chromosome 'chrB' \\(ordinal 1\\)"):
             GenomeSiteIndex.build(small_assembly, PATTERN,
-                                  chunk_size=CHUNK,
                                   fault_plan="raise@1x5",
                                   max_retries=1)
 
     def test_retries_are_traced(self, small_assembly):
         with tracing.recording() as recorder:
             GenomeSiteIndex.build(small_assembly, PATTERN,
-                                  chunk_size=CHUNK,
                                   fault_plan="raise@0", max_retries=1)
         names = [s.name for s in recorder.spans()]
         assert "index_chunk_retry" in names

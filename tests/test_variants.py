@@ -2,15 +2,17 @@
 
 The acceptance invariants from the variant brief:
 
-* a variant search costs ONE batched comparer pass — reference chunks
-  plus every haplotype patch ride a single
+* a variant search costs ONE batched comparer pass — the reference
+  entries plus every haplotype patch ride a single
   ``query_batch_with_extras`` call (``comparer_stats`` proves it);
+* a search re-scans only its variant windows: the site starts each
+  run of nearby variants can change, plus one position past it;
 * events are exactly the per-haplotype gained/lost off-targets: hits
   that merely shifted downstream of an indel cancel under reference
-  projection (checked against a naive full-splice oracle);
+  projection (checked against a naive full-splice oracle, including
+  repeat-unit indels inside tandem repeats);
 * the ``variant`` op is byte-identical across serving tiers
-  (in-process, single server, 2-backend router), including an indel
-  that shifts loci across a chunk boundary;
+  (in-process, single server, 2-backend router);
 * enzyme definitions load from declarative TOML/JSON configs with
   typed errors, and a config-file enzyme serves end to end.
 """
@@ -35,10 +37,12 @@ from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            partition_chromosomes)
 from repro.variants import (EVENT_FIELDS, Haplotype, HaplotypeOverlay,
                             Variant, VariantError, decode_haplotypes,
-                            reference_scan_bounds, search_variants)
+                            search_variants)
+
+from .conftest import random_sequence
 
 PATTERN = "NNNNNNRG"
-CHUNK = 1 << 12
+PLEN = len(PATTERN)
 
 #: The all-N query matches every candidate site at zero mismatches, so
 #: gained/lost events line up exactly with PAM creation/destruction.
@@ -47,8 +51,20 @@ QUERIES = [Query("N" * 8, 0), Query("GACGTCNN", 3)]
 
 @pytest.fixture(scope="module")
 def variant_index(small_assembly) -> GenomeSiteIndex:
-    return GenomeSiteIndex.build(small_assembly, PATTERN,
-                                 chunk_size=CHUNK)
+    return GenomeSiteIndex.build(small_assembly, PATTERN)
+
+
+@pytest.fixture(scope="module")
+def repeat_assembly() -> Assembly:
+    """12-copy tandem repeats of ACGG, AGG and CAGG between random
+    bases, on one chromosome."""
+    rng = np.random.default_rng(31)
+    pieces = [random_sequence(rng, 60)]
+    for unit in (b"ACGG", b"AGG", b"CAGG"):
+        pieces += [np.frombuffer(unit * 12, dtype=np.uint8),
+                   random_sequence(rng, 60)]
+    return Assembly("repeats", [Chromosome("chrR",
+                                           np.concatenate(pieces))])
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +81,7 @@ def routed(small_assembly):
     parts = partition_chromosomes(small_assembly, 2)
     handles = [
         OffTargetServer(
-            GenomeSiteIndex.build(small_assembly.subset(chroms),
-                                  PATTERN, chunk_size=CHUNK),
+            GenomeSiteIndex.build(small_assembly.subset(chroms), PATTERN),
             max_wait_ms=1.0).start_background()
         for chroms in parts]
     router = OffTargetRouter(
@@ -112,8 +127,7 @@ def naive_event_keys(index, assembly, queries, haplotype):
             chromosome.name,
             overlay.fetch(0, overlay.length).copy()))
     hap_index = GenomeSiteIndex.build(Assembly("naive-hap", chroms),
-                                      index.pattern,
-                                      chunk_size=index.chunk_size)
+                                      index.pattern)
     ref_hits = index.query_batch(list(queries))
     hap_hits = hap_index.query_batch(list(queries))
     keys = set()
@@ -133,6 +147,93 @@ def naive_event_keys(index, assembly, queries, haplotype):
                 keys.add(("lost", query.sequence, chrom) + key[:2]
                          + (key[3], key[2]))
     return keys
+
+
+def tandem_dup_row(assembly, chrom: str, position: int, k: int):
+    """A tandem duplication: the anchor base plus a copy of the next
+    ``k`` bases."""
+    return [chrom, position, base_at(assembly, chrom, position),
+            base_at(assembly, chrom, position, k + 1)]
+
+
+def unit_deletion_row(assembly, chrom: str, start: int, k: int):
+    """Deletes one repeat unit: the ``k`` bases after the first anchor
+    at or past ``start`` that the next ``k`` bases repeat (``None``
+    when the chromosome has no such repeat there)."""
+    seq = assembly[chrom].sequence
+    for q in range(start, seq.size - 2 * k - 1):
+        unit = seq[q + 1:q + 1 + k]
+        if ord("N") not in seq[q:q + 1 + 2 * k] and \
+                np.array_equal(unit, seq[q + 1 + k:q + 1 + 2 * k]):
+            return [chrom, q, base_at(assembly, chrom, q, k + 1),
+                    base_at(assembly, chrom, q)]
+    return None
+
+
+def draw_haplotype_rows(data, assembly):
+    """One or two haplotypes of 1-3 chrA variants: SNVs, deletions,
+    insertions, tandem duplications and repeat-unit deletions."""
+    rows = []
+    for hap_i in range(data.draw(st.integers(1, 2), label="haplotypes")):
+        variants = []
+        cursor = 0
+        for _ in range(data.draw(st.integers(1, 3), label="variants")):
+            position = cursor + data.draw(st.integers(0, 2200),
+                                          label="gap")
+            if position > 7900:
+                break
+            kind = data.draw(st.sampled_from(
+                ["snv", "del", "ins", "dup", "unitdel"]), label="kind")
+            if kind == "dup":
+                k = data.draw(st.integers(1, 6), label="dup_len")
+                if "N" in base_at(assembly, "chrA", position, k + 1):
+                    kind = "snv"
+                else:
+                    variants.append(tandem_dup_row(assembly, "chrA",
+                                                   position, k))
+            elif kind == "unitdel":
+                k = data.draw(st.integers(1, 3), label="unit_len")
+                row = unit_deletion_row(assembly, "chrA", position, k)
+                if row is None:
+                    kind = "snv"
+                else:
+                    variants.append(row)
+            if kind == "snv":
+                variants.append(snv_row(assembly, "chrA", position))
+            elif kind == "del":
+                length = data.draw(st.integers(2, 6), label="del_len")
+                ref = base_at(assembly, "chrA", position, length)
+                # alt must be concrete even when the deletion's anchor
+                # base sits in the assembly's N gap.
+                alt = ref[0] if ref[0] != "N" else "A"
+                variants.append(["chrA", position, ref, alt])
+            elif kind == "ins":
+                ref = base_at(assembly, "chrA", position)
+                insert = data.draw(st.text("ACGT", min_size=1,
+                                           max_size=5), label="insert")
+                anchor = ref if ref != "N" else "A"
+                variants.append(["chrA", position, ref, anchor + insert])
+            cursor = variants[-1][1] + len(variants[-1][2]) + 1
+        if not variants:
+            variants = [snv_row(assembly, "chrA", 100)]
+        rows.append({"name": f"hap{hap_i}", "variants": variants})
+    return rows
+
+
+def scanned(index, queries, haplotypes):
+    """A variant search, and the scan length of every finder call it
+    made (a spy on ``index.pipeline.find_candidates``)."""
+    lengths = []
+    find = index.pipeline.find_candidates
+
+    def spy(chunk, pattern):
+        lengths.append(chunk.scan_length)
+        return find(chunk, pattern)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index.pipeline, "find_candidates", spy)
+        result = search_variants(index, queries, haplotypes)
+    return result, lengths
 
 
 def event_keys(payload):
@@ -274,17 +375,6 @@ class TestHaplotypeOverlay:
         assert overlay.map_hap_to_ref_array(positions).tolist() == \
             [overlay.map_hap_to_ref(int(p)) for p in positions]
 
-    def test_scan_bounds_match_assembly_chunks(self, small_assembly):
-        plen = len(PATTERN)
-        by_chrom = {}
-        for chunk in small_assembly.chunks(CHUNK, plen):
-            by_chrom.setdefault(chunk.chrom, []).append(
-                (chunk.start, chunk.start + chunk.scan_length))
-        for chromosome in small_assembly.chromosomes:
-            assert reference_scan_bounds(len(chromosome), CHUNK,
-                                         plen) == \
-                by_chrom[chromosome.name]
-
 
 # ---------------------------------------------------------------------------
 # Enzyme registry
@@ -398,8 +488,10 @@ class TestSearchVariants:
             snv_row(small_assembly, "chrA", 777),
             ["chrA", 1500, base_at(small_assembly, "chrA", 1500, 4),
              base_at(small_assembly, "chrA", 1500)],
+            tandem_dup_row(small_assembly, "chrA", 2200, 3),
             ["chrB", 900, base_at(small_assembly, "chrB", 900),
              base_at(small_assembly, "chrB", 900) + "GG"],
+            unit_deletion_row(small_assembly, "chrB", 2000, 2),
         ]}])
         result = search_variants(variant_index, QUERIES, haps)
         assert event_keys(result.payload()) == naive_event_keys(
@@ -407,19 +499,20 @@ class TestSearchVariants:
 
     def test_chunk_boundary_indel_matches_oracle(self, variant_index,
                                                  small_assembly):
-        # chrA's scan boundary with CHUNK=4096/plen=8 sits at 4089; a
-        # deletion spanning it must patch both chunks and still cancel
-        # every merely-shifted downstream hit.
-        bounds = reference_scan_bounds(8000, CHUNK, 8)
-        boundary = bounds[0][1]
-        assert bounds[1][0] == boundary
-        ref = base_at(small_assembly, "chrA", boundary - 2, 4)
-        haps = decode_haplotypes([{"name": "h", "variants": [
-            ["chrA", boundary - 2, ref, ref[0]]]}])
-        result = search_variants(variant_index, QUERIES, haps)
-        assert result.patched_chunks == 2
-        assert event_keys(result.payload()) == naive_event_keys(
-            variant_index, small_assembly, QUERIES, haps[0])
+        """Indels at a variant window's edge: an insertion, then a
+        deletion whose affected interval touches the insertion's (one
+        window) or starts one position past it (two windows that meet);
+        merely-shifted hits still cancel on both sides."""
+        insertion = ["chrA", 4000, base_at(small_assembly, "chrA", 4000),
+                     base_at(small_assembly, "chrA", 4000) + "GAG"]
+        for gap, windows in ((PLEN, 1), (PLEN + 1, 2)):
+            ref = base_at(small_assembly, "chrA", 4000 + gap, 4)
+            haps = decode_haplotypes([{"name": "h", "variants": [
+                insertion, ["chrA", 4000 + gap, ref, ref[0]]]}])
+            result = search_variants(variant_index, QUERIES, haps)
+            assert result.patched_chunks == windows
+            assert event_keys(result.payload()) == naive_event_keys(
+                variant_index, small_assembly, QUERIES, haps[0])
 
     def test_single_comparer_batch(self, variant_index,
                                    small_assembly):
@@ -447,7 +540,7 @@ class TestSearchVariants:
             ["chrA", 3040, ref, "A"]]}])
         result = search_variants(variant_index, QUERIES, haps)
         assert result.events == []
-        assert result.patched_chunks >= 1  # it did re-scan the chunk
+        assert result.patched_chunks == 1  # it did re-scan the window
 
     def test_insertion_sites_sharing_a_key_keep_the_first(self):
         """Haplotype sites 301-303 start inside the insertion and all
@@ -461,7 +554,7 @@ class TestSearchVariants:
         sequence[300:309] = np.frombuffer(b"GGGGGGGAG", np.uint8)
         index = GenomeSiteIndex.build(
             Assembly("dup-keys", [Chromosome("chrA", sequence)]),
-            PATTERN, chunk_size=CHUNK)
+            PATTERN)
         haps = decode_haplotypes([{"name": "h", "variants": [
             ["chrA", 300, "G", "GGGGG"]]}])
         result = search_variants(index, [Query("N" * 8, 0)], haps)
@@ -507,6 +600,70 @@ class TestSearchVariants:
             search_variants(variant_index, QUERIES, [])
         with pytest.raises(VariantError, match="non-empty"):
             decode_haplotypes([{"name": "h", "variants": []}])
+
+
+class TestVariantWindows:
+    """A search re-scans only its variant windows: per run of nearby
+    variants, the site starts they can change plus one position."""
+
+    def test_snv_scans_plen_plus_one(self, variant_index,
+                                     small_assembly):
+        haps = decode_haplotypes([{"name": "h", "variants": [
+            snv_row(small_assembly, "chrA", 5000)]}])
+        result, lengths = scanned(variant_index, QUERIES, haps)
+        assert lengths == [PLEN + 1]
+        assert result.patched_chunks == 1
+
+    def test_snvs_within_plen_share_a_window(self, variant_index,
+                                             small_assembly):
+        for gap, lengths in ((PLEN, [2 * PLEN + 1]),
+                             (PLEN + 1, [PLEN + 1, PLEN + 1])):
+            haps = decode_haplotypes([{"name": "h", "variants": [
+                snv_row(small_assembly, "chrA", 5000),
+                snv_row(small_assembly, "chrA", 5000 + gap)]}])
+            result, scans = scanned(variant_index, QUERIES, haps)
+            assert scans == lengths, gap
+            assert result.patched_chunks == len(lengths)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_scan_is_bounded_by_variants(self, data, variant_index,
+                                         small_assembly):
+        """No search scans more than ``plen + len(alt)`` positions per
+        variant, one finder call per patch entry."""
+        haps = decode_haplotypes(draw_haplotype_rows(data,
+                                                     small_assembly))
+        result, lengths = scanned(variant_index, QUERIES, haps)
+        assert len(lengths) == result.patched_chunks
+        assert sum(lengths) <= sum(PLEN + len(variant.alt)
+                                   for hap in haps
+                                   for variant in hap.variants)
+
+    def test_repeat_unit_indels_match_oracle(self, repeat_assembly):
+        """A one-unit tandem duplication and a one-unit deletion at
+        every offset across three periods of each repeat.  A site
+        starting inside the inserted unit projects to the reference
+        position just past the variant, and its reference twin there
+        must cancel it."""
+        index = GenomeSiteIndex.build(repeat_assembly, PATTERN)
+        sequence = repeat_assembly["chrR"].sequence.tobytes()
+        for unit in (b"ACGG", b"AGG", b"CAGG"):
+            start = sequence.index(unit * 12)
+            k = len(unit)
+            for position in range(start, start + 3 * k):
+                for row in (
+                        tandem_dup_row(repeat_assembly, "chrR",
+                                       position, k),
+                        ["chrR", position,
+                         base_at(repeat_assembly, "chrR", position,
+                                 k + 1),
+                         base_at(repeat_assembly, "chrR", position)]):
+                    haps = decode_haplotypes([{"name": "h",
+                                               "variants": [row]}])
+                    result = search_variants(index, QUERIES, haps)
+                    assert event_keys(result.payload()) == \
+                        naive_event_keys(index, repeat_assembly,
+                                         QUERIES, haps[0]), row
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +719,7 @@ class TestServedVariants:
             '[[enzymes]]\nname = "MiniCas12"\nguide_length = 6\n'
             'pam = "TTV"\npam_side = "5prime"\nscoring = "cfd"\n')
         enzymes = load_enzymes(str(path))
-        pairs = [(e, GenomeSiteIndex.build(small_assembly, e.pattern,
-                                           chunk_size=CHUNK))
+        pairs = [(e, GenomeSiteIndex.build(small_assembly, e.pattern))
                  for e in enzymes]
         server = OffTargetServer(pairs[0][1], max_wait_ms=1.0,
                                  enzymes=pairs)
@@ -613,48 +769,11 @@ class TestServedVariants:
     @settings(max_examples=8, deadline=None)
     def test_cross_tier_byte_identity(self, data, variant_index,
                                       served, routed, small_assembly):
-        """In-process, served and routed variant responses
-        are byte-identical for randomized SNV/indel haplotypes — and
-        in-process matches the naive full-splice oracle."""
-        rows = []
-        for hap_i in range(data.draw(st.integers(1, 2),
-                                     label="haplotypes")):
-            variants = []
-            cursor = 0
-            for _ in range(data.draw(st.integers(1, 3),
-                                     label="variants")):
-                position = cursor + data.draw(
-                    st.integers(0, 2200), label="gap")
-                if position > 7900:
-                    break
-                kind = data.draw(st.sampled_from(
-                    ["snv", "del", "ins"]), label="kind")
-                if kind == "snv":
-                    variants.append(snv_row(small_assembly, "chrA",
-                                            position))
-                    cursor = position + 2
-                elif kind == "del":
-                    length = data.draw(st.integers(2, 6),
-                                       label="del_len")
-                    ref = base_at(small_assembly, "chrA", position,
-                                  length)
-                    # alt must be concrete even when the deletion's
-                    # anchor base sits in the assembly's N gap.
-                    alt = ref[0] if ref[0] != "N" else "A"
-                    variants.append(["chrA", position, ref, alt])
-                    cursor = position + length + 1
-                else:
-                    ref = base_at(small_assembly, "chrA", position)
-                    insert = data.draw(st.text("ACGT", min_size=1,
-                                               max_size=5),
-                                       label="insert")
-                    anchor = ref if ref != "N" else "A"
-                    variants.append(["chrA", position, ref,
-                                     anchor + insert])
-                    cursor = position + 2
-            if not variants:
-                variants = [snv_row(small_assembly, "chrA", 100)]
-            rows.append({"name": f"hap{hap_i}", "variants": variants})
+        """In-process, served and routed variant responses are
+        byte-identical for randomized SNV, indel, tandem-duplication
+        and repeat-unit-deletion haplotypes — and in-process matches
+        the naive full-splice oracle."""
+        rows = draw_haplotype_rows(data, small_assembly)
         haps = decode_haplotypes(rows)
 
         expected = search_variants(variant_index, QUERIES,
