@@ -25,21 +25,31 @@ The site table is query-independent, so a resident index builds it
 once: one row per (candidate, strand) over all its entries, in the
 served hit order (:mod:`repro.core.records`), a reverse row holding its
 window's reverse complement.  :func:`compare_packed_batched` then
-serves any number of queries in one tiled pass over the table, no
-genome gather and no per-entry or per-strand loop.  That comparer takes
-every IUPAC query of any length: an ambiguity-code position reads the
-genome code back out of the same planes and applies Listing 1's rule,
-under which a genome ``N`` never mismatches an ambiguity code.
-Because the rows are in served order, each query's hits come out in
-that order with no sort.  The offline engine packs a one-chunk table
-per chunk and compares every query against it in one pass.
+serves any number of queries over the table, no genome gather and no
+per-entry or per-strand loop.  That comparer takes every IUPAC query of
+any length: an ambiguity-code position reads the genome code back out
+of the same planes and applies Listing 1's rule, under which a genome
+``N`` never mismatches an ambiguity code.  Because the rows are in
+served order, each query's hits come out in that order with no sort.
+
+In front of it sits a pigeonhole seed filter, FlashFry's kind of
+shortcut: the index derives :func:`seed_lists` from its table, each
+row bucketed by its exact 5-base key in each segment of the pattern's
+``N`` run.  A guide that must match at least one of its exact segments
+to stay within its budget counts mismatches only on the rows those
+buckets reach, in ascending row order; every other query (the all-``N``
+PAM query, IUPAC-heavy guides, large budgets) joins one tiled pass over
+the whole table.  Both paths run one mismatch count
+(:func:`_count_mismatches`), so they return the same triples.  The
+offline engine packs a one-chunk table per chunk and compares every
+query against it in one full pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,18 +132,39 @@ def window_words(plen: int) -> int:
     return -(-plen // BASES_PER_WORD)
 
 
+#: Rows one packing pass takes: as many whole entries as fit together,
+#: or one larger entry alone.  It bounds the pass's scratch memory, and
+#: a variant request's patch windows still pack in one pass per strand.
+_PACK_ROWS = 1 << 14
+
+
 def _pack_windows(data: np.ndarray, starts: np.ndarray, plen: int,
-                  reverse: bool, words: np.ndarray,
-                  invalid: np.ndarray) -> None:
-    """Pack the windows at ``starts`` into zeroed ``words``/``invalid``
-    columns, reverse-complemented when ``reverse``."""
+                  reverse: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``words`` and ``invalid`` planes of the windows of ``data``
+    at ``starts``, reverse-complemented when ``reverse``."""
     codes = _RC_CODE if reverse else _CODE
+    words = np.zeros((window_words(plen), starts.size), dtype=np.uint64)
+    invalid = np.zeros_like(words)
     for p in range(plen):
         base = data[starts + (plen - 1 - p if reverse else p)]
         w, shift = divmod(p, BASES_PER_WORD)
         shift = np.uint64(2 * shift)
         words[w] |= codes[base] << shift
         invalid[w] |= _INVALID[base] << shift
+    return words, invalid
+
+
+def _entry_groups(entry_rows: Sequence[int]) -> List[Tuple[int, int]]:
+    """Ranges ``[lo, hi)`` of consecutive entries that hold at most
+    ``_PACK_ROWS`` rows together, or one larger entry."""
+    groups = []
+    lo = rows = 0
+    for c, n in enumerate(entry_rows):
+        if c > lo and rows + n > _PACK_ROWS:
+            groups.append((lo, c))
+            lo, rows = c, 0
+        rows += n
+    return groups + [(lo, len(entry_rows))] if entry_rows else groups
 
 
 def pack_site_table(entries: Sequence[ResidentChunk], plen: int
@@ -145,26 +176,40 @@ def pack_site_table(entries: Sequence[ResidentChunk], plen: int
     rows (flags 0 and 1), then its reverse rows (flags 0 and 2), each in
     the entry's loci order.  Query-independent, so the index builds the
     table once; a variant request builds one over its patched spans.
+    Consecutive entries are packed together, up to ``_PACK_ROWS`` rows:
+    their bytes are joined once, so all their forward rows pack in one
+    ``plen``-step pass and all their reverse rows in another, however
+    many entries they are.
     """
-    runs = [(entry.data,
-             entry.loci[(entry.flags == 0) | (entry.flags == flag)],
-             flag == 2)
+    # Per entry, its forward run of rows, then its reverse run.
+    runs = [entry.loci[(entry.flags == 0) | (entry.flags == flag)]
             for entry in entries for flag in (1, 2)]
-    run_rows = np.cumsum([0] + [selected.size for _, selected, _ in runs])
+    run_rows = np.cumsum([0] + [selected.size for selected in runs])
     n_rows = int(run_rows[-1])
     words = np.zeros((window_words(plen), n_rows), dtype=np.uint64)
     invalid = np.zeros_like(words)
-    loci = np.empty(n_rows, dtype=np.uint32)
-    direction = np.empty(n_rows, dtype=np.uint8)
-    for (data, selected, reverse), at, end in zip(runs, run_rows,
-                                                  run_rows[1:]):
-        _pack_windows(data, selected, plen, reverse, words[:, at:end],
-                      invalid[:, at:end])
-        loci[at:end] = selected
-        direction[at:end] = ord("-") if reverse else ord("+")
-    # Each entry is two runs, forward then reverse.
-    return PackedSites(words=words, invalid=invalid, loci=loci,
-                       direction=direction, chunk_rows=run_rows[::2])
+    for lo, hi in _entry_groups(np.diff(run_rows[::2]).tolist()):
+        group = entries[lo:hi]
+        data = (group[0].data if len(group) == 1
+                else np.concatenate([entry.data for entry in group]))
+        data_starts = np.cumsum([0] + [entry.data.size
+                                       for entry in group[:-1]])
+        for strand, reverse in enumerate((False, True)):
+            selected = runs[2 * lo + strand:2 * hi:2]
+            sizes = [run.size for run in selected]
+            # Each row's slot: its run's first row plus its rank there.
+            slots = np.arange(sum(sizes)) + np.repeat(
+                run_rows[2 * lo + strand:2 * hi:2]
+                - np.cumsum([0] + sizes[:-1]), sizes)
+            words[:, slots], invalid[:, slots] = _pack_windows(
+                data, np.concatenate(selected)
+                + np.repeat(data_starts, sizes), plen, reverse)
+    strands = np.frombuffer(b"+-" * len(entries), dtype=np.uint8)
+    return PackedSites(
+        words=words, invalid=invalid,
+        loci=np.concatenate(runs + [np.zeros(0, np.uint32)]),
+        direction=np.repeat(strands, np.diff(run_rows)),
+        chunk_rows=run_rows[::2])
 
 
 #: ``_REJECTS[c, k]`` is 1 when query code ``c`` counts a mismatch
@@ -215,17 +260,145 @@ def _window_query_cached(sequence: str) -> PackedWindowQuery:
     return pack_query_window(compile_pattern(sequence))
 
 
-#: Rows one comparer step spans.  Every query of a batch passes over a
-#: tile before the next tile starts, so the tile's planes and the
-#: step's uint64 temporaries (512 KiB each) stay cache-resident at any
-#: batch width; one step over the whole table is slower.
+# ---------------------------------------------------------------------------
+# Seed lists: the pigeonhole filter in front of the comparer
+# ---------------------------------------------------------------------------
+#
+# The index pattern's ``N`` positions are cut, left to right, into
+# segments of SEED_BASES positions inside one window word, and each
+# row's 10-bit key in a segment is its 2-bit codes there.  Take a query
+# with budget m, and E the segments where it has a concrete A/C/G/T at
+# every position.  A row with at most m mismatches leaves at least
+# |E| - m segments of E without a mismatch or a non-ACGT byte, and
+# there its key is the query's key.  So when need = |E| - m >= 1, only
+# the rows found in at least ``need`` of the query's key buckets can
+# hit, and only they are compared.  A non-ACGT byte packs as A, so a
+# row holding one inside a segment may sit in any bucket; the
+# comparison rejects it either way.
+
+#: Bases per seed segment: a 10-bit key, 1,024 buckets per segment.
+SEED_BASES = 5
+_SEED_KEYS = 1 << (2 * SEED_BASES)
+_SEED_MASK = np.uint64(_SEED_KEYS - 1)
+#: A segment's care bits when all its positions are concrete.
+_SEED_CARE = np.uint64(int("01" * SEED_BASES, 2))
+
+
+@dataclass(frozen=True)
+class SeedList:
+    """One segment's table rows, bucketed by their key there.
+
+    The segment's first position packs at bit ``shift`` of window word
+    ``word``.  Bucket ``k`` is ``rows[offsets[k]:offsets[k + 1]]``, its
+    rows ascending.
+    """
+
+    word: int
+    shift: np.uint64
+    rows: np.ndarray     # uint32, stably sorted by key
+    offsets: np.ndarray  # int64 (1025,)
+
+
+def seed_lists(table: PackedSites, pattern: str) -> Tuple[SeedList, ...]:
+    """The seed lists of a row table packed under index ``pattern``.
+
+    Query-independent, like the table: the index derives them once,
+    one segment at a time, after it builds or loads the table.  Under
+    SpCas9's ``N`` x 21 + ``RG`` there are four segments, over window
+    positions 0-19.
+    """
+    seeds = []
+    p = 0
+    while p + SEED_BASES <= len(pattern):
+        word, offset = divmod(p, BASES_PER_WORD)
+        if (pattern[p:p + SEED_BASES] != "N" * SEED_BASES
+                or offset + SEED_BASES > BASES_PER_WORD):
+            p += 1
+            continue
+        shift = np.uint64(2 * offset)
+        keys = np.right_shift(table.words[word], shift)
+        keys &= _SEED_MASK
+        keys = keys.astype(np.uint16)
+        offsets = np.zeros(_SEED_KEYS + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=_SEED_KEYS),
+                  out=offsets[1:])
+        seeds.append(SeedList(
+            word=word, shift=shift,
+            rows=np.argsort(keys, kind="stable").astype(np.uint32),
+            offsets=offsets))
+        p += SEED_BASES
+    return tuple(seeds)
+
+
+def _seeded_rows(pq: PackedWindowQuery, max_mismatches: int,
+                 seeds: Sequence[SeedList]) -> Optional[np.ndarray]:
+    """The rows a query must compare, ascending, or ``None`` when its
+    budget leaves the seeds nothing to filter on (need < 1)."""
+    buckets = []
+    for seed in seeds:
+        if ((pq.care[seed.word] >> seed.shift) & _SEED_CARE) == _SEED_CARE:
+            key = int((pq.words[seed.word] >> seed.shift) & _SEED_MASK)
+            buckets.append(
+                seed.rows[seed.offsets[key]:seed.offsets[key + 1]])
+    need = len(buckets) - max_mismatches
+    if need < 1:
+        return None
+    rows = np.sort(np.concatenate(buckets)).astype(np.intp)
+    # Keep each row whose run in the sorted ids opens at i and still
+    # holds at i + need - 1.
+    first = np.empty(rows.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    opens = max(rows.size - need + 1, 0)
+    if need > 1:
+        first[:opens] &= rows[need - 1:] == rows[:opens]
+    return rows[:opens][first[:opens]]
+
+
+_ONE = np.uint64(1)
+_THREE = np.uint64(3)
+
+
+def _count_mismatches(planes: Sequence[Tuple[np.ndarray, np.ndarray]],
+                      pq: PackedWindowQuery, x: np.ndarray,
+                      folded: np.ndarray, counts: np.ndarray
+                      ) -> np.ndarray:
+    """Listing 1 mismatch counts of one packed query, into ``counts``.
+
+    ``planes`` holds one ``(words, invalid)`` pair per window word over
+    the rows to count (a tile of the table, or gathered columns);
+    ``x`` and ``folded`` are uint64 scratch of their width.
+    """
+    counts.fill(0)
+    for (words, invalid), qword, care in zip(planes, pq.words, pq.care):
+        if not care:
+            continue
+        np.bitwise_xor(words, qword, out=x)
+        np.right_shift(x, _ONE, out=folded)
+        x |= folded
+        x |= invalid
+        x &= care
+        counts += popcount64(x)
+    for w, shift, rejects in pq.ambiguous:
+        words, invalid = planes[w]
+        valid = ((invalid >> shift) & _ONE) == 0
+        counts += rejects[(words >> shift) & _THREE] & valid
+    return counts
+
+
+#: Rows one comparer step spans.  Every full-pass query of a batch
+#: passes over a tile before the next tile starts, so the tile's planes
+#: and the step's uint64 temporaries (512 KiB each) stay cache-resident
+#: at any batch width; one step over the whole table is slower.
 _TILE_ROWS = 1 << 16
 
 
 def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
                            compiled_queries: Sequence[CompiledPattern],
+                           seeds: Optional[Sequence[SeedList]] = None,
+                           tally: Optional[Dict[str, int]] = None,
                            ) -> Dict[int, Triples]:
-    """All-queries comparer over a resident row table, in one pass.
+    """All-queries comparer over a resident row table.
 
     Returns, for every entry of ``table`` where some query hits (keyed
     by its position in the table, ascending), one ``(mm_loci,
@@ -244,46 +417,60 @@ def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
     genome ``N`` or other non-ACGT byte mismatches a concrete query
     base but never an ambiguity code.
 
+    With the table's ``seeds`` (:func:`seed_lists`), a query whose
+    budget leaves its exact segments something to filter on counts only
+    the rows they reach, in ascending order; every other query joins
+    one tiled pass over the whole table.  Both give the same triples.
+    ``tally``, when given, gains ``queries_seeded`` and
+    ``rows_compared`` (rows counted, summed over queries).
+
     The buffers are allocated per call: several server threads may
     compare at once.
     """
     packed = [_window_query_cached(cq.decode()) for cq in compiled_queries]
     n_words, n_rows = table.words.shape
-    width = min(_TILE_ROWS, n_rows)
-    x = np.empty(width, dtype=np.uint64)
-    folded = np.empty_like(x)
     # Wide enough for a mismatch at every window position.
-    counts = np.empty(width, dtype=np.min_scalar_type(
-        n_words * BASES_PER_WORD))
-    one = np.uint64(1)
-    three = np.uint64(3)
-    # Per query, its hit rows and counts, one part per tile holding any.
+    count_type = np.min_scalar_type(n_words * BASES_PER_WORD)
+
+    def scratch(width: int) -> Tuple[np.ndarray, ...]:
+        return (np.empty(width, np.uint64), np.empty(width, np.uint64),
+                np.empty(width, count_type))
+
+    # Per query, its hit rows and counts: one part if seeded, else one
+    # part per tile holding any.
     found: List[List[Tuple[np.ndarray, np.ndarray]]] = \
         [[] for _ in queries]
-    for start in range(0, n_rows, _TILE_ROWS):
-        end = min(start + _TILE_ROWS, n_rows)
-        xt, ft, ct = (a[:end - start] for a in (x, folded, counts))
-        planes = [(table.words[w, start:end], table.invalid[w, start:end])
-                  for w in range(n_words)]
-        for query, pq, parts in zip(queries, packed, found):
-            ct.fill(0)
-            for (words, invalid), qword, care in zip(planes, pq.words,
-                                                     pq.care):
-                if not care:
-                    continue
-                np.bitwise_xor(words, qword, out=xt)
-                np.right_shift(xt, one, out=ft)
-                xt |= ft
-                xt |= invalid
-                xt &= care
-                ct += popcount64(xt)
-            for w, shift, rejects in pq.ambiguous:
-                words, invalid = planes[w]
-                valid = ((invalid >> shift) & one) == 0
-                ct += rejects[(words >> shift) & three] & valid
-            cols = np.flatnonzero(ct <= query.max_mismatches)
-            if cols.size:
-                parts.append((cols + start, ct[cols]))
+    full_pass: List[int] = []
+    rows_compared = 0
+    for q, (query, pq) in enumerate(zip(queries, packed)):
+        rows = (None if seeds is None
+                else _seeded_rows(pq, query.max_mismatches, seeds))
+        if rows is None:
+            full_pass.append(q)
+            continue
+        rows_compared += rows.size
+        counts = _count_mismatches(
+            list(zip(table.words.take(rows, axis=1),
+                     table.invalid.take(rows, axis=1))),
+            pq, *scratch(rows.size))
+        keep = np.flatnonzero(counts <= query.max_mismatches)
+        if keep.size:
+            found[q].append((rows[keep], counts[keep]))
+    if full_pass:
+        buffers = scratch(min(_TILE_ROWS, n_rows))
+        for start in range(0, n_rows, _TILE_ROWS):
+            end = min(start + _TILE_ROWS, n_rows)
+            tile = [a[:end - start] for a in buffers]
+            planes = list(zip(table.words[:, start:end],
+                              table.invalid[:, start:end]))
+            for q in full_pass:
+                counts = _count_mismatches(planes, packed[q], *tile)
+                cols = np.flatnonzero(counts <= queries[q].max_mismatches)
+                if cols.size:
+                    found[q].append((cols + start, counts[cols]))
+    if tally is not None:
+        tally["queries_seeded"] += len(queries) - len(full_pass)
+        tally["rows_compared"] += rows_compared + len(full_pass) * n_rows
     nq = len(queries)
     out: Dict[int, Triples] = {}
     for q, parts in enumerate(found):

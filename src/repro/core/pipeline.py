@@ -401,25 +401,31 @@ class _BasePipeline:
 
     def compare_resident_triples(
             self, table: PackedSites, queries: Sequence[Query],
-            compiled_queries: Sequence[CompiledPattern]
+            compiled_queries: Sequence[CompiledPattern],
+            seeds: Optional[Sequence] = None,
+            tally: Optional[Dict[str, int]] = None
     ) -> Dict[int, Triples]:
         """Raw comparer triples over a resident row table.
 
-        Runs the bit-parallel comparer once over every row of ``table``
-        for every query, concrete or IUPAC, and stops before hit
-        construction.  Returns, for each entry of the table where some
-        query hits (keyed by the entry's position in the table, in
-        ascending order), one ``(mm_loci, mm_count, direction)`` triple
-        per query, holding that entry's hits in the served hit order
-        (:mod:`repro.core.records`).  The variant layer diffs these
-        arrays without building hits;
+        Runs the bit-parallel comparer over ``table`` for every query,
+        concrete or IUPAC, and stops before hit construction: over the
+        rows the table's ``seeds`` reach for a query they can filter,
+        over every row otherwise
+        (:func:`repro.core.bitparallel.compare_packed_batched`, which
+        also fills ``tally``).  Returns, for each entry of the table
+        where some query hits (keyed by the entry's position in the
+        table, in ascending order), one ``(mm_loci, mm_count,
+        direction)`` triple per query, holding that entry's hits in the
+        served hit order (:mod:`repro.core.records`).  The variant
+        layer diffs these arrays without building hits;
         :meth:`repro.service.index.GenomeSiteIndex.query_batch` renders
         :class:`OffTargetHit` objects from them with
         :func:`build_entry_hits`.
         """
         # Deferred: bitparallel imports this module at its top level.
         from .bitparallel import compare_packed_batched
-        return compare_packed_batched(table, queries, compiled_queries)
+        return compare_packed_batched(table, queries, compiled_queries,
+                                      seeds, tally)
 
     @property
     def work_group_size(self) -> Optional[int]:

@@ -20,11 +20,18 @@ The index also packs every candidate window once, at build time, into
 one resident 2-bit row table
 (:class:`~repro.core.pipeline.PackedSites`): one row per (site,
 strand), in the served hit order of :mod:`repro.core.records`, a
-reverse row holding its window's reverse complement.  Serving runs one
-comparer pass over that table per batch, for every query, pattern
-length and genome byte: the bit-parallel XOR + fold + popcount of
+reverse row holding its window's reverse complement.  From the table
+it derives seed lists (:func:`~repro.core.bitparallel.seed_lists`):
+per 5-base segment of the pattern's ``N`` run, the rows bucketed by
+their exact bases there.  They are not stored; :meth:`build` and
+:meth:`load` both derive them.  Serving runs one comparer call over
+that table per batch, for every query, pattern length and genome
+byte: the bit-parallel XOR + fold + popcount of
 :func:`~repro.core.bitparallel.compare_packed_batched`, which decodes
-ambiguity-code query positions from the same planes.  Its output, one
+ambiguity-code query positions from the same planes.  A guide whose
+budget leaves it an exact segment to match (a ``design`` guide at 3
+mismatches under SpCas9) is counted only on the rows its seeds reach;
+every other query takes a full pass.  Its output, one
 ``(mm_loci, mm_count, direction)`` array triple per query for each
 entry holding hits
 (:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`),
@@ -55,12 +62,13 @@ import os
 import tempfile
 import threading
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import pipeline as _pipeline
-from ..core.bitparallel import pack_site_table
+from ..core.bitparallel import SeedList, pack_site_table, seed_lists
 from ..core.config import Query
 from ..core.patterns import CompiledPattern, compile_pattern
 from ..core.pipeline import (PackedSites, ResidentChunk, Triples,
@@ -81,6 +89,7 @@ SITES_NAME = "sites.npz"
 #: entry per chromosome holding candidates, and the index-wide row
 #: table (:class:`~repro.core.pipeline.PackedSites`) in served order,
 #: ``ceil(plen / 32)`` words per row; its header carries no chunk size.
+#: The seed lists are derived from the table, not stored.
 INDEX_VERSION = 6
 
 
@@ -131,10 +140,13 @@ class GenomeSiteIndex:
         self.build_wall_s = 0.0
         self._entries: List[ResidentChunk] = []
         self._table: Optional[PackedSites] = None
+        self._seeds: Tuple[SeedList, ...] = ()
         self._stats_lock = threading.Lock()
         self._batches = 0
         self._queries_total = 0
         self._entries_scanned = 0
+        self._queries_seeded = 0
+        self._rows_compared = 0
 
     # -- identity -------------------------------------------------------
 
@@ -189,6 +201,18 @@ class GenomeSiteIndex:
     def table(self) -> PackedSites:
         """The resident row table every batch compares against."""
         return self._table
+
+    @property
+    def seeds(self) -> Tuple[SeedList, ...]:
+        """The row table's seed lists
+        (:func:`~repro.core.bitparallel.seed_lists`)."""
+        return self._seeds
+
+    def _set_table(self, table: PackedSites) -> None:
+        """Install the resident row table and derive its seed lists;
+        :meth:`build` and :meth:`load` both end here."""
+        self._table = table
+        self._seeds = seed_lists(table, self.pattern)
 
     # -- construction ---------------------------------------------------
 
@@ -247,7 +271,7 @@ class GenomeSiteIndex:
                 index._entries.append(
                     _chromosome_entry(assembly, chunk.chrom, plen, loci,
                                       flags))
-        index._table = pack_site_table(index._entries, plen)
+        index._set_table(pack_site_table(index._entries, plen))
         index.build_wall_s = time.perf_counter() - started
         tracing.instant("index_built", cat="index",
                         chunks=index.chunk_count,
@@ -271,8 +295,7 @@ class GenomeSiteIndex:
             return []
         queries = list(queries)
         compiled = self._compile_batch(queries)
-        found = self.pipeline.compare_resident_triples(
-            self._table, queries, compiled)
+        found = self._compare(self._table, queries, compiled, self._seeds)
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
         for number, per_query in found.items():
             # Through the module, so a wrapper installed on it (the
@@ -314,13 +337,12 @@ class GenomeSiteIndex:
         with self._stats_lock:
             self._entries_scanned += len(self._entries) + len(extras)
         empty = empty_triples(len(queries))
-        found = self.pipeline.compare_resident_triples(
-            self._table, queries, compiled)
+        found = self._compare(self._table, queries, compiled, self._seeds)
         reference = [(entry, found.get(number, empty))
                      for number, entry in enumerate(self._entries)]
         extra_triples: List[Triples] = []
         if extras:
-            found = self.pipeline.compare_resident_triples(
+            found = self._compare(
                 pack_site_table(extras, self.compiled_pattern.plen),
                 queries, compiled)
             extra_triples = [found.get(number, empty)
@@ -347,12 +369,28 @@ class GenomeSiteIndex:
             self._queries_total += len(compiled)
         return compiled
 
+    def _compare(self, table: PackedSites, queries: Sequence[Query],
+                 compiled: Sequence[CompiledPattern],
+                 seeds: Optional[Sequence[SeedList]] = None
+                 ) -> Dict[int, Triples]:
+        """One comparer call over ``table``, counted for
+        :meth:`comparer_stats`."""
+        tally: Dict[str, int] = Counter()
+        found = self.pipeline.compare_resident_triples(
+            table, queries, compiled, seeds=seeds, tally=tally)
+        with self._stats_lock:
+            self._queries_seeded += tally["queries_seeded"]
+            self._rows_compared += tally["rows_compared"]
+        return found
+
     def comparer_stats(self) -> Dict[str, object]:
         """Comparer counters for the ``stats`` server op."""
         with self._stats_lock:
             batches = self._batches
             queries_total = self._queries_total
             entries_scanned = self._entries_scanned
+            queries_seeded = self._queries_seeded
+            rows_compared = self._rows_compared
         return {
             # One ``query_batch`` call == one batched comparer pass over
             # the resident table.  ``queries_total / batches`` therefore
@@ -365,6 +403,12 @@ class GenomeSiteIndex:
             # checks ``batches`` moved by one while this moved by
             # reference entries + variant windows.
             "entries_scanned": entries_scanned,
+            # Queries the resident table's seed lists filtered, and the
+            # rows whose mismatches were counted, summed over queries:
+            # the whole table for a full-pass query, the seed
+            # candidates for a seeded one.
+            "queries_seeded": queries_seeded,
+            "rows_compared": rows_compared,
         }
 
     # -- persistence ----------------------------------------------------
@@ -377,7 +421,8 @@ class GenomeSiteIndex:
         manifest fingerprint and the payload's SHA-256, so :meth:`load`
         can refuse mismatched or corrupted state up front.  The 2-bit
         row table is stored alongside the site arrays, so a
-        warm-started server skips the packing pass too.
+        warm-started server skips the packing pass too; it derives the
+        seed lists from the table again.
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
@@ -438,7 +483,8 @@ class GenomeSiteIndex:
         refuses instead of silently serving wrong sites.  A different
         on-disk format version raises :class:`SiteIndexVersionError`
         (rebuild, don't misread).  The stored row table is reused as
-        it is.
+        it is, and its seed lists are derived from it as :meth:`build`
+        derives them.
         """
         directory = os.fspath(directory)
         manifest_path = os.path.join(directory, INDEX_MANIFEST_NAME)
@@ -488,12 +534,12 @@ class GenomeSiteIndex:
                 index._entries.append(_chromosome_entry(
                     assembly, chrom, plen, loci_all[lo:hi].copy(),
                     flags_all[lo:hi].copy()))
-            index._table = PackedSites(
+            index._set_table(PackedSites(
                 words=arrays["table_words"],
                 invalid=arrays["table_invalid"],
                 loci=arrays["table_loci"],
                 direction=arrays["table_direction"],
-                chunk_rows=arrays["table_chunk_rows"])
+                chunk_rows=arrays["table_chunk_rows"]))
         tracing.instant("index_loaded", cat="index", directory=directory,
                         chunks=index.chunk_count,
                         sites=index.site_count)

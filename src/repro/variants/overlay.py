@@ -258,11 +258,15 @@ class _Patch:
     entry: ResidentChunk            # loci/flags over hap bytes
 
 
+#: One (haplotype, chromosome) layer: its overlay, and the index in
+#: the haplotype's variant list of each of the overlay's variants.
+_Layer = Tuple[HaplotypeOverlay, List[int]]
+
+
 def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                    allowed: FrozenSet[str],
-                   ) -> Tuple[List[_Patch],
-                              Dict[Tuple[int, str], HaplotypeOverlay]]:
-    """Overlays plus one patch entry per variant window.
+                   ) -> Tuple[List[_Patch], Dict[Tuple[int, str], _Layer]]:
+    """Layers plus one patch entry per variant window.
 
     Per haplotype and chromosome, the variants' affected site
     intervals merge into runs wherever they overlap or touch.  A run
@@ -275,31 +279,38 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
     reference site at ``hi`` must meet its own haplotype image.
     Merging touching runs keeps those windows from sharing a position,
     and the clamp hands a run that reaches the reference scan end the
-    whole haplotype tail.
+    whole haplotype tail.  A side shorter than the pattern has no
+    site: its windows are empty, so a haplotype chromosome that shrinks
+    below the pattern loses every reference site in them, and one that
+    grows past it gains every site it scans.
     """
     assembly = index.assembly
     compiled = index.compiled_pattern
     plen = compiled.plen
     overlap = plen - 1
     patches: List[_Patch] = []
-    overlays: Dict[Tuple[int, str], HaplotypeOverlay] = {}
+    layers: Dict[Tuple[int, str], _Layer] = {}
     chrom_order = [c.name for c in assembly.chromosomes]
     for hap_index, haplotype in enumerate(haplotypes):
-        by_chrom: Dict[str, List[Variant]] = {}
-        for variant in haplotype.variants:
+        by_chrom: Dict[str, List[int]] = {}
+        for number, variant in enumerate(haplotype.variants):
             if variant.chrom in allowed:
-                by_chrom.setdefault(variant.chrom, []).append(variant)
+                by_chrom.setdefault(variant.chrom, []).append(number)
         for chrom in chrom_order:
-            variants = by_chrom.get(chrom)
-            if not variants:
+            numbers = by_chrom.get(chrom)
+            if not numbers:
                 continue
             sequence = assembly[chrom].sequence
-            overlay = HaplotypeOverlay(chrom, sequence, variants)
-            overlays[(hap_index, chrom)] = overlay
-            ref_scan_end = sequence.size - overlap
-            hap_scan_end = overlay.length - overlap
-            if ref_scan_end <= 0 or hap_scan_end <= 0:
-                continue
+            overlay = HaplotypeOverlay(
+                chrom, sequence,
+                [haplotype.variants[number] for number in numbers])
+            # In the overlay's (position, end) order.
+            numbers.sort(key=lambda number: (
+                haplotype.variants[number].position,
+                haplotype.variants[number].end))
+            layers[(hap_index, chrom)] = (overlay, numbers)
+            ref_scan_end = max(sequence.size - overlap, 0)
+            hap_scan_end = max(overlay.length - overlap, 0)
             runs: List[List[int]] = []
             for variant in overlay.variants:
                 lo, hi = affected_site_interval(variant, plen)
@@ -308,22 +319,24 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                 else:
                     runs.append([lo, hi])
             for lo, hi in runs:
-                hap_lo = overlay.map_ref_to_hap(lo)
+                hap_lo = min(overlay.map_ref_to_hap(lo), hap_scan_end)
                 hap_hi = min(overlay.map_ref_to_hap(hi) + 1,
                              hap_scan_end)
-                data = overlay.fetch(hap_lo, hap_hi + overlap)
+                data = overlay.fetch(hap_lo, min(hap_hi + overlap,
+                                                 overlay.length))
                 chunk = Chunk(chrom=chrom, start=hap_lo, data=data,
                               scan_length=hap_hi - hap_lo)
                 _count, loci, flags = index.pipeline.find_candidates(
                     chunk, compiled)
                 patches.append(_Patch(
                     hap_index=hap_index, chrom=chrom,
-                    ref_bounds=(lo, min(hi + 1, ref_scan_end)),
+                    ref_bounds=(min(lo, ref_scan_end),
+                                min(hi + 1, ref_scan_end)),
                     entry=ResidentChunk(
                         chrom=chrom, start=hap_lo,
                         scan_length=hap_hi - hap_lo, data=data,
                         loci=loci, flags=flags)))
-    return patches, overlays
+    return patches, layers
 
 
 @dataclass
@@ -404,18 +417,20 @@ def _diff_layer(ref: _SiteRows, hap: _SiteRows, projected: np.ndarray
     return gained, lost
 
 
-def _causal_variant(haplotype: Haplotype, variants: Sequence[Variant],
-                    starts: Sequence[int], ends: Sequence[int],
-                    span_lo: int, span_hi: int) -> int:
-    """Index in ``haplotype.variants`` of the first of ``variants``
-    whose interval ``[starts[i], ends[i])`` overlaps the span, else -1.
+def _causal_variant(numbers: Sequence[int], starts: Sequence[int],
+                    ends: Sequence[int], span_lo: int, span_hi: int
+                    ) -> int:
+    """``numbers[i]`` of the first interval ``[starts[i], ends[i])``
+    that overlaps the span, else -1.
 
-    ``variants`` are one chromosome's, so a site never names a variant
-    on another chromosome that shares its coordinates.
+    The intervals are one chromosome's, so a site never names a variant
+    on another chromosome that shares its coordinates.  They are
+    disjoint, non-empty and sorted, so the first one ending past
+    ``span_lo`` is the only candidate.
     """
-    for variant, start, end in zip(variants, starts, ends):
-        if start < span_hi and end > span_lo:
-            return haplotype.variants.index(variant)
+    i = bisect_right(ends, span_lo)
+    if i < len(starts) and starts[i] < span_hi:
+        return numbers[i]
     return -1
 
 
@@ -573,7 +588,7 @@ def search_variants(index: Any, queries: Sequence[Query],
     allowed = validate_haplotypes(index, haplotypes, chromosomes)
     plen = index.compiled_pattern.plen
 
-    patches, overlays = _build_patches(index, haplotypes, allowed)
+    patches, layers = _build_patches(index, haplotypes, allowed)
     reference, patch_triples = index.query_batch_with_extras(
         queries, [patch.entry for patch in patches])
     if chromosomes is not None:
@@ -609,7 +624,7 @@ def search_variants(index: Any, queries: Sequence[Query],
 
     events: List[List[Any]] = []
     for (hap_index, chrom), layer_patches in patch_of_layer.items():
-        overlay = overlays[(hap_index, chrom)]
+        overlay, numbers = layers[(hap_index, chrom)]
         haplotype = haplotypes[hap_index]
         intervals = [patches[pi].ref_bounds for pi in layer_patches]
         for qi, query in enumerate(queries):
@@ -631,9 +646,9 @@ def search_variants(index: Any, queries: Sequence[Query],
                 hap_position = int(hap.position[i])
                 events.append([
                     haplotype.name,
-                    _causal_variant(haplotype, overlay.variants,
-                                    overlay.hap_starts, overlay.hap_ends,
-                                    hap_position, hap_position + plen),
+                    _causal_variant(numbers, overlay.hap_starts,
+                                    overlay.hap_ends, hap_position,
+                                    hap_position + plen),
                     "gained", query.sequence, chrom, int(projected[i]),
                     hap_position, hap.strand(i), int(hap.mismatches[i]),
                     site])
@@ -642,9 +657,9 @@ def search_variants(index: Any, queries: Sequence[Query],
                 position = int(ref.position[i])
                 events.append([
                     haplotype.name,
-                    _causal_variant(haplotype, overlay.variants,
-                                    overlay.ref_starts, overlay.ref_ends,
-                                    position, position + plen),
+                    _causal_variant(numbers, overlay.ref_starts,
+                                    overlay.ref_ends, position,
+                                    position + plen),
                     "lost", query.sequence, chrom, position, -1,
                     ref.strand(i), int(ref.mismatches[i]), site])
 

@@ -12,7 +12,8 @@ from repro.core.bitparallel import (bitparallel_search,
                                     pack_query_window, pack_site_table,
                                     popcount64)
 from repro.core.config import Query, SearchRequest
-from repro.core.patterns import MISMATCH_LUT, PatternError, compile_pattern
+from repro.core.patterns import (COMPLEMENT_TABLE, MISMATCH_LUT,
+                                 PatternError, compile_pattern)
 from repro.core.pipeline import ResidentChunk, search
 from repro.genome.assembly import Assembly, Chromosome
 from repro.genome.fasta import sequence_to_array
@@ -235,3 +236,102 @@ def test_equals_search_property(seed, plen, pam, extra, chunk_size, block,
         expected = served_order(expected, assembly)
         got = served_order(got, assembly)
     assert got == expected
+
+
+#: Index patterns for the seed property: SpCas9, one spanning two
+#: window words, and a 5'-PAM one.
+SEED_PATTERNS = ["N" * 21 + "RG", "N" * 38 + "GG", "TTTN" + "N" * 20]
+
+
+def _seed_segments(pattern):
+    """First positions of the seed segments, by the rule the seed lists
+    state: left to right, 5 ``N`` positions inside one window word."""
+    starts, p = [], 0
+    while p + 5 <= len(pattern):
+        if pattern[p:p + 5] == "NNNNN" and p % 32 <= 27:
+            starts.append(p)
+            p += 5
+        else:
+            p += 1
+    return starts
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pattern=st.sampled_from(SEED_PATTERNS),
+       extra=st.sampled_from([b"", b"RYKM", b"*", b"SW*"]),
+       data=st.data())
+def test_seeded_comparer_equals_full_pass_property(seed, pattern, extra,
+                                                   data):
+    """With the seed lists, the comparer returns the full pass's
+    triples in values, order and dtype, over random multi-chromosome
+    genomes with N runs and IUPAC or non-IUPAC bytes, and mixed batches
+    of guides drawn from sites, with IUPAC positions, concrete, IUPAC
+    or ``N`` PAM tails and budgets 0-6; exactly the queries with
+    |E| - m >= 1 are seeded."""
+    from collections import Counter
+
+    from repro.service import GenomeSiteIndex
+
+    rng = np.random.default_rng(seed)
+    plen = len(pattern)
+    acgt = np.frombuffer(b"ACGT", dtype=np.uint8)
+    # Mutated copies of a few motifs on both strands, so guides drawn
+    # from sites have many near sites across chromosomes.
+    motifs = [rng.choice(acgt, plen + 4) for _ in range(3)]
+    for motif in motifs:
+        for p, code in enumerate(pattern):
+            if code != "N":
+                motif[p] = ord("G" if code == "R" else code)
+    chromosomes = []
+    for c in range(int(rng.integers(1, 4))):
+        pieces = []
+        for _ in range(int(rng.integers(10, 60))):
+            piece = motifs[int(rng.integers(3))].copy()
+            piece[rng.integers(0, piece.size, int(rng.integers(0, 5)))] = \
+                rng.choice(acgt, 1)
+            if rng.random() < 0.5:
+                piece = COMPLEMENT_TABLE[piece[::-1]]
+            pieces += [piece, rng.choice(acgt, int(rng.integers(0, 30)))]
+        seq = np.concatenate(pieces)
+        n = seq.size
+        lo = int(rng.integers(0, n - 60))
+        seq[lo:lo + int(rng.integers(1, 60))] = ord("N")
+        for byte in extra:
+            seq[int(rng.integers(0, n))] = byte
+        chromosomes.append(Chromosome(f"c{c}", seq))
+    index = GenomeSiteIndex.build(Assembly("g", chromosomes), pattern)
+    windows = [entry.data[locus:locus + plen].tobytes().decode()
+               for entry in index.entries for locus in entry.loci]
+    segments = _seed_segments(pattern)
+    queries, seeded = [], 0
+    for _ in range(data.draw(st.integers(1, 8))):
+        guide = [code if code in IUPAC else "N" for code in (
+            windows[data.draw(st.integers(0, len(windows) - 1))]
+            if windows else "A" * plen)]
+        for _ in range(data.draw(st.integers(0, 4))):
+            guide[data.draw(st.integers(0, plen - 1))] = data.draw(
+                st.sampled_from(IUPAC))
+        # The PAM tail: the site's own bases, the pattern's codes or N.
+        tail = data.draw(st.sampled_from(["site", "pattern", "N"]))
+        for p, code in enumerate(pattern):
+            if code != "N" and tail != "site":
+                guide[p] = code if tail == "pattern" else "N"
+        guide = "".join(guide)
+        budget = data.draw(st.integers(0, 6))
+        exact = sum(set(guide[p:p + 5]) <= set("ACGT") for p in segments)
+        seeded += exact - budget >= 1
+        queries.append(Query(guide, budget))
+    compiled = [compile_pattern(q.sequence) for q in queries]
+    tally = Counter()
+    got = compare_packed_batched(index.table, queries, compiled,
+                                 index.seeds, tally)
+    expected = compare_packed_batched(index.table, queries, compiled)
+    assert list(got) == list(expected)
+    for number, per_query in expected.items():
+        for want, have in zip(per_query, got[number]):
+            for a, b in zip(want, have):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+    assert len(index.seeds) == len(segments)
+    assert tally["queries_seeded"] == seeded

@@ -27,7 +27,7 @@ from repro.core.config import Query, SearchRequest
 from repro.core.patterns import COMPLEMENT_TABLE, PatternError
 from repro.core.pipeline import (ResidentChunk, SyclCasOffinder,
                                  _BasePipeline, search)
-from repro.core.records import sort_hits
+from repro.core.records import hits_to_rows, sort_hits
 from repro.genome.assembly import Assembly, Chromosome
 from repro.runtime import executor
 from repro.service import (BatchScheduler, GenomeSiteIndex,
@@ -43,6 +43,8 @@ QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
 IUPAC_QUERY = Query("GRCGTCNN", 3)
 #: The PAM gain/loss query: every candidate site at zero mismatches.
 PAM_QUERY = Query("N" * 8, 0)
+#: SpCas9's pattern: four 5-base seed segments over the guide.
+SPCAS9 = "N" * 21 + "RG"
 CHUNK = 1 << 12
 
 _ACGT = np.frombuffer(b"ACGT", dtype=np.uint8)
@@ -58,6 +60,22 @@ def _random_genome(seed: int, n: int, extra: bytes = b"") -> Assembly:
     for byte in extra:
         seq[int(rng.integers(0, n))] = byte
     return Assembly(f"rand-{seed}", [Chromosome("c", seq)])
+
+
+def _site_guides(index: GenomeSiteIndex, count: int, budget: int):
+    """``count`` distinct guides at ``budget``: the 20 ACGT bases of the
+    index's first forward sites, then ``NNN``."""
+    guides = []
+    for entry in index.entries:
+        for locus, flag in zip(entry.loci.tolist(), entry.flags.tolist()):
+            site = entry.data[locus:locus + 20].tobytes().decode()
+            guide = site + "NNN"
+            if flag != 2 and set(site) <= set("ACGT") and \
+                    Query(guide, budget) not in guides:
+                guides.append(Query(guide, budget))
+            if len(guides) == count:
+                return guides
+    raise AssertionError("too few forward sites")
 
 
 def _per_query(hits, queries):
@@ -283,17 +301,20 @@ class TestRowTable:
 
 class TestCompareCalls:
     def test_one_pass_per_table(self, small_assembly, monkeypatch):
-        """``query_batch`` compares once, over the resident table; a
-        variant search compares the resident table, then one table
-        packed from its patches, and only the first when nothing is
-        patched."""
+        """``query_batch`` compares once, over the resident table with
+        its seed lists; a variant search compares the resident table,
+        then one table packed from its patches without seeds, and only
+        the first when nothing is patched."""
         index = GenomeSiteIndex.build(small_assembly, PATTERN)
         tables = []
         compare = _BasePipeline.compare_resident_triples
 
-        def counting(self, table, queries, compiled):
+        def counting(self, table, queries, compiled, seeds=None,
+                     tally=None):
             tables.append(table)
-            return compare(self, table, queries, compiled)
+            assert seeds is (index.seeds if table is index.table
+                             else None)
+            return compare(self, table, queries, compiled, seeds, tally)
 
         monkeypatch.setattr(_BasePipeline, "compare_resident_triples",
                             counting)
@@ -330,6 +351,27 @@ class TestPersistence:
                                           getattr(index.table, field))
         _assert_matches_offline(loaded, QUERIES + [IUPAC_QUERY])
 
+    def test_load_rebuilds_equal_seed_lists(self, small_assembly,
+                                            tmp_path):
+        """The seed lists are not stored: a loaded index derives them
+        from its table again, equal to the built index's, and serves
+        the same bytes from them."""
+        index = GenomeSiteIndex.build(small_assembly, SPCAS9)
+        index.save(str(tmp_path))
+        loaded = GenomeSiteIndex.load(str(tmp_path), small_assembly)
+        assert len(loaded.seeds) == len(index.seeds) == 4
+        for built, rebuilt in zip(index.seeds, loaded.seeds):
+            assert (built.word, built.shift) == (rebuilt.word,
+                                                 rebuilt.shift)
+            np.testing.assert_array_equal(built.rows, rebuilt.rows)
+            np.testing.assert_array_equal(built.offsets, rebuilt.offsets)
+        queries = _site_guides(index, 8, 3)
+        served = [json.dumps(hits_to_rows(hits))
+                  for hits in loaded.query_batch(queries)]
+        assert served == [json.dumps(hits_to_rows(hits))
+                          for hits in index.query_batch(queries)]
+        assert loaded.comparer_stats()["queries_seeded"] == len(queries)
+
     def test_old_version_raises_version_error(self, small_assembly,
                                               tmp_path):
         index = GenomeSiteIndex.build(small_assembly, PATTERN)
@@ -344,13 +386,43 @@ class TestPersistence:
 
 class TestStats:
     def test_comparer_stats_counters(self, small_assembly):
+        """A batch counts its queries, the seeded ones, and the rows each
+        query compared: the whole table on the full pass, the rows whose
+        first five bases equal the guide's for an exact ``NNNNNNRG``
+        seed at budget 0."""
         index = GenomeSiteIndex.build(small_assembly, PATTERN)
-        index.query_batch(QUERIES + [IUPAC_QUERY])
+        seeded = Query("GACGTCNN", 0)
+        index.query_batch(QUERIES + [IUPAC_QUERY, seeded])
+        # G, A, C, G, T at two bits each, first base lowest.
+        key = 2 | 0 << 2 | 1 << 4 | 2 << 6 | 3 << 8
+        candidates = int(((index.table.words[0] & np.uint64(0x3FF))
+                          == key).sum())
+        assert candidates
         assert index.comparer_stats() == {
             "batches": 1,
-            "queries_total": len(QUERIES) + 1,
+            "queries_total": len(QUERIES) + 2,
             "entries_scanned": sum(1 for entry in index.entries
-                                   if entry.loci.size)}
+                                   if entry.loci.size),
+            "queries_seeded": 1,
+            "rows_compared": ((len(QUERIES) + 1) * index.table.loci.size
+                              + candidates)}
+
+    def test_unseedable_queries_take_the_full_pass(self,
+                                                   small_assembly):
+        """The all-N query has no exact segment, and a guide whose
+        budget reaches its exact segments (|E| <= m) cannot be seeded:
+        both leave ``queries_seeded`` unmoved and compare every row."""
+        index = GenomeSiteIndex.build(small_assembly, SPCAS9)
+        (guide,) = _site_guides(index, 1, 3)
+        iupac = "RRRRR" + guide.sequence[5:]
+        index.query_batch([Query("N" * len(SPCAS9), 0),
+                           Query(guide.sequence, 4),
+                           Query(iupac, 3)])
+        stats = index.comparer_stats()
+        assert stats["queries_seeded"] == 0
+        assert stats["rows_compared"] == 3 * index.table.loci.size
+        index.query_batch([guide])
+        assert index.comparer_stats()["queries_seeded"] == 1
 
     def test_scheduler_stats_carry_comparer_section(self,
                                                     small_assembly):

@@ -666,6 +666,41 @@ class TestVariantWindows:
                                          QUERIES, haps[0]), row
 
 
+class TestShortChromosomes:
+    """A chromosome shorter than the pattern on one side of a variant
+    has no site there: every site of the other side in the variant
+    window is gained or lost, as the full-splice oracle finds."""
+
+    @pytest.fixture(scope="class")
+    def short_assembly(self) -> Assembly:
+        rng = np.random.default_rng(5)
+        return Assembly("short", [
+            Chromosome("chrA", random_sequence(rng, 300)),
+            Chromosome("chrS", np.frombuffer(b"ACGTAC", np.uint8)),
+            Chromosome("chrT", np.frombuffer(b"ACGTACAGTC", np.uint8))])
+
+    def events(self, assembly, variant):
+        index = GenomeSiteIndex.build(assembly, PATTERN)
+        haps = decode_haplotypes([{"name": "h", "variants": [variant]}])
+        keys = event_keys(search_variants(index, QUERIES, haps)
+                          .payload())
+        assert keys == naive_event_keys(index, assembly, QUERIES,
+                                        haps[0])
+        return keys
+
+    def test_growing_past_the_pattern_gains_sites(self, short_assembly):
+        keys = self.events(short_assembly, ["chrS", 5, "C", "CAGG"])
+        assert {("gained", "N" * 8, "chrS", 0, "+", 0, "ACGTACAG"),
+                ("gained", "N" * 8, "chrS", 1, "+", 0,
+                 "CGTACAGG")} <= keys
+
+    def test_shrinking_below_the_pattern_loses_sites(self,
+                                                     short_assembly):
+        keys = self.events(short_assembly, ["chrT", 2, "GTAC", "G"])
+        assert ("lost", "N" * 8, "chrT", 0, "+", 0, "ACGTACAG") in keys
+        assert all(key[0] == "lost" for key in keys)
+
+
 # ---------------------------------------------------------------------------
 # Serving: ops, enzymes end to end, cross-tier byte-identity
 # ---------------------------------------------------------------------------
