@@ -18,8 +18,8 @@ many-per-query asymmetry:
   continuous-batching pattern of production inference servers);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — an
   asyncio JSON-lines TCP server (stdlib only) exposing ``query``,
-  ``stats`` and ``health`` ops, plus a blocking client and a load
-  generator;
+  ``stats`` and ``health`` ops on the front end the router shares
+  (``JsonLinesServer``), plus a blocking client and a load generator;
 * :mod:`repro.service.router` — :class:`~repro.service.router.
   OffTargetRouter` partitions the genome by *chromosome* across N
   backend servers, on one host or many, with health probing and

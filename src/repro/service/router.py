@@ -29,8 +29,8 @@ server's request-level fault plans (``crash`` / ``disconnect`` /
   delay derived from the observed p95 sub-request latency (or a fixed
   ``hedge_ms``), the same sub-request (same id) is re-issued to a
   replica and the first answer wins; the loser is reaped in the
-  background — its connection survives for reuse — and its late
-  response is counted as deduplicated by request id.
+  background — its connection survives for reuse — and a late answer
+  from it is counted (``hedges.deduped``), never sent to the client.
 * **Bounded retry with backoff** — connection loss and typed
   ``overloaded`` rejections retry against the partition's replicas
   with capped exponential backoff up to ``max_attempts``; ``deadline``
@@ -48,6 +48,15 @@ sub-request carries an explicit ``chromosomes`` filter — so any
 replica holding a superset can serve a partition without duplicating
 hits.
 
+Clients reach the router through the backends' own front end
+(:class:`~repro.service.server.JsonLinesServer`: line framing, SIGTERM
+drain, ready file); the router adds only its op handlers, a start hook
+that probes the fleet before listening and a stop hook that ends the
+probe loop and closes the connection pools.  A backend answers a line
+it could not read (one longer than its limit) with no ``id``; the
+router passes that ``bad-request`` through like any other, with no
+retry and no ejection.
+
 Stdlib only, like the rest of the serving stack.  ``python -m
 repro.service.router --smoke`` boots a 3-backend subprocess fleet,
 SIGKILLs one backend mid-load, rolls the survivors, and asserts both
@@ -60,7 +69,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -77,7 +85,7 @@ from ..observability import tracing
 from ..variants.model import VariantError, decode_haplotypes
 from ..variants.overlay import sort_event_rows, variant_payload
 from .scheduler import percentile
-from .server import (MAX_LINE_BYTES, ServerHandle,
+from .server import (MAX_LINE_BYTES, JsonLinesServer,
                      _decode_chromosomes, _decode_deadline,
                      _decode_queries)
 
@@ -90,9 +98,6 @@ POOL_MAX_IDLE = 8
 #: legitimately return a line far past 1 MiB — mirror the sync client,
 #: whose response reads are unbounded, with a generous ceiling.
 BACKEND_LINE_BYTES = MAX_LINE_BYTES << 7
-
-#: Settled request ids remembered for hedge-duplicate accounting.
-SETTLED_IDS_KEPT = 4096
 
 _Conn = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
@@ -239,7 +244,7 @@ def replica_plan(parts: Sequence[Sequence[str]], replication: int
     return out
 
 
-class OffTargetRouter:
+class OffTargetRouter(JsonLinesServer):
     """Chromosome-partitioning front end over N backend index servers.
 
     ``backends`` is a list of ``"host:port"`` specs (or pairs).
@@ -275,8 +280,7 @@ class OffTargetRouter:
         if eject_after < 1:
             raise ValueError(
                 f"eject_after must be >= 1, got {eject_after}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self._backends = [
             _Backend(i, *parse_backend(spec))
             for i, spec in enumerate(backends)]
@@ -309,11 +313,6 @@ class OffTargetRouter:
         self._seq = 0
         self._flow_seq = 0
         self._sub_latencies_ms: Deque[float] = deque(maxlen=512)
-        self._settled_ids: Set[str] = set()
-        self._settled_order: Deque[str] = deque()
-        self._stop_event: Optional[asyncio.Event] = None
-        self._draining = False
-        self._inflight = 0
         self._probe_task: Optional[asyncio.Task] = None
 
     # -- connection pool ------------------------------------------------
@@ -370,8 +369,10 @@ class OffTargetRouter:
             response = json.loads(line)
             if not isinstance(response, dict):
                 raise ValueError("backend response is not an object")
+            # An answer with no id is one to a line the backend could
+            # not read (the client accepts those too).
             rid = payload.get("id")
-            if rid is not None and response.get("id") != rid:
+            if rid is not None and response.get("id") not in (None, rid):
                 raise ConnectionResetError(
                     f"backend {backend.label} answered id "
                     f"{response.get('id')!r} for request {rid!r}")
@@ -505,18 +506,12 @@ class OffTargetRouter:
         # the tail the hedge exists to cut.
         return min(1.0, max(0.01, p95 * 1.5 / 1000.0))
 
-    def _settle_id(self, rid: str) -> None:
-        self._settled_ids.add(rid)
-        self._settled_order.append(rid)
-        while len(self._settled_order) > SETTLED_IDS_KEPT:
-            self._settled_ids.discard(self._settled_order.popleft())
-
     def _reap(self, task: "asyncio.Task", rid: str) -> None:
         """Await a losing hedge in the background.
 
         Not cancelling the loser keeps its connection usable (a
-        cancelled read would have to discard it) and lets the late
-        response be counted as a deduplicated duplicate of ``rid``.
+        cancelled read would have to discard it); a well-formed late
+        answer is counted as a duplicate of ``rid`` and dropped.
         """
         async def _await_loser() -> None:
             try:
@@ -526,9 +521,8 @@ class OffTargetRouter:
                 return
             except asyncio.CancelledError:
                 return
-            if rid in self._settled_ids:
-                self._hedges_deduped += 1
-                tracing.instant("hedge_deduped", cat="router", id=rid)
+            self._hedges_deduped += 1
+            tracing.instant("hedge_deduped", cat="router", id=rid)
 
         asyncio.ensure_future(_await_loser())
 
@@ -582,7 +576,6 @@ class OffTargetRouter:
                                         id=rid)
                     else:
                         self._hedges_lost += 1
-                self._settle_id(rid)
                 tracing.flow("route_subrequest", flow_id, cat="router",
                              end=True)
                 for loser in tasks:
@@ -1141,162 +1134,23 @@ class OffTargetRouter:
                            f"design, variant, enzymes, stats, health, "
                            f"topology or rollover"}
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                self._inflight += 1
-                try:
-                    try:
-                        request = json.loads(line)
-                        if not isinstance(request, dict):
-                            raise ValueError(
-                                "request must be a JSON object")
-                    except (ValueError, json.JSONDecodeError) as exc:
-                        response: Dict[str, Any] = {
-                            "ok": False, "error": "bad-json",
-                            "message": str(exc)}
-                    else:
-                        response = await self._handle_request(request)
-                        if "id" in request:
-                            response["id"] = request["id"]
-                    writer.write(
-                        json.dumps(response).encode("ascii", "replace")
-                        + b"\n")
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._inflight -= 1
-        except asyncio.CancelledError:
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+    # -- lifecycle hooks -----------------------------------------------
 
-    # -- lifecycle ------------------------------------------------------
-
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _begin_drain(self) -> None:
-        self._draining = True
-        self._request_stop()
-
-    async def _serve(self, ready=None, duration_s=None,
-                     ready_file=None) -> None:
-        import os as _os
-        import signal as _signal
-        self._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        signal_installed = False
-        try:
-            loop.add_signal_handler(_signal.SIGTERM, self._begin_drain)
-            signal_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        # Discover the fleet before announcing readiness, so a caller
-        # that waited on the ready file sees a populated routing table.
+    async def _on_start(self) -> None:
+        """Discover the fleet before listening, so a caller that waited
+        for readiness sees a populated routing table."""
         await asyncio.gather(*(self._probe(b) for b in self._backends),
                              return_exceptions=True)
         self._rebuild_routing()
         self._probe_task = asyncio.ensure_future(self._probe_loop())
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-            limit=MAX_LINE_BYTES)
-        self.port = server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready[2].append(self.port)
-            ready[1].set()
-        if ready_file:
-            # Atomic publish (see server._serve): pollers must never
-            # observe the empty create-to-write window.
-            part = ready_file + ".part"
-            with open(part, "w", encoding="ascii") as handle:
-                handle.write(f"{self.host} {self.port}\n")
-            _os.replace(part, ready_file)
-        try:
-            async with server:
-                if duration_s is not None:
-                    try:
-                        await asyncio.wait_for(self._stop_event.wait(),
-                                               timeout=duration_s)
-                    except asyncio.TimeoutError:
-                        pass
-                else:
-                    await self._stop_event.wait()
-        finally:
-            self._stop_event = None
-            if signal_installed:
-                loop.remove_signal_handler(_signal.SIGTERM)
-            if self._draining:
-                deadline = loop.time() + 5.0
-                while self._inflight > 0 and loop.time() < deadline:
-                    await asyncio.sleep(0.02)
+
+    async def _on_stop(self) -> None:
+        if self._probe_task is not None:
             self._probe_task.cancel()
             await asyncio.gather(self._probe_task,
                                  return_exceptions=True)
             self._probe_task = None
-            self._close_pools()
-            current = asyncio.current_task()
-            pending = [task for task in asyncio.all_tasks()
-                       if task is not current and not task.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            if ready_file:
-                try:
-                    _os.unlink(ready_file)
-                except OSError:
-                    pass
-
-    def run(self, duration_s: Optional[float] = None,
-            ready_file: Optional[str] = None) -> None:
-        """Route on the calling thread until stopped (or SIGTERM)."""
-        try:
-            asyncio.run(self._serve(duration_s=duration_s,
-                                    ready_file=ready_file))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
-    def start_background(self) -> ServerHandle:
-        """Route on a daemon thread; returns a handle with the port."""
-        ready = threading.Event()
-        ports: List[int] = []
-        loop = asyncio.new_event_loop()
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    self._serve(ready=(self.host, ready, ports)))
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="service-router",
-                                  daemon=True)
-        thread.start()
-        if not ready.wait(timeout=30.0):
-            raise RuntimeError("router failed to start within 30 s")
-        return ServerHandle(host=self.host, port=ports[0],
-                            _server=self, _thread=thread, _loop=loop)
-
-    def close(self) -> None:
-        """Nothing to release beyond the event loop the handle stops."""
+        self._close_pools()
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,20 @@ carry a machine-readable ``error`` code (``bad-json``, ``bad-request``,
 ``no-reloader``, ``reload-failed``) so clients can distinguish
 back-off-and-retry from bugs.
 
+One front end serves both tiers: :class:`JsonLinesServer` holds the
+connection loop (line framing, ``bad-json``, ``id`` echo, the
+in-flight count) and the process lifecycle (SIGTERM drain, ready file,
+background thread), and :class:`OffTargetServer` here and the routing
+tier's :class:`~repro.service.router.OffTargetRouter` supply only their
+op handlers.  A request line longer than :data:`MAX_LINE_BYTES` is read
+through its newline, dropped and answered ``bad-request``, and a line
+too deeply nested for the JSON decoder is answered ``bad-json``; either
+way the connection keeps serving.
+
 The accept loop never blocks on the comparer: each connection awaits
 its scheduler future via :func:`asyncio.wrap_future`, so slow batches
 only delay their own requesters while other connections keep being
-served.  :meth:`OffTargetServer.start_background` runs the whole server
+served.  :meth:`JsonLinesServer.start_background` runs the whole server
 in a daemon thread with its own event loop — the shape the tests and
 the load generator use.
 
@@ -70,7 +80,7 @@ import json
 import os
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
@@ -91,6 +101,10 @@ from .scheduler import (BatchScheduler, DeadlineExceeded,
 
 #: Refuse absurd single lines before json.loads sees them.
 MAX_LINE_BYTES = 1 << 20
+
+#: How long :meth:`JsonLinesServer.start_background` waits for the
+#: listener (a router probes its whole fleet first).
+START_TIMEOUT_S = 30.0
 
 #: Sentinel returned by the fault applier when the connection should
 #: be dropped without a response (a half-open connection).
@@ -175,13 +189,36 @@ def _decode_chromosomes(raw: Any) -> Optional[FrozenSet[str]]:
     return frozenset(raw)
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line, ``b""`` at end of stream, or None.
+
+    None stands for a line longer than the reader's limit: it is read
+    through its newline and dropped, so the next line starts clean.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # end of stream: an unterminated last line
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # the stream ended inside the line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
 @dataclass
 class ServerHandle:
     """A running background server: address plus a way to stop it."""
 
     host: str
     port: int
-    _server: "OffTargetServer"
+    _server: "JsonLinesServer"
     _thread: threading.Thread
     _loop: asyncio.AbstractEventLoop
 
@@ -212,7 +249,234 @@ class ServerHandle:
         self._server.close()
 
 
-class OffTargetServer:
+class JsonLinesServer:
+    """One JSON-lines TCP front end: connection loop and lifecycle.
+
+    Subclasses answer one decoded request object at a time in
+    :meth:`_handle_request` (None drops the connection unanswered);
+    :meth:`_on_start` runs before the listener opens and
+    :meth:`_on_stop` after it closed and the drain ended.  ``drain_s``
+    bounds how long admitted requests may take to finish once a drain
+    (SIGTERM or :meth:`ServerHandle.drain`) begins.
+    """
+
+    def __init__(self, host: str, port: int, drain_s: float = 5.0):
+        self.host = host
+        self.port = port  # 0 = ephemeral; bound port set once listening
+        self.drain_s = float(drain_s)
+        self._stop_event: Optional[asyncio.Event] = None
+        self._draining = False
+        self._inflight = 0
+
+    async def _handle_request(self, request: Dict[str, Any]
+                              ) -> Optional[Dict[str, Any]]:
+        raise NotImplementedError
+
+    async def _on_start(self) -> None:
+        """Runs on the event loop before the listener opens."""
+
+    async def _on_stop(self) -> None:
+        """Runs on the event loop after the listener and drain end."""
+
+    def close(self) -> None:
+        """Release what outlives the event loop (called once it ends)."""
+
+    async def _respond(self, line: Optional[bytes]
+                       ) -> Optional[Dict[str, Any]]:
+        """The answer to one request line (None: an over-limit line),
+        or None to drop the connection without answering."""
+        if line is None:
+            return {"ok": False, "error": "bad-request",
+                    "message": f"request line longer than "
+                               f"{MAX_LINE_BYTES} bytes"}
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+        except (ValueError, RecursionError) as exc:
+            return {"ok": False, "error": "bad-json", "message": str(exc)}
+        response = await self._handle_request(request)
+        if response is not None and "id" in request:
+            response["id"] = request["id"]
+        return response
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        try:
+            while True:
+                try:
+                    line = await _read_line(reader)
+                except ConnectionError:
+                    break
+                if line == b"":
+                    break  # end of stream
+                self._inflight += 1
+                try:
+                    response = await self._respond(line)
+                    if response is None:
+                        # The handler drops the connection unanswered
+                        # (the server's injected ``disconnect``).
+                        break
+                    writer.write(json.dumps(response).encode("ascii",
+                                                             "replace")
+                                 + b"\n")
+                    try:
+                        await writer.drain()
+                    except ConnectionError:
+                        break
+                finally:
+                    self._inflight -= 1
+        except asyncio.CancelledError:
+            pass  # server shutdown: drop the connection quietly
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass
+
+    # -- lifecycle ------------------------------------------------------
+
+    def _request_stop(self) -> None:
+        if self._stop_event is not None:
+            self._stop_event.set()
+
+    def _begin_drain(self) -> None:
+        """Graceful shutdown: stop accepting, finish admitted work.
+
+        Called from the event loop (SIGTERM handler or
+        :meth:`ServerHandle.drain` via ``call_soon_threadsafe``).
+        """
+        if not self._draining:
+            self._draining = True
+            tracing.instant("server_drain_begin", cat="service",
+                            inflight=self._inflight)
+        self._request_stop()
+
+    async def _serve(self, started: Optional[Future] = None,
+                     duration_s: Optional[float] = None,
+                     ready_file: Optional[str] = None) -> None:
+        self._stop_event = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        signal_installed = False
+        try:
+            # A supervisor's SIGTERM triggers the graceful drain
+            # instead of killing mid-batch.  Installation fails off
+            # the main thread (start_background); those callers use
+            # ServerHandle.drain instead.
+            loop.add_signal_handler(signal.SIGTERM, self._begin_drain)
+            signal_installed = True
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass
+        try:
+            await self._on_start()
+            server = await asyncio.start_server(
+                self._handle_connection, host=self.host, port=self.port,
+                limit=MAX_LINE_BYTES)
+            async with server:
+                self.port = server.sockets[0].getsockname()[1]
+                if started is not None:
+                    started.set_result(self.port)
+                if ready_file:
+                    # Atomic publish: a supervisor polls for the file's
+                    # existence, so it must never observe the empty
+                    # window between create and write.
+                    part = ready_file + ".part"
+                    with open(part, "w", encoding="ascii") as handle:
+                        handle.write(f"{self.host} {self.port}\n")
+                    os.replace(part, ready_file)
+                if duration_s is not None:
+                    try:
+                        await asyncio.wait_for(self._stop_event.wait(),
+                                               timeout=duration_s)
+                    except asyncio.TimeoutError:
+                        pass
+                else:
+                    await self._stop_event.wait()
+        finally:
+            self._stop_event = None
+            if signal_installed:
+                loop.remove_signal_handler(signal.SIGTERM)
+            if self._draining:
+                # The listener is closed (async with exited): no new
+                # connections.  Give requests already admitted up to
+                # drain_s to finish; each holds _inflight until its
+                # response is written.
+                deadline = loop.time() + self.drain_s
+                while self._inflight > 0 and loop.time() < deadline:
+                    await asyncio.sleep(0.02)
+                tracing.instant("server_drained", cat="service",
+                                remaining=self._inflight)
+            await self._on_stop()
+            # Cancel connection handlers still blocked reading so the
+            # loop shuts down without pending-task warnings.
+            current = asyncio.current_task()
+            pending = [task for task in asyncio.all_tasks()
+                       if task is not current and not task.done()]
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+
+    def run(self, duration_s: Optional[float] = None,
+            ready_file: Optional[str] = None) -> None:
+        """Serve on the calling thread until stopped.
+
+        ``ready_file`` (if given) is written with ``"host port"`` once
+        the socket is listening — so a supervisor (or smoke test) can
+        find an ephemeral port — and removed again on shutdown
+        (including error paths), so a dead server never keeps
+        announcing a port it no longer holds.  ``duration_s`` bounds
+        the run, which lets ``repro serve --duration-s 5`` act as its
+        own smoke test.
+        """
+        try:
+            asyncio.run(self._serve(duration_s=duration_s,
+                                    ready_file=ready_file))
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.close()
+            if ready_file:
+                try:
+                    os.unlink(ready_file)
+                except OSError:
+                    pass
+
+    def start_background(self) -> ServerHandle:
+        """Serve on a daemon thread; returns a handle with the port.
+
+        A start that fails before listening (a taken port, say) raises
+        its error here at once.
+        """
+        started: Future = Future()
+        loop = asyncio.new_event_loop()
+
+        def _run() -> None:
+            asyncio.set_event_loop(loop)
+            try:
+                loop.run_until_complete(self._serve(started=started))
+            except Exception as exc:
+                if started.done():
+                    raise
+                started.set_exception(exc)
+            finally:
+                loop.close()
+
+        name = type(self).__name__
+        thread = threading.Thread(target=_run, name=f"service-{name}",
+                                  daemon=True)
+        thread.start()
+        try:
+            started.result(timeout=START_TIMEOUT_S)
+        except TimeoutError:
+            raise RuntimeError(f"{name} failed to start within "
+                               f"{START_TIMEOUT_S:g} s") from None
+        return ServerHandle(host=self.host, port=self.port, _server=self,
+                            _thread=thread, _loop=loop)
+
+
+class OffTargetServer(JsonLinesServer):
     """JSON-lines TCP server over one resident :class:`GenomeSiteIndex`."""
 
     def __init__(self, index: GenomeSiteIndex, host: str = "127.0.0.1",
@@ -223,13 +487,11 @@ class OffTargetServer:
                  drain_s: float = 5.0,
                  enzymes: Optional[Sequence[
                      Tuple[CasEnzyme, GenomeSiteIndex]]] = None):
+        super().__init__(host, port, drain_s)
         self.index = index
-        self.host = host
-        self.port = port  # 0 = ephemeral; bound port set once listening
         self.scheduler = BatchScheduler(index, max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
                                         max_queue=max_queue)
-        self._stop_event: Optional[asyncio.Event] = None
         self._closed = False
         #: Builds/loads a replacement index for the ``reload`` op.
         self._reloader = reloader
@@ -241,10 +503,6 @@ class OffTargetServer:
                 request_fault_plan))
             if request_fault_plan else None)
         self._request_seq = 0
-        #: Graceful-shutdown budget for in-flight requests (seconds).
-        self.drain_s = float(drain_s)
-        self._draining = False
-        self._inflight = 0
         #: Alternate enzymes: name -> (enzyme, index, scheduler).
         #: Requests naming no enzyme keep hitting the default index.
         self._enzymes: Dict[str, Tuple[CasEnzyme, GenomeSiteIndex,
@@ -572,184 +830,6 @@ class OffTargetServer:
                     "canaries": len(canaries),
                     "drained": drained,
                     "reloads": self._reloads}
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                self._inflight += 1
-                try:
-                    try:
-                        request = json.loads(line)
-                        if not isinstance(request, dict):
-                            raise ValueError(
-                                "request must be a JSON object")
-                    except (ValueError, json.JSONDecodeError) as exc:
-                        response: Optional[Dict[str, Any]] = {
-                            "ok": False, "error": "bad-json",
-                            "message": str(exc)}
-                    else:
-                        response = await self._handle_request(request)
-                        if response is None:
-                            # Injected disconnect: drop the connection
-                            # without writing anything back.
-                            break
-                        if "id" in request:
-                            response["id"] = request["id"]
-                    writer.write(json.dumps(response).encode("ascii",
-                                                             "replace")
-                                 + b"\n")
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._inflight -= 1
-        except asyncio.CancelledError:
-            pass  # server shutdown: drop the connection quietly
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    # -- lifecycle ------------------------------------------------------
-
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _begin_drain(self) -> None:
-        """Graceful shutdown: stop accepting, finish admitted work.
-
-        Called from the event loop (SIGTERM handler or
-        :meth:`ServerHandle.drain` via ``call_soon_threadsafe``).
-        """
-        if not self._draining:
-            self._draining = True
-            tracing.instant("server_drain_begin", cat="service",
-                            inflight=self._inflight)
-        self._request_stop()
-
-    async def _serve(self, ready: Optional[Tuple[str, threading.Event,
-                                                 List[int]]] = None,
-                     duration_s: Optional[float] = None,
-                     ready_file: Optional[str] = None) -> None:
-        self._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        signal_installed = False
-        try:
-            # A supervisor's SIGTERM triggers the graceful drain
-            # instead of killing mid-batch.  Installation fails off
-            # the main thread (start_background); those callers use
-            # ServerHandle.drain instead.
-            loop.add_signal_handler(signal.SIGTERM, self._begin_drain)
-            signal_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-            limit=MAX_LINE_BYTES)
-        self.port = server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready[2].append(self.port)
-            ready[1].set()
-        if ready_file:
-            # Atomic publish: a supervisor polls for the file's
-            # existence, so it must never observe the empty window
-            # between create and write.
-            part = ready_file + ".part"
-            with open(part, "w", encoding="ascii") as handle:
-                handle.write(f"{self.host} {self.port}\n")
-            os.replace(part, ready_file)
-        try:
-            async with server:
-                if duration_s is not None:
-                    try:
-                        await asyncio.wait_for(self._stop_event.wait(),
-                                               timeout=duration_s)
-                    except asyncio.TimeoutError:
-                        pass
-                else:
-                    await self._stop_event.wait()
-        finally:
-            self._stop_event = None
-            if signal_installed:
-                loop.remove_signal_handler(signal.SIGTERM)
-            if self._draining:
-                # The listener is closed (async with exited): no new
-                # connections.  Give requests already admitted up to
-                # drain_s to finish; the scheduler queue drains
-                # transitively because each request holds _inflight
-                # until its response is written.
-                deadline = loop.time() + self.drain_s
-                while self._inflight > 0 and loop.time() < deadline:
-                    await asyncio.sleep(0.02)
-                tracing.instant("server_drained", cat="service",
-                                remaining=self._inflight)
-            # Cancel connection handlers still blocked in readline so
-            # the loop shuts down without pending-task warnings.
-            current = asyncio.current_task()
-            pending = [task for task in asyncio.all_tasks()
-                       if task is not current and not task.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    def run(self, duration_s: Optional[float] = None,
-            ready_file: Optional[str] = None) -> None:
-        """Serve on the calling thread until stopped.
-
-        ``ready_file`` (if given) is written with ``"host port"`` once
-        the socket is listening — so a supervisor (or smoke test) can
-        find an ephemeral port — and removed again on shutdown
-        (including error paths), so a dead server never keeps
-        announcing a port it no longer holds.  ``duration_s`` bounds
-        the run, which lets ``repro serve --duration-s 5`` act as its
-        own smoke test.
-        """
-        try:
-            asyncio.run(self._serve(duration_s=duration_s,
-                                    ready_file=ready_file))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-            if ready_file:
-                try:
-                    os.unlink(ready_file)
-                except OSError:
-                    pass
-
-    def start_background(self) -> ServerHandle:
-        """Serve on a daemon thread; returns a handle with the port."""
-        ready = threading.Event()
-        ports: List[int] = []
-        loop = asyncio.new_event_loop()
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    self._serve(ready=(self.host, ready, ports)))
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="service-server",
-                                  daemon=True)
-        thread.start()
-        if not ready.wait(timeout=10.0):
-            raise RuntimeError("server failed to start within 10 s")
-        return ServerHandle(host=self.host, port=ports[0], _server=self,
-                            _thread=thread, _loop=loop)
 
     def close(self) -> None:
         if not self._closed:

@@ -3,6 +3,9 @@ served hit order as a sort."""
 
 from __future__ import annotations
 
+import json
+import socket
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,55 @@ def served_order(hits, assembly: Assembly):
     return sorted(hits, key=lambda h: (query_rank[h.query],
                                        chrom_rank[h.chrom],
                                        h.strand != "+", h.position))
+
+
+#: A request every serving tier answers, sent after a bad line to show
+#: the connection still serves.
+HEALTH_LINE = b'{"op": "health", "id": "after"}\n'
+
+
+def converse(host: str, port: int, *writes: bytes) -> list:
+    """Send each write on one connection, reading one answer per line
+    it holds before sending the next."""
+    answers = []
+    with socket.create_connection((host, port), timeout=60) as sock:
+        with sock.makefile("rb") as stream:
+            for payload in writes:
+                sock.sendall(payload)
+                answers.extend(json.loads(stream.readline())
+                               for _ in range(payload.count(b"\n")))
+    return answers
+
+
+def padded_line(request: dict, length: int) -> bytes:
+    """``request`` as one line of exactly ``length`` bytes before its
+    newline, padded with JSON whitespace."""
+    text = json.dumps(request).encode("ascii")
+    return text[:-1] + b" " * (length - len(text)) + b"}\n"
+
+
+def query_line(length: int) -> bytes:
+    """A well-formed ``query`` line of exactly ``length`` bytes before
+    its newline (~17 bytes per query)."""
+    entry = ["GACGTCNN", 0]
+    count = (length - 40) // len(json.dumps([entry, entry])) * 2
+    return padded_line({"op": "query", "queries": [entry] * count},
+                       length)
+
+
+def over_limit_writes(limit: int) -> list:
+    """Writes that each put one line longer than ``limit`` before a
+    ``health`` request: a 2 MiB query, a line one byte over, and a
+    3 MiB query sharing one write with the ``health`` line."""
+    return [[query_line(2 << 20), HEALTH_LINE],
+            [padded_line({"op": "health"}, limit + 1), HEALTH_LINE],
+            [query_line(3 << 20) + HEALTH_LINE]]
+
+
+def nested_query_line(depth: int) -> bytes:
+    """A ``query`` line whose ``queries`` nests ``depth`` lists."""
+    return (b'{"op": "query", "queries": ' + b"[" * depth
+            + b"]" * depth + b"}\n")
 
 
 def random_sequence(rng: np.random.Generator, n: int,

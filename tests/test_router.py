@@ -9,6 +9,7 @@ dies, a hedge fires, or the fleet rolls its index.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -29,7 +30,13 @@ from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes, replica_plan)
 from repro.service.router import parse_backend
+from repro.service.server import MAX_LINE_BYTES
 
+from .conftest import (HEALTH_LINE, converse, nested_query_line,
+                       over_limit_writes, query_line)
+
+#: The checkout these tests belong to (subprocesses run its code).
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
 QUERY_POOL = ["GACGTCNN", "TTACGANN", "AAACCCNN", "GGGTTTNN",
@@ -240,6 +247,46 @@ class TestRoutedEquivalence:
                               "queries": [["GACGTCNN", 3]],
                               "deadline_s": "soon"})
 
+    def test_over_limit_line_is_bad_request(self, routed):
+        for writes in over_limit_writes(MAX_LINE_BYTES):
+            bad, health = converse(routed.host, routed.port, *writes)
+            assert bad["ok"] is False and bad["error"] == "bad-request"
+            assert str(MAX_LINE_BYTES) in bad["message"]
+            assert health["ok"] and health["id"] == "after"
+
+    def test_deeply_nested_json_is_bad_json(self, routed):
+        bad, health = converse(routed.host, routed.port,
+                               nested_query_line(100_000), HEALTH_LINE)
+        assert bad["ok"] is False and bad["error"] == "bad-json"
+        assert health["ok"] and health["id"] == "after"
+
+    def test_near_limit_query_keeps_backends(self, full_index,
+                                             wide_assembly):
+        # Under the router's limit, but the chromosome filter and id
+        # the router adds push each sub-request past the backends':
+        # their typed answer must come back unchanged, with no retry
+        # and no healthy backend ejected.
+        handles = [OffTargetServer(full_index,
+                                   max_wait_ms=1.0).start_background()
+                   for _ in range(2)]
+        router_handle = start_router(handles, wide_assembly)
+        try:
+            bad, health = converse(
+                router_handle.host, router_handle.port,
+                query_line(MAX_LINE_BYTES - 9), HEALTH_LINE)
+            assert bad["ok"] is False and bad["error"] == "bad-request"
+            assert str(MAX_LINE_BYTES) in bad["message"]
+            assert health["ok"] and health["backends_alive"] == 2
+            with ServiceClient(router_handle.host,
+                               router_handle.port) as client:
+                stats = client._call({"op": "stats"})["stats"]
+            assert stats["backends_alive"] == 2
+            assert stats["retries"] == 0
+        finally:
+            router_handle.stop()
+            for handle in handles:
+                handle.stop()
+
     def test_uncovered_chromosome_is_unavailable(
             self, part_indexes, wide_assembly):
         # A router told the genome has chrA..chrD but whose only
@@ -423,6 +470,22 @@ class TestHedging:
             router_handle.stop()
             for handle in handles:
                 handle.stop()
+
+    def test_every_late_loser_answer_is_counted(self):
+        # Any losing sub-request that later answers well-formed is a
+        # duplicate, however many sub-requests settled in between.
+        router = OffTargetRouter(["127.0.0.1:1"])
+
+        async def reap():
+            loop = asyncio.get_running_loop()
+            answered, failed = loop.create_future(), loop.create_future()
+            answered.set_result({"ok": True, "id": "r1"})
+            failed.set_exception(ConnectionResetError("gone"))
+            router._reap(answered, "r1")
+            router._reap(failed, "r2")
+            await asyncio.sleep(0.01)
+        asyncio.run(reap())
+        assert router._stats()["hedges"]["deduped"] == 1
 
     def test_auto_hedge_delay_tracks_p95(self, wide_assembly):
         router = OffTargetRouter(["127.0.0.1:1"], hedge_ms=None)
@@ -759,6 +822,39 @@ class TestDrain:
             socket.create_connection((handle.host, handle.port),
                                      timeout=1.0)
 
+    def test_router_drain_finishes_inflight(self, full_index,
+                                            wide_assembly):
+        backend = OffTargetServer(
+            full_index, max_wait_ms=1.0,
+            request_fault_plan="stall@1:0.5").start_background()
+        router_handle = start_router([backend], wide_assembly)
+        client = ServiceClient(router_handle.host, router_handle.port,
+                               timeout_s=30.0)
+        try:
+            raw_query(client)  # backend request 0: warms the pools
+            result = {}
+
+            def slow_request():
+                # Backend request 1 stalls 0.5 s; the router's drain
+                # must wait for its routed answer.
+                result["response"] = raw_query(client)
+            thread = threading.Thread(target=slow_request)
+            thread.start()
+            time.sleep(0.1)  # let the stalled request get admitted
+            router_handle.drain(timeout_s=10.0)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert result["response"]["ok"], \
+                "an admitted routed request must survive the drain"
+            with pytest.raises(OSError):
+                socket.create_connection(
+                    (router_handle.host, router_handle.port),
+                    timeout=1.0)
+        finally:
+            client.close()
+            router_handle.stop()
+            backend.stop()
+
     def test_drained_scheduler_counts_settle(self, full_index):
         server = OffTargetServer(full_index, max_wait_ms=1.0)
         handle = server.start_background()
@@ -781,7 +877,7 @@ class TestDrain:
              "--max-wait-ms", "1.0", "--drain-s", "5.0",
              "--ready-file", str(ready)],
             env={**os.environ, "PYTHONPATH": "src"},
-            cwd="/root/repo")
+            cwd=REPO_ROOT)
         try:
             assert wait_until(ready.exists, timeout_s=90.0)
             host, port = ready.read_text().split()
@@ -796,6 +892,35 @@ class TestDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+
+    @pytest.mark.slow
+    def test_route_sigterm_exits_zero_removes_ready_file(
+            self, tmp_path, full_index):
+        backend = OffTargetServer(full_index,
+                                  max_wait_ms=1.0).start_background()
+        ready = tmp_path / "router.ready"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "route",
+             "--backend", f"{backend.host}:{backend.port}",
+             "--ready-file", str(ready)],
+            env={**os.environ, "PYTHONPATH": "src"}, cwd=REPO_ROOT)
+        try:
+            assert wait_until(ready.exists, timeout_s=90.0)
+            host, port = ready.read_text().split()
+            with ServiceClient(host, int(port)) as client:
+                health = client._call({"op": "health"})
+            assert health["backends_alive"] == 1, \
+                "a ready router has probed its fleet"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30.0) == 0, \
+                "SIGTERM must exit 0 after draining"
+            assert not ready.exists(), \
+                "a drained router must remove its ready file"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            backend.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +948,7 @@ class TestSubprocessAcceptance:
                      "--max-wait-ms", "1.0",
                      "--ready-file", str(ready)],
                     env={**os.environ, "PYTHONPATH": "src"},
-                    cwd="/root/repo"))
+                    cwd=REPO_ROOT))
             addrs = []
             for ready in readies:
                 assert wait_until(ready.exists, timeout_s=120.0)

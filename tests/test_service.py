@@ -36,6 +36,10 @@ from repro.service import (BatchScheduler, DeadlineExceeded,
                            ServiceOverloaded, ServiceOverloadedError,
                            SiteIndexError, SiteIndexMismatchError,
                            run_load)
+from repro.service.server import MAX_LINE_BYTES
+
+from .conftest import (HEALTH_LINE, converse, nested_query_line,
+                       over_limit_writes, padded_line, query_line)
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
@@ -391,6 +395,39 @@ class TestServer:
         response = self._raw_call(served, b"{not json\n")
         assert response == {"ok": False, "error": "bad-json",
                             "message": response["message"]}
+
+    def test_over_limit_line_is_bad_request(self, served):
+        """A line past MAX_LINE_BYTES is read through its newline and
+        answered ``bad-request``; the connection then serves on."""
+        for writes in over_limit_writes(MAX_LINE_BYTES):
+            bad, health = converse(served.host, served.port, *writes)
+            assert bad["ok"] is False and bad["error"] == "bad-request"
+            assert str(MAX_LINE_BYTES) in bad["message"]
+            assert health["ok"] and health["id"] == "after"
+        at_limit, health = converse(
+            served.host, served.port,
+            padded_line({"op": "health", "id": 1}, MAX_LINE_BYTES),
+            HEALTH_LINE)
+        assert at_limit["ok"] and at_limit["id"] == 1
+        assert health["ok"] and health["id"] == "after"
+
+    def test_deeply_nested_json_is_bad_json(self, served):
+        bad, health = converse(served.host, served.port,
+                               nested_query_line(100_000), HEALTH_LINE)
+        assert bad["ok"] is False and bad["error"] == "bad-json"
+        assert health["ok"] and health["id"] == "after"
+
+    def test_failed_start_raises_at_once(self, index):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            server = OffTargetServer(index, port=taken.getsockname()[1])
+            began = time.perf_counter()
+            try:
+                with pytest.raises(OSError):
+                    server.start_background()
+            finally:
+                server.close()
+        assert time.perf_counter() - began < 5.0, \
+            "a taken port must not wait out the start timeout"
 
     def test_unknown_op_reported(self, served):
         response = self._raw_call(
