@@ -19,10 +19,11 @@ the serving index run it:
   mismatch a concrete query base through a separate invalid-position
   plane, matching the comparer kernel's behaviour.
 
-:func:`pack_site_table` / :func:`pack_query_window` pack *full
+:func:`pack_site_table` / :func:`pack_query_windows` pack *full
 windows* at fixed 2-bit offsets, ``ceil(plen / 32)`` words per window.
 The site table is query-independent, so a resident index builds it
-once: one row per (candidate, strand) over all its entries, in the
+once; a batch's queries pack together on every comparer call, with no
+cache to miss: one row per (candidate, strand) over all its entries, in the
 served hit order (:mod:`repro.core.records`), a reverse row holding its
 window's reverse complement.  :func:`compare_packed_batched` then
 serves any number of queries over the table, no genome gather and no
@@ -48,15 +49,14 @@ query against it in one full pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..genome.assembly import Assembly
 from ..runtime.sycl import sycl_read
 from .config import Query, SearchRequest
-from .patterns import MISMATCH_LUT, CompiledPattern, compile_pattern
+from .patterns import MISMATCH_LUT, CompiledPattern
 from .pipeline import (DEFAULT_CHUNK_SIZE, PackedSites, PipelineResult,
                        ResidentChunk, SyclCasOffinder, Triples,
                        empty_triples)
@@ -218,8 +218,7 @@ def pack_site_table(entries: Sequence[ResidentChunk], plen: int
 _REJECTS = MISMATCH_LUT[:, np.frombuffer(b"ACGT", dtype=np.uint8)]
 
 
-@dataclass(frozen=True)
-class PackedWindowQuery:
+class PackedWindowQuery(NamedTuple):
     """One query packed against full forward windows.
 
     ``words`` and ``care`` hold one uint64 per window word for the
@@ -235,29 +234,39 @@ class PackedWindowQuery:
     ambiguous: Tuple[Tuple[int, np.uint64, np.ndarray], ...]
 
 
-def pack_query_window(cq: CompiledPattern) -> PackedWindowQuery:
-    """Pack a query's forward strand at full-window offsets."""
-    indices = cq.comp_index[:cq.plen]
-    checked = indices[indices >= 0].astype(np.int64)
-    chars = cq.comp[checked]
-    word_of = checked // BASES_PER_WORD
-    shifts = (2 * (checked % BASES_PER_WORD)).astype(np.uint64)
+def pack_query_windows(compiled_queries: Sequence[CompiledPattern]
+                       ) -> List[PackedWindowQuery]:
+    """Pack queries of one length, forward strand at full-window
+    offsets, in one pass over all of them.
+
+    ``N`` positions are not checked, and the window's tail past the
+    query packs as ``N``.  A word's concrete codes never overlap, so
+    summing them shifted into place ORs them.
+    """
+    if not compiled_queries:
+        return []
+    plen = compiled_queries[0].plen
+    chars = np.full((len(compiled_queries),
+                     window_words(plen) * BASES_PER_WORD), ord("N"),
+                    dtype=np.uint8)
+    chars[:, :plen] = np.frombuffer(
+        b"".join([cq.sequence.tobytes() for cq in compiled_queries]),
+        dtype=np.uint8).reshape(len(compiled_queries), plen)
+    shifts = (2 * (np.arange(chars.shape[1]) % BASES_PER_WORD)
+              ).astype(np.uint64)
     concrete = _VALID[chars]
-    words = np.zeros(window_words(cq.plen), dtype=np.uint64)
-    care = np.zeros_like(words)
-    np.bitwise_or.at(words, word_of[concrete],
-                     _CODE[chars[concrete]] << shifts[concrete])
-    np.bitwise_or.at(care, word_of[concrete],
-                     np.uint64(1) << shifts[concrete])
-    ambiguous = tuple(
-        (int(w), shift, _REJECTS[char]) for w, shift, char
-        in zip(word_of[~concrete], shifts[~concrete], chars[~concrete]))
-    return PackedWindowQuery(words=words, care=care, ambiguous=ambiguous)
-
-
-@lru_cache(maxsize=512)
-def _window_query_cached(sequence: str) -> PackedWindowQuery:
-    return pack_query_window(compile_pattern(sequence))
+    by_word = (len(compiled_queries), -1, BASES_PER_WORD)
+    words = (_CODE[chars] << shifts).reshape(by_word).sum(
+        axis=2, dtype=np.uint64)
+    care = (concrete.astype(np.uint64) << shifts).reshape(by_word).sum(
+        axis=2, dtype=np.uint64)
+    ambiguous: List[List[Tuple[int, np.uint64, np.ndarray]]] = \
+        [[] for _ in compiled_queries]
+    for q, p in zip(*np.nonzero(~concrete & (chars != ord("N")))):
+        ambiguous[q].append((int(p) // BASES_PER_WORD, shifts[p],
+                             _REJECTS[chars[q, p]]))
+    return [PackedWindowQuery(words=w, care=c, ambiguous=tuple(a))
+            for w, c, a in zip(words, care, ambiguous)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +436,7 @@ def compare_packed_batched(table: PackedSites, queries: Sequence[Query],
     The buffers are allocated per call: several server threads may
     compare at once.
     """
-    packed = [_window_query_cached(cq.decode()) for cq in compiled_queries]
+    packed = pack_query_windows(compiled_queries)
     n_words, n_rows = table.words.shape
     # Wide enough for a mismatch at every window position.
     count_type = np.min_scalar_type(n_words * BASES_PER_WORD)

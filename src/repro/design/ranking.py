@@ -123,19 +123,6 @@ class DesignSpec:
     gc_max: float = DEFAULT_GC_MAX
     max_homopolymer: int = DEFAULT_MAX_HOMOPOLYMER
 
-    def to_request(self, op: str) -> Dict[str, Any]:
-        """The wire form of this spec (router -> backend RPCs)."""
-        request: Dict[str, Any] = {
-            "op": op, "chrom": self.chrom, "start": self.start,
-            "end": self.end, "mismatches": self.max_mismatches,
-            "top": self.top_n, "estimator": self.estimator,
-            "gc_min": self.gc_min, "gc_max": self.gc_max,
-            "max_homopolymer": self.max_homopolymer,
-        }
-        if self.guide_length is not None:
-            request["guide_length"] = self.guide_length
-        return request
-
 
 def _require_int(request: Mapping[str, Any], field: str,
                  minimum: int, default: Optional[int] = None,

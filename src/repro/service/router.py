@@ -46,16 +46,22 @@ Replication is declarative: each backend announces the chromosomes it
 holds, the router groups chromosomes by their holder *set*, and every
 sub-request carries an explicit ``chromosomes`` filter — so any
 replica holding a superset can serve a partition without duplicating
-hits.
+hits.  A sub-request is the client's request with only its routing
+fields replaced (``id`` and ``chromosomes``; a routed ``design`` also
+sets each stage's ``op`` and ``queries``), so ``enzyme``,
+``deadline_s`` and the design filters reach the backends as sent.
 
 Clients reach the router through the backends' own front end
 (:class:`~repro.service.server.JsonLinesServer`: line framing, SIGTERM
 drain, ready file); the router adds only its op handlers, a start hook
 that probes the fleet before listening and a stop hook that ends the
-probe loop and closes the connection pools.  A backend answers a line
-it could not read (one longer than its limit) with no ``id``; the
-router passes that ``bad-request`` through like any other, with no
-retry and no ejection.
+probe loop and closes the connection pools.  Handlers raise typed
+errors for the front end to answer: a backend's error passes through
+with its own code (its ``internal`` included), and :class:`RouterError`
+carries the router's own ``deadline`` and ``unavailable``.  A backend
+answers a line it could not read (one longer than its limit) with no
+``id``; the router passes that ``bad-request`` through like any other,
+with no retry and no ejection.
 
 Stdlib only, like the rest of the serving stack.  ``python -m
 repro.service.router --smoke`` boots a 3-backend subprocess fleet,
@@ -72,8 +78,8 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Awaitable, Deque, Dict, Iterable, List,
+                    Optional, Sequence, Set, Tuple)
 
 from ..core.records import OffTargetHit, hits_from_rows
 from ..design.enumerate import PatternAnatomy, decode_candidates
@@ -82,11 +88,11 @@ from ..design.ranking import (decode_design_spec, design_payload,
                               rank_candidates, scoring_guide_length)
 from ..genome.assembly import Assembly
 from ..observability import tracing
-from ..variants.model import VariantError, decode_haplotypes
+from ..variants.model import decode_haplotypes
 from ..variants.overlay import sort_event_rows, variant_payload
 from .scheduler import percentile
-from .server import (MAX_LINE_BYTES, JsonLinesServer,
-                     _decode_chromosomes, _decode_deadline,
+from .server import (MAX_LINE_BYTES, JsonLinesServer, RequestError,
+                     _bad_request, _decode_chromosomes, _decode_deadline,
                      _decode_queries)
 
 #: Idle pooled connections kept per backend.
@@ -102,25 +108,31 @@ BACKEND_LINE_BYTES = MAX_LINE_BYTES << 7
 _Conn = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
-class RouterError(RuntimeError):
-    """Base class for routing failures."""
+class RouterError(RequestError):
+    """A routing failure: ``deadline`` when a backend reported the
+    request's deadline spent, ``unavailable`` when no live replica
+    could serve a partition."""
 
 
-class _RouteUnavailable(RouterError):
-    """No replica could serve a partition within the retry budget."""
+async def _gather(calls: Iterable[Awaitable[Dict[str, Any]]]
+                  ) -> List[Dict[str, Any]]:
+    """Await sub-requests together.
 
+    If any failed, raise the failure the client is answered with, the
+    first of the worst: a backend's own error passed through, then
+    ``deadline``, then ``unavailable``, then anything else
+    (``internal``).
+    """
+    def precedence(exc: BaseException) -> int:
+        if isinstance(exc, RouterError):
+            return 1 if exc.code == "deadline" else 2
+        return 0 if isinstance(exc, RequestError) else 3
 
-class _RouteDeadline(RouterError):
-    """A backend reported the request's deadline expired."""
-
-
-class _RoutePassthrough(RouterError):
-    """A backend error that must reach the client unchanged."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"[{code}] {message}")
-        self.code = code
-        self.message = message
+    results = await asyncio.gather(*calls, return_exceptions=True)
+    failures = [r for r in results if isinstance(r, BaseException)]
+    if failures:
+        raise min(failures, key=precedence)
+    return results
 
 
 class _Backend:
@@ -593,10 +605,12 @@ class OffTargetRouter(JsonLinesServer):
         the first ok response, retrying transport failures, typed
         overloads and responses ``validate`` rejects (it returns a
         problem string or None) against the partition's replicas with
-        capped backoff.  ``deadline`` errors are never retried.
+        capped backoff.  A backend's ``deadline`` raises
+        :class:`RouterError` and is never retried; its other errors
+        pass through as a :class:`RequestError` with their own code.
         """
         delay = self.backoff_base_s
-        last: Optional[BaseException] = None
+        last: Any = None
         for attempt in range(self.max_attempts):
             alive = [b for b in group.backends if b.alive]
             if not alive:
@@ -624,16 +638,14 @@ class OffTargetRouter(JsonLinesServer):
                 if validate is not None:
                     problem = validate(response)
                     if problem:
-                        last = ConnectionResetError(
-                            f"backend {primary.label} {problem}")
+                        last = f"backend {primary.label} {problem}"
                         continue
                 return response
             code = response.get("error")
             message = response.get("message", "")
             if code == "overloaded":
                 # Typed overload: back off and try a replica.
-                last = _RouteUnavailable(
-                    f"backend {primary.label} overloaded: {message}")
+                last = f"backend {primary.label} overloaded: {message}"
                 if attempt + 1 < self.max_attempts:
                     self._retries += 1
                     tracing.instant("route_retry", cat="router",
@@ -645,84 +657,43 @@ class OffTargetRouter(JsonLinesServer):
                 continue
             if code == "deadline":
                 # Never retried: the budget is spent either way.
-                raise _RouteDeadline(message)
-            raise _RoutePassthrough(code or "internal", message)
-        raise _RouteUnavailable(
+                raise RouterError("deadline", message)
+            raise RequestError(code or "internal", message)
+        raise RouterError(
+            "unavailable",
             f"partition {group.chromosomes} unavailable after "
             f"{self.max_attempts} attempt(s): {last}")
 
-    async def _group_request(self, group: _Group,
-                             raw_queries: Any,
-                             deadline_s: Optional[float]
-                             ) -> List[List[List[Any]]]:
-        """One partition's query sub-request.
-
-        Returns the partition's wire-format per-query hit rows.
-        """
-        payload_base: Dict[str, Any] = {
-            "op": "query", "queries": raw_queries,
-            "chromosomes": list(group.chromosomes)}
-        if deadline_s is not None:
-            payload_base["deadline_s"] = deadline_s
-        response = await self._sub_request(
-            group, payload_base,
-            validate=lambda r: (None if isinstance(r.get("hits"), list)
-                                else "sent a malformed query response"))
-        return response["hits"]
-
     # -- request handling ----------------------------------------------
 
-    @staticmethod
-    def _failure_response(failures: Sequence[BaseException]
-                          ) -> Dict[str, Any]:
-        """Map fan-out failures to one client error, worst first."""
-        for exc in failures:
-            if isinstance(exc, _RoutePassthrough):
-                return {"ok": False, "error": exc.code,
-                        "message": exc.message}
-        for exc in failures:
-            if isinstance(exc, _RouteDeadline):
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-        for exc in failures:
-            if isinstance(exc, _RouteUnavailable):
-                return {"ok": False, "error": "unavailable",
-                        "message": str(exc)}
-        exc = failures[0]
-        if isinstance(exc, (asyncio.CancelledError,
-                            KeyboardInterrupt, SystemExit)):
-            raise exc
-        return {"ok": False, "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}"}
-
     async def _fan_out(self, groups: Sequence[_Group],
-                       rank: Dict[str, int], raw_queries: Any,
-                       n_queries: int, deadline: Optional[float]
-                       ) -> Tuple[Optional[Dict[str, Any]],
-                                  List[List[List[Any]]]]:
-        """Fan a query batch to every partition and merge the rows.
+                       rank: Dict[str, int], request: Dict[str, Any],
+                       n_queries: int) -> List[List[List[Any]]]:
+        """Fan a ``query`` request to every partition and merge the
+        rows.
 
-        Returns ``(error_response, merged_rows)`` — exactly one is
-        meaningful.  The generalized deterministic merge: within one
-        chromosome all rows come from a single partition already in
-        the served hit order (:mod:`repro.core.records`), so a
-        *stable* sort by chromosome rank reproduces the single-server
-        order byte-for-byte.
+        Each partition's sub-request is ``request`` restricted to the
+        partition's chromosomes.  The generalized deterministic merge:
+        within one chromosome all rows come from a single partition
+        already in the served hit order (:mod:`repro.core.records`),
+        so a *stable* sort by chromosome rank reproduces the
+        single-server order byte-for-byte.
         """
-        results = await asyncio.gather(
-            *(self._group_request(group, raw_queries, deadline)
-              for group in groups),
-            return_exceptions=True)
-        failures = [r for r in results if isinstance(r, BaseException)]
-        if failures:
-            return self._failure_response(failures), []
+        results = await _gather(
+            self._sub_request(
+                group, dict(request, chromosomes=group.chromosomes),
+                validate=lambda r: (
+                    None if isinstance(r.get("hits"), list)
+                    else "sent a malformed query response"))
+            for group in groups)
         merged: List[List[List[Any]]] = [[] for _ in range(n_queries)]
-        for partition_hits in results:
+        for response in results:
+            partition_hits = response["hits"]
             if len(partition_hits) != n_queries:
-                return ({"ok": False, "error": "internal",
-                         "message": "partition answered "
-                                    f"{len(partition_hits)} queries, "
-                                    f"expected {n_queries}"}, [])
+                raise RequestError(
+                    "internal", f"partition answered "
+                                f"{len(partition_hits)} queries, "
+                                f"expected {n_queries}")
             for per_query, rows in zip(merged, partition_hits):
                 per_query.extend(rows)
         try:
@@ -730,43 +701,33 @@ class OffTargetRouter(JsonLinesServer):
                 per_query.sort(key=lambda row: rank.get(row[1],
                                                         len(rank)))
         except (IndexError, KeyError, TypeError) as exc:
-            return ({"ok": False, "error": "internal",
-                     "message": f"malformed hit row: "
-                                f"{type(exc).__name__}: {exc}"}, [])
-        return None, merged
+            raise RequestError("internal",
+                               f"malformed hit row: "
+                               f"{type(exc).__name__}: {exc}") from None
+        return merged
 
-    def _route_guard(self) -> Optional[Dict[str, Any]]:
-        """The error response when the fleet cannot serve, else None."""
+    def _routing(self) -> Tuple[List[_Group], Dict[str, int]]:
+        """The routing table's partitions and chromosome ranks, or
+        ``unavailable`` when the fleet cannot serve."""
         if self._uncovered:
-            return {"ok": False, "error": "unavailable",
-                    "message": f"no live backend serves "
-                               f"{self._uncovered}"}
+            raise RouterError("unavailable", f"no live backend serves "
+                                             f"{self._uncovered}")
         if not self._groups:
-            return {"ok": False, "error": "unavailable",
-                    "message": "no live backends discovered"}
-        return None
+            raise RouterError("unavailable",
+                              "no live backends discovered")
+        return list(self._groups), dict(self._rank)
 
     async def _handle_query(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
-        raw_queries = request.get("queries")
-        try:
-            queries = _decode_queries(raw_queries)
-            deadline = _decode_deadline(request.get("deadline_s"))
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
+        with _bad_request():
+            queries = _decode_queries(request.get("queries"))
+            _decode_deadline(request.get("deadline_s"))
+        groups, rank = self._routing()
         with tracing.span("route_request", cat="router",
                           queries=len(queries),
                           partitions=len(groups)):
-            error, merged = await self._fan_out(
-                groups, rank, raw_queries, len(queries), deadline)
-        if error is not None:
-            return error
+            merged = await self._fan_out(groups, rank, request,
+                                         len(queries))
         self._requests += 1
         return {"ok": True, "hits": merged}
 
@@ -786,37 +747,30 @@ class OffTargetRouter(JsonLinesServer):
         3. The merged rows feed the same pure ranking/encoding code
            the in-process server uses, which is what makes a routed
            design response byte-identical to a single-server one.
+
+        Each stage's sub-requests are the client's request with only
+        ``op``, ``queries`` and ``chromosomes`` replaced, so its
+        ``enzyme``, ``deadline_s`` and filters reach the backends as
+        sent.
         """
-        try:
+        with _bad_request():
             spec = decode_design_spec(request)
-            deadline = _decode_deadline(request.get("deadline_s"))
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
+            _decode_deadline(request.get("deadline_s"))
+        groups, rank = self._routing()
         owner = next((g for g in groups
                       if spec.chrom in g.chromosomes), None)
         if owner is None:
-            return {"ok": False, "error": "bad-request",
-                    "message": f"unknown chromosome {spec.chrom!r}: "
-                               f"no partition holds it"}
-        enum_payload = spec.to_request("enumerate")
+            raise RequestError("bad-request",
+                               f"unknown chromosome {spec.chrom!r}: "
+                               f"no partition holds it")
         with tracing.span("route_design", cat="router",
                           chrom=spec.chrom, partitions=len(groups)):
-            try:
-                enum_response = await self._sub_request(
-                    owner, enum_payload,
-                    validate=lambda r: (
-                        None if isinstance(r.get("candidates"), list)
-                        and isinstance(r.get("queries"), list)
-                        else "sent a malformed enumerate response"))
-            except (_RoutePassthrough, _RouteDeadline,
-                    _RouteUnavailable) as exc:
-                return self._failure_response([exc])
+            enum_response = await self._sub_request(
+                owner, dict(request, op="enumerate"),
+                validate=lambda r: (
+                    None if isinstance(r.get("candidates"), list)
+                    and isinstance(r.get("queries"), list)
+                    else "sent a malformed enumerate response"))
             try:
                 candidates = decode_candidates(
                     enum_response["candidates"])
@@ -826,33 +780,31 @@ class OffTargetRouter(JsonLinesServer):
                     guide_length=int(enum_response["guide_length"]),
                     pam=str(enum_response["pam"]))
             except (KeyError, TypeError, ValueError) as exc:
-                return {"ok": False, "error": "internal",
-                        "message": f"malformed enumerate response: "
-                                   f"{type(exc).__name__}: {exc}"}
+                raise RequestError(
+                    "internal", f"malformed enumerate response: "
+                                f"{type(exc).__name__}: {exc}") from None
             hits_by_query: Dict[str, List[OffTargetHit]] = {}
             if queries:
-                raw_queries = [[query, spec.max_mismatches]
-                               for query in queries]
-                error, merged = await self._fan_out(
-                    groups, rank, raw_queries, len(queries), deadline)
-                if error is not None:
-                    return error
+                merged = await self._fan_out(
+                    groups, rank,
+                    dict(request, op="query",
+                         queries=[[query, spec.max_mismatches]
+                                  for query in queries]),
+                    len(queries))
                 try:
                     hits_by_query = {
                         query: hits_from_rows(rows)
                         for query, rows in zip(queries, merged)}
                 except (IndexError, TypeError, ValueError) as exc:
-                    return {"ok": False, "error": "internal",
-                            "message": f"malformed hit row: "
-                                       f"{type(exc).__name__}: {exc}"}
-            try:
+                    raise RequestError(
+                        "internal", f"malformed hit row: "
+                                    f"{type(exc).__name__}: {exc}"
+                    ) from None
+            with _bad_request():
                 estimator = get_estimator(
                     spec.estimator, scoring_guide_length(anatomy))
                 reports = rank_candidates(candidates, hits_by_query,
                                           estimator, spec.top_n)
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
         self._requests += 1
         return {"ok": True,
                 **design_payload(anatomy, estimator, candidates,
@@ -876,20 +828,11 @@ class OffTargetRouter(JsonLinesServer):
         what keeps routed variant responses byte-identical to a
         single server's.
         """
-        raw_queries = request.get("queries")
-        raw_haplotypes = request.get("haplotypes")
-        try:
-            queries = _decode_queries(raw_queries)
-            haplotypes = decode_haplotypes(raw_haplotypes)
+        with _bad_request():
+            queries = _decode_queries(request.get("queries"))
+            haplotypes = decode_haplotypes(request.get("haplotypes"))
             allowed = _decode_chromosomes(request.get("chromosomes"))
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
+        groups, rank = self._routing()
         order = [c for c, _ in sorted(rank.items(),
                                       key=lambda item: item[1])]
         # A chromosome no partition holds would be skipped *silently*
@@ -906,25 +849,17 @@ class OffTargetRouter(JsonLinesServer):
                 if allowed is not None and \
                         variant.chrom not in allowed:
                     continue
-                return {"ok": False, "error": "bad-request",
-                        "message": f"variant {variant.describe()} "
+                raise RequestError(
+                    "bad-request", f"variant {variant.describe()} "
                                    f"names chromosome "
                                    f"{variant.chrom!r}, which no "
-                                   f"partition holds"}
+                                   f"partition holds")
         plans: List[Tuple[_Group, List[str]]] = []
         for group in groups:
             chroms = [c for c in group.chromosomes
                       if allowed is None or c in allowed]
             if chroms:
                 plans.append((group, chroms))
-
-        def _make_payload(chroms: List[str]) -> Dict[str, Any]:
-            payload: Dict[str, Any] = {
-                "op": "variant", "queries": raw_queries,
-                "haplotypes": raw_haplotypes, "chromosomes": chroms}
-            if "enzyme" in request:
-                payload["enzyme"] = request["enzyme"]
-            return payload
 
         def _validate(response: Dict[str, Any]) -> Optional[str]:
             if not isinstance(response.get("events"), list) or \
@@ -937,14 +872,10 @@ class OffTargetRouter(JsonLinesServer):
         with tracing.span("route_variant", cat="router",
                           haplotypes=len(haplotypes),
                           partitions=len(plans)):
-            results = await asyncio.gather(
-                *(self._sub_request(group, _make_payload(chroms),
-                                    validate=_validate)
-                  for group, chroms in plans),
-                return_exceptions=True)
-        failures = [r for r in results if isinstance(r, BaseException)]
-        if failures:
-            return self._failure_response(failures)
+            results = await _gather(
+                self._sub_request(group, dict(request, chromosomes=chroms),
+                                  validate=_validate)
+                for group, chroms in plans)
         events: List[List[Any]] = []
         reference_hits = [0] * len(queries)
         patched_chunks = 0
@@ -977,19 +908,12 @@ class OffTargetRouter(JsonLinesServer):
     async def _handle_enzymes(self, request: Dict[str, Any]
                               ) -> Dict[str, Any]:
         """Forward the registry listing to any live backend."""
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        group = self._groups[0]
-        try:
-            response = await self._sub_request(
-                group, {"op": "enzymes"},
-                validate=lambda r: (
-                    None if isinstance(r.get("enzymes"), list)
-                    else "sent a malformed enzymes response"))
-        except (_RoutePassthrough, _RouteDeadline,
-                _RouteUnavailable) as exc:
-            return self._failure_response([exc])
+        groups, _ = self._routing()
+        response = await self._sub_request(
+            groups[0], request,
+            validate=lambda r: (
+                None if isinstance(r.get("enzymes"), list)
+                else "sent a malformed enzymes response"))
         response.pop("id", None)
         return response
 
@@ -997,11 +921,8 @@ class OffTargetRouter(JsonLinesServer):
                                ) -> Dict[str, Any]:
         raw = request.get("canaries")
         if raw is not None:
-            try:
+            with _bad_request():
                 _decode_queries(raw)
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
         results: List[Dict[str, Any]] = []
         ok_all = True
         with tracing.span("fleet_rollover", cat="router",
@@ -1014,13 +935,10 @@ class OffTargetRouter(JsonLinesServer):
                     results.append(entry)
                     continue
                 self._seq += 1
-                payload: Dict[str, Any] = {"op": "reload",
-                                           "id": f"r{self._seq}"}
-                if raw is not None:
-                    payload["canaries"] = raw
                 try:
                     response = await self._rpc(
-                        backend, payload,
+                        backend, dict(request, op="reload",
+                                      id=f"r{self._seq}"),
                         timeout_s=self.reload_timeout_s)
                 except (ConnectionError, OSError,
                         asyncio.TimeoutError, ValueError,
@@ -1129,10 +1047,10 @@ class OffTargetRouter(JsonLinesServer):
             return {"ok": True, "topology": self._topology()}
         if op == "rollover":
             return await self._handle_rollover(request)
-        return {"ok": False, "error": "unknown-op",
-                "message": f"unknown op {op!r}; expected query, "
-                           f"design, variant, enzymes, stats, health, "
-                           f"topology or rollover"}
+        raise RequestError(
+            "unknown-op", f"unknown op {op!r}; expected query, "
+                          f"design, variant, enzymes, stats, health, "
+                          f"topology or rollover")
 
     # -- lifecycle hooks -----------------------------------------------
 
@@ -1180,8 +1098,10 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     in-process single-server reference, zero failed client requests
     across the induced SIGKILL, and zero leaked processes/ready
     files at the end.  A ``design`` and a ``variant`` request (two
-    SNVs far apart on the first chromosome) are checked before and
-    after the rollover.
+    SNVs far apart on the first chromosome), and a ``query`` and a
+    ``design`` naming the ``Alt`` enzyme that every backend and the
+    reference host from one ``--enzyme-config``, are checked before
+    and after the rollover.
     """
     import os
     import signal
@@ -1190,6 +1110,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     import tempfile
 
     from ..core.config import Query
+    from ..enzymes import load_enzymes
     from ..genome.synthetic import synthetic_assembly
     from .client import ServiceClient
     from .index import GenomeSiteIndex
@@ -1203,17 +1124,25 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
     held = replica_plan(parts, replication=2)
     queries = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
 
-    # In-process single-server reference for byte-identity.
-    reference_index = GenomeSiteIndex.build(assembly, pattern)
-    reference_server = OffTargetServer(reference_index, max_wait_ms=1.0)
-    reference = reference_server.start_background()
-
     procs: List[subprocess.Popen] = []
     ready_files: List[str] = []
     failures: List[str] = []
-    router_handle = None
+    reference = router_handle = None
     try:
         with tempfile.TemporaryDirectory() as tmp:
+            enzyme_config = os.path.join(tmp, "enzymes.toml")
+            with open(enzyme_config, "w", encoding="ascii") as handle:
+                handle.write('[[enzymes]]\nname = "Alt"\n'
+                             'guide_length = 6\npam = "GG"\n')
+            # In-process single-server reference for byte-identity,
+            # hosting the backends' enzyme.
+            reference = OffTargetServer(
+                GenomeSiteIndex.build(assembly, pattern),
+                max_wait_ms=1.0,
+                enzymes=[(enzyme, GenomeSiteIndex.build(assembly,
+                                                        enzyme.pattern))
+                         for enzyme in load_enzymes(enzyme_config)]
+            ).start_background()
             for i in range(backends):
                 ready = os.path.join(tmp, f"backend-{i}.ready")
                 ready_files.append(ready)
@@ -1223,6 +1152,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                      "--seed", str(seed),
                      "--chromosomes", ",".join(held[i]),
                      "--pattern", pattern,
+                     "--enzyme-config", enzyme_config,
                      "--max-wait-ms", "1.0",
                      "--drain-s", "5.0",
                      "--ready-file", ready]))
@@ -1242,22 +1172,24 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                 ref = chr(first[at])
                 snvs.append([order[0], at, ref, "A" if ref != "A"
                              else "C"])
+            raw_queries = [[q.sequence, q.max_mismatches]
+                           for q in queries]
+            design = {"op": "design", "chrom": order[0], "start": 0,
+                      "end": 400, "mismatches": 2, "top": 5,
+                      "estimator": "cfd"}
             checked_ops = {
-                "design": {"op": "design", "chrom": order[0],
-                           "start": 0, "end": 400, "mismatches": 2,
-                           "top": 5, "estimator": "cfd"},
-                "variant": {"op": "variant",
-                            "queries": [[q.sequence, q.max_mismatches]
-                                        for q in queries],
+                "design": design,
+                "variant": {"op": "variant", "queries": raw_queries,
                             "haplotypes": [{"name": "edited",
-                                            "variants": snvs}]}}
+                                            "variants": snvs}]},
+                "Alt query": {"op": "query", "queries": raw_queries,
+                              "enzyme": "Alt"},
+                "Alt design": dict(design, enzyme="Alt")}
             op_expected: Dict[str, str] = {}
             with ServiceClient(reference.host,
                                reference.port) as ref_client:
                 expected = ref_client._call({
-                    "op": "query",
-                    "queries": [[q.sequence, q.max_mismatches]
-                                for q in queries]})["hits"]
+                    "op": "query", "queries": raw_queries})["hits"]
                 for op, request in checked_ops.items():
                     body = ref_client._call(dict(request))
                     body.pop("id", None)
@@ -1286,9 +1218,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
             rollover_report = None
             while time.perf_counter() < stop_at:
                 got = client._call({
-                    "op": "query",
-                    "queries": [[q.sequence, q.max_mismatches]
-                                for q in queries]})["hits"]
+                    "op": "query", "queries": raw_queries})["hits"]
                 requests += 1
                 if got != expected:
                     mismatches += 1
@@ -1298,9 +1228,7 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                     print("# SIGKILLed backend 0")
                 if not rolled and time.perf_counter() >= roll_at:
                     rollover_report = client._call({
-                        "op": "rollover",
-                        "canaries": [[q.sequence, q.max_mismatches]
-                                     for q in queries]})
+                        "op": "rollover", "canaries": raw_queries})
                     rolled = True
                     survivors = sum(
                         1 for entry in rollover_report["backends"]
@@ -1354,9 +1282,9 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
                     failures.append(
                         f"backend {i} leaked ready file {ready}")
     finally:
-        if router_handle is not None:
-            router_handle.stop()
-        reference.stop()
+        for handle in (router_handle, reference):
+            if handle is not None:
+                handle.stop()
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
@@ -1368,10 +1296,9 @@ def _smoke(duration_s: float = 6.0, backends: int = 3) -> int:
         for failure in failures:
             print(f"smoke FAILED: {failure}")
         return 1
-    print(f"smoke OK: {requests} routed requests and "
-          f"{op_checks['design']} design and {op_checks['variant']} "
-          f"variant requests byte-identical across a SIGKILL and a "
-          f"rollover")
+    checked = ", ".join(f"{n} {op}" for op, n in op_checks.items())
+    print(f"smoke OK: {requests} routed requests and {checked} "
+          f"requests byte-identical across a SIGKILL and a rollover")
     return 0
 
 

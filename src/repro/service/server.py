@@ -42,7 +42,12 @@ Responses echo the request's ``id`` (if any) and carry ``ok``; failures
 carry a machine-readable ``error`` code (``bad-json``, ``bad-request``,
 ``unknown-op``, ``overloaded``, ``deadline``, ``closed``, ``internal``,
 ``no-reloader``, ``reload-failed``) so clients can distinguish
-back-off-and-retry from bugs.
+back-off-and-retry from bugs.  Handlers never build an error answer:
+they raise :class:`RequestError` (a code and a message) or let an
+exception escape, and :meth:`JsonLinesServer._respond` is the one place
+an exception becomes an answer — a scheduler refusal its own code, any
+other fault ``internal`` — so every request is answered and the
+connection keeps serving.
 
 One front end serves both tiers: :class:`JsonLinesServer` holds the
 connection loop (line framing, ``bad-json``, ``id`` echo, the
@@ -77,13 +82,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from ..core.config import Query
 from ..core.records import OffTargetHit, hits_to_rows
@@ -93,7 +100,7 @@ from ..design.ranking import (decode_design_spec, design_payload,
 from ..design.estimators import get_estimator
 from ..enzymes import CasEnzyme
 from ..observability import faults, tracing
-from ..variants.model import VariantError, decode_haplotypes
+from ..variants.model import decode_haplotypes
 from ..variants.overlay import search_variants
 from .index import GenomeSiteIndex
 from .scheduler import (BatchScheduler, DeadlineExceeded,
@@ -106,9 +113,42 @@ MAX_LINE_BYTES = 1 << 20
 #: listener (a router probes its whole fleet first).
 START_TIMEOUT_S = 30.0
 
-#: Sentinel returned by the fault applier when the connection should
-#: be dropped without a response (a half-open connection).
-_DROP_CONNECTION: Dict[str, Any] = {"_drop": True}
+#: Scheduler refusals and the error code each is answered with.
+_SCHEDULER_ERRORS = ((ServiceOverloaded, "overloaded"),
+                     (DeadlineExceeded, "deadline"),
+                     (SchedulerClosed, "closed"))
+
+_log = logging.getLogger(__name__)
+
+
+class RequestError(Exception):
+    """A request answered with a typed error: ``code`` and a message."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _error_of(exc: Exception) -> Tuple[str, str]:
+    """The error code and message a request's exception is answered
+    with; called while it is being handled."""
+    if isinstance(exc, RequestError):
+        return exc.code, str(exc)
+    for kind, code in _SCHEDULER_ERRORS:
+        if isinstance(exc, kind):
+            return code, str(exc)
+    _log.exception("request failed; answered internal")
+    return "internal", f"{type(exc).__name__}: {exc}"
+
+
+@contextmanager
+def _bad_request() -> Iterator[None]:
+    """Answer a ``ValueError`` raised inside (a request that fails
+    validation) as ``bad-request``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise RequestError("bad-request", str(exc)) from None
 
 
 def _decode_queries(raw: Any) -> List[Query]:
@@ -144,38 +184,16 @@ async def _submit_and_wait(scheduler: BatchScheduler,
                            queries: List[Query],
                            deadline_s: Optional[float],
                            kind: str = "query"
-                           ) -> Tuple[Optional[List[List[OffTargetHit]]],
-                                      Optional[Dict[str, Any]]]:
+                           ) -> List[List[OffTargetHit]]:
     """Submit one request and await its per-query hit lists.
 
-    Returns ``(results, None)``, or ``(None, error response)`` when the
-    scheduler refuses the request (``bad-request``, ``overloaded``,
-    ``deadline`` when it expired before submit, ``closed``) or its
-    batch fails (``deadline``, ``closed``, ``internal``).
+    A request the scheduler rejects as malformed raises
+    ``bad-request``; its refusals and batch failures propagate.
     """
-    def failure(code: str, exc: BaseException) -> Dict[str, Any]:
-        return {"ok": False, "error": code, "message": str(exc)}
-
-    try:
+    with _bad_request():
         future = scheduler.submit(queries, deadline_s=deadline_s,
                                   kind=kind)
-    except ValueError as exc:
-        return None, failure("bad-request", exc)
-    except ServiceOverloaded as exc:
-        return None, failure("overloaded", exc)
-    except DeadlineExceeded as exc:
-        return None, failure("deadline", exc)
-    except SchedulerClosed as exc:
-        return None, failure("closed", exc)
-    try:
-        return await asyncio.wrap_future(future), None
-    except DeadlineExceeded as exc:
-        return None, failure("deadline", exc)
-    except SchedulerClosed as exc:
-        return None, failure("closed", exc)
-    except Exception as exc:  # noqa: BLE001 - report, keep serving
-        return None, {"ok": False, "error": "internal",
-                      "message": f"{type(exc).__name__}: {exc}"}
+    return await asyncio.wrap_future(future)
 
 
 def _decode_chromosomes(raw: Any) -> Optional[FrozenSet[str]]:
@@ -253,11 +271,12 @@ class JsonLinesServer:
     """One JSON-lines TCP front end: connection loop and lifecycle.
 
     Subclasses answer one decoded request object at a time in
-    :meth:`_handle_request` (None drops the connection unanswered);
-    :meth:`_on_start` runs before the listener opens and
-    :meth:`_on_stop` after it closed and the drain ended.  ``drain_s``
-    bounds how long admitted requests may take to finish once a drain
-    (SIGTERM or :meth:`ServerHandle.drain`) begins.
+    :meth:`_handle_request`, which returns the ``ok`` answer, raises
+    for every failure (:meth:`_respond` answers it) or returns None to
+    drop the connection unanswered; :meth:`_on_start` runs before the
+    listener opens and :meth:`_on_stop` after it closed and the drain
+    ended.  ``drain_s`` bounds how long admitted requests may take to
+    finish once a drain (SIGTERM or :meth:`ServerHandle.drain`) begins.
     """
 
     def __init__(self, host: str, port: int, drain_s: float = 5.0):
@@ -284,19 +303,32 @@ class JsonLinesServer:
     async def _respond(self, line: Optional[bytes]
                        ) -> Optional[Dict[str, Any]]:
         """The answer to one request line (None: an over-limit line),
-        or None to drop the connection without answering."""
-        if line is None:
-            return {"ok": False, "error": "bad-request",
-                    "message": f"request line longer than "
-                               f"{MAX_LINE_BYTES} bytes"}
+        or None to drop the connection without answering.
+
+        The one place an exception becomes an answer: a
+        :class:`RequestError` its own code, a scheduler refusal
+        ``overloaded``, ``deadline`` or ``closed``, anything else
+        ``internal``.
+        """
+        request: Any = None
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except (ValueError, RecursionError) as exc:
-            return {"ok": False, "error": "bad-json", "message": str(exc)}
-        response = await self._handle_request(request)
-        if response is not None and "id" in request:
+            if line is None:
+                raise RequestError("bad-request",
+                                   f"request line longer than "
+                                   f"{MAX_LINE_BYTES} bytes")
+            try:
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+            except (ValueError, RecursionError) as exc:
+                raise RequestError("bad-json", str(exc)) from None
+            response = await self._handle_request(request)
+            if response is None:
+                return None
+        except Exception as exc:  # noqa: BLE001 - answer, keep serving
+            code, message = _error_of(exc)
+            response = {"ok": False, "error": code, "message": message}
+        if isinstance(request, dict) and "id" in request:
             response["id"] = request["id"]
         return response
 
@@ -559,25 +591,17 @@ class OffTargetServer(JsonLinesServer):
         if op == "design":
             return await self._handle_design(request)
         if op == "query":
-            if self._request_injector is not None:
-                outcome = await self._apply_request_fault()
-                if outcome is _DROP_CONNECTION:
-                    return None  # half-open: close without responding
-                if outcome is not None:
-                    return outcome
-            try:
+            if (self._request_injector is not None
+                    and await self._apply_request_fault()):
+                return None  # half-open: close without responding
+            with _bad_request():
                 _, _, scheduler = self._resolve_enzyme(request)
                 queries = _decode_queries(request.get("queries"))
                 allowed = _decode_chromosomes(
                     request.get("chromosomes"))
                 deadline = _decode_deadline(request.get("deadline_s"))
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
-            results, error = await _submit_and_wait(scheduler, queries,
-                                                    deadline)
-            if error is not None:
-                return error
+            results = await _submit_and_wait(scheduler, queries,
+                                             deadline)
             if allowed is not None:
                 # A subsequence of the served order is that order over
                 # the allowed chromosomes, which is what lets a router
@@ -586,10 +610,10 @@ class OffTargetServer(JsonLinesServer):
                            for per in results]
             return {"ok": True,
                     "hits": [hits_to_rows(per) for per in results]}
-        return {"ok": False, "error": "unknown-op",
-                "message": f"unknown op {op!r}; expected query, design, "
-                           f"enumerate, variant, enzymes, stats, "
-                           f"health or reload"}
+        raise RequestError(
+            "unknown-op", f"unknown op {op!r}; expected query, design, "
+                          f"enumerate, variant, enzymes, stats, "
+                          f"health or reload")
 
     # -- enzyme registry ------------------------------------------------
 
@@ -599,7 +623,7 @@ class OffTargetServer(JsonLinesServer):
         """(enzyme, index, scheduler) for the request's ``enzyme`` field.
 
         Absent/None selects the default index; unknown names raise
-        ValueError, which every op maps to ``bad-request``.
+        ValueError, which every op answers ``bad-request``.
         """
         name = request.get("enzyme")
         if name is None:
@@ -636,28 +660,16 @@ class OffTargetServer(JsonLinesServer):
         server's one variant thread, so the accept loop keeps serving
         other connections and variant searches run one at a time.
         """
-        try:
+        with _bad_request():
             _, _, scheduler = self._resolve_enzyme(request)
             queries = _decode_queries(request.get("queries"))
             haplotypes = decode_haplotypes(request.get("haplotypes"))
             allowed = _decode_chromosomes(request.get("chromosomes"))
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
         loop = asyncio.get_running_loop()
-        try:
+        with _bad_request():  # a variant the assembly rejects
             result = await loop.run_in_executor(
                 self._variant_executor, self._variant_sync, scheduler,
                 queries, haplotypes, allowed)
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        except SchedulerClosed as exc:
-            return {"ok": False, "error": "closed",
-                    "message": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - keep serving
-            return {"ok": False, "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}"}
         scheduler.count_request("variant")
         return {"ok": True, **result.payload()}
 
@@ -678,7 +690,7 @@ class OffTargetServer(JsonLinesServer):
         calls this on a backend that holds the target chromosome,
         then fans the returned queries out like any query batch.
         """
-        try:
+        with _bad_request():
             enzyme, index, _ = self._resolve_enzyme(request)
             if enzyme is not None and not enzyme.designable:
                 raise ValueError(
@@ -687,9 +699,6 @@ class OffTargetServer(JsonLinesServer):
             spec = decode_design_spec(request)
             anatomy, candidates, queries = enumerate_for_design(
                 index.assembly, index.pattern, spec)
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
         return {"ok": True,
                 **enumerate_payload(anatomy, candidates, queries)}
 
@@ -702,7 +711,7 @@ class OffTargetServer(JsonLinesServer):
         same single-scan invariant :func:`repro.design.design_guides`
         keeps in-process.
         """
-        try:
+        with _bad_request():
             enzyme, index, scheduler = self._resolve_enzyme(request)
             if enzyme is not None and not enzyme.designable:
                 raise ValueError(
@@ -714,19 +723,14 @@ class OffTargetServer(JsonLinesServer):
                 index.assembly, index.pattern, spec)
             estimator = get_estimator(spec.estimator,
                                       scoring_guide_length(anatomy))
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
         hits_by_query: Dict[str, List[OffTargetHit]] = {}
         if queries:
-            results, error = await _submit_and_wait(
+            results = await _submit_and_wait(
                 scheduler,
                 [Query(sequence=query,
                        max_mismatches=spec.max_mismatches)
                  for query in queries],
                 deadline, kind="design")
-            if error is not None:
-                return error
             hits_by_query = dict(zip(queries, results))
         reports = rank_candidates(candidates, hits_by_query, estimator,
                                   spec.top_n)
@@ -734,43 +738,40 @@ class OffTargetServer(JsonLinesServer):
                 **design_payload(anatomy, estimator, candidates,
                                  queries, reports)}
 
-    async def _apply_request_fault(self) -> Optional[Dict[str, Any]]:
+    async def _apply_request_fault(self) -> bool:
         """Fire the next request-level fault, if the plan names one.
 
-        Returns None (no fault, or a stall already applied), an error
-        response (``raise``), or :data:`_DROP_CONNECTION`
-        (``disconnect``).  ``crash`` does not return.
+        Returns True when the connection should drop unanswered
+        (``disconnect``); ``raise`` raises an ``internal`` error,
+        ``stall`` sleeps first and ``crash`` does not return.
         """
         ordinal = self._request_seq
         self._request_seq += 1
         spec = self._request_injector.fire(ordinal)
         if spec is None:
-            return None
+            return False
         tracing.instant("request_fault", cat="fault", request=ordinal,
                         kind=spec.kind)
         if spec.kind == "crash":
             os._exit(1)
         if spec.kind == "disconnect":
-            return _DROP_CONNECTION
+            return True
         if spec.kind == "stall":
             await asyncio.sleep(spec.stall_s)
-            return None
-        return {"ok": False, "error": "internal",
-                "message": f"injected fault on request {ordinal}"}
+            return False
+        raise RequestError("internal",
+                           f"injected fault on request {ordinal}")
 
     async def _handle_reload(self, request: Dict[str, Any]
                              ) -> Dict[str, Any]:
         if self._reloader is None:
-            return {"ok": False, "error": "no-reloader",
-                    "message": "this server was started without a "
-                               "reloader; it cannot roll its index"}
+            raise RequestError("no-reloader",
+                               "this server was started without a "
+                               "reloader; it cannot roll its index")
         raw = request.get("canaries")
-        try:
+        with _bad_request():
             canaries = (_decode_queries(raw) if raw is not None
                         else [])
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
         loop = asyncio.get_running_loop()
         try:
             # Build + warm + swap off-loop: other connections keep
@@ -780,8 +781,8 @@ class OffTargetServer(JsonLinesServer):
         except Exception as exc:  # noqa: BLE001 - old index kept
             tracing.instant("index_reload_failed", cat="service",
                             error=type(exc).__name__)
-            return {"ok": False, "error": "reload-failed",
-                    "message": f"{type(exc).__name__}: {exc}"}
+            raise RequestError("reload-failed",
+                               f"{type(exc).__name__}: {exc}") from None
         return {"ok": True, **summary}
 
     def _reload_sync(self, canaries: Sequence[Query]

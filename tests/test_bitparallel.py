@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core import bitparallel
 from repro.core.bitparallel import (bitparallel_search,
                                     compare_packed_batched,
-                                    pack_query_window, pack_site_table,
+                                    pack_query_windows, pack_site_table,
                                     popcount64)
 from repro.core.config import Query, SearchRequest
 from repro.core.patterns import (COMPLEMENT_TABLE, MISMATCH_LUT,
@@ -26,26 +26,30 @@ IUPAC = "ACGTRYMKWSBDHVN"
 
 class TestPacking:
     def test_pack_query_strand_word(self):
-        packed = pack_query_window(compile_pattern("ACGTNN"))
+        (packed,) = pack_query_windows([compile_pattern("ACGTNN")])
         # A=0, C=1, G=2, T=3 -> 0 | 1<<2 | 2<<4 | 3<<6.
         assert packed.words.tolist() == [0 + 4 + 32 + 192]
         assert packed.care.tolist() == [0b01010101]
 
     def test_skipped_n_positions(self):
-        packed = pack_query_window(compile_pattern("ANGNTN"))
+        (packed,) = pack_query_windows([compile_pattern("ANGNTN")])
         assert packed.care.tolist() == [1 | 1 << 4 | 1 << 8]
         assert packed.ambiguous == ()
 
     def test_ambiguity_codes_decoded_apart(self):
-        packed = pack_query_window(compile_pattern("ARGT"))
+        # Packed in one batch, each query keeps its own positions.
+        packed, concrete = pack_query_windows(
+            [compile_pattern("ARGT"), compile_pattern("ACGT")])
         assert packed.care.tolist() == [1 | 1 << 4 | 1 << 6]
         ((word, shift, rejects),) = packed.ambiguous
         assert (word, int(shift)) == (0, 2)
         # R (A or G) rejects genome codes C=1 and T=3.
         assert rejects.tolist() == [0, 1, 0, 1]
+        assert concrete.care.tolist() == [0b01010101]
+        assert concrete.ambiguous == ()
 
     def test_long_query_spans_two_words(self):
-        packed = pack_query_window(compile_pattern("A" * 30 + "CCG"))
+        (packed,) = pack_query_windows([compile_pattern("A" * 30 + "CCG")])
         assert packed.care.tolist() == [0x5555555555555555, 1]
         assert packed.words.tolist() == [1 << 60 | 1 << 62, 2]
 

@@ -39,6 +39,8 @@ from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            partition_chromosomes)
 from repro.service import server as server_module
 
+from .conftest import HEALTH_LINE, converse
+
 PATTERN = "NNNNNNRG"
 
 
@@ -559,6 +561,37 @@ class TestDesignOp:
                 with pytest.raises(ServiceError,
                                    match="internal.*malformed hit row"):
                     client._call(request)
+
+    @pytest.mark.parametrize("tier, stage", [
+        ("served", "rank_candidates"),
+        ("routed", "enumerate_for_design")])
+    def test_handler_fault_is_internal_and_keeps_serving(
+            self, request, monkeypatch, tier, stage):
+        """A handler stage that raises is answered ``internal`` on the
+        same connection, which then keeps serving; the router passes
+        a backend's ``internal`` through with no retry and no
+        ejection."""
+        handle = request.getfixturevalue(tier)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"injected {stage} fault")
+
+        with ServiceClient(handle.host, handle.port) as client:
+            before = client._call({"op": "stats"})["stats"]
+        monkeypatch.setattr(server_module, stage, fail)
+        line = json.dumps(design_request(id="d")).encode("ascii") + b"\n"
+        bad, health = converse(handle.host, handle.port, line,
+                               HEALTH_LINE)
+        assert bad == {"ok": False, "error": "internal",
+                       "message": f"RuntimeError: injected {stage} "
+                                  f"fault",
+                       "id": "d"}
+        assert health["ok"] and health["id"] == "after"
+        if tier == "routed":
+            with ServiceClient(handle.host, handle.port) as client:
+                stats = client._call({"op": "stats"})["stats"]
+            assert stats["retries"] == before["retries"]
+            assert stats["backends_alive"] == 2
 
     def test_deadline_s_is_checked_on_the_wire(self, served, routed):
         """A ``deadline_s`` that is not a number is a ``bad-request``

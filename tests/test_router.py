@@ -25,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Query
+from repro.enzymes import CasEnzyme
 from repro.genome.assembly import Assembly, Chromosome
+from repro.genome.synthetic import synthetic_assembly
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes, replica_plan)
-from repro.service.router import parse_backend
-from repro.service.server import MAX_LINE_BYTES
+from repro.service.router import RouterError, _gather, parse_backend
+from repro.service.server import MAX_LINE_BYTES, RequestError
 
 from .conftest import (HEALTH_LINE, converse, nested_query_line,
                        over_limit_writes, query_line)
@@ -179,6 +181,34 @@ class TestHelpers:
             with pytest.raises(ValueError):
                 parse_backend(bad)
 
+    def test_fan_out_raises_the_worst_failure(self):
+        """Failed partitions answer with one failure: a backend's own
+        error, then ``deadline``, then ``unavailable``, then any other
+        exception; the first of equals."""
+        async def settle(outcome):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        def worst(*outcomes):
+            with pytest.raises(Exception) as info:
+                asyncio.run(_gather(settle(o) for o in outcomes))
+            return info.value
+
+        other = KeyError("row")
+        unavailable = RouterError("unavailable", "down")
+        deadline = RouterError("deadline", "late")
+        first = RequestError("bad-request", "first")
+        second = RequestError("closed", "second")
+        ok = {"ok": True}
+        assert worst(other, unavailable, deadline, ok, first,
+                     second) is first
+        assert worst(ok, other, unavailable, deadline) is deadline
+        assert worst(other, unavailable, ok) is unavailable
+        assert worst(other, KeyError("later"), ok) is other
+        assert asyncio.run(_gather(settle(ok) for _ in range(2))) == \
+            [ok, ok]
+
 
 # ---------------------------------------------------------------------------
 # Happy-path equivalence and protocol surface
@@ -303,6 +333,55 @@ class TestRoutedEquivalence:
         finally:
             router_handle.stop()
             handle.stop()
+
+
+class TestRoutedEnzyme:
+    """A routed request naming an enzyme reaches the backends as sent:
+    it runs on that enzyme's index, and a name no backend hosts is
+    refused."""
+
+    @pytest.fixture(scope="class")
+    def alt_fleet(self):
+        """One backend hosting an extra ``Alt`` enzyme behind a router,
+        over the router smoke's genome."""
+        assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
+        alt = CasEnzyme("Alt", 6, "GG", "3prime", "mit", "NNNNNNGG")
+        backend = OffTargetServer(
+            GenomeSiteIndex.build(assembly, PATTERN), max_wait_ms=1.0,
+            enzymes=[(alt, GenomeSiteIndex.build(assembly,
+                                                 alt.pattern))]
+        ).start_background()
+        router = start_router([backend], assembly)
+        yield backend, router, assembly.chromosomes[0].name
+        router.stop()
+        backend.stop()
+
+    def test_routed_enzyme_requests_match_the_server(self, alt_fleet):
+        backend, router, chrom = alt_fleet
+        requests = [
+            {"op": "query", "id": 1, "enzyme": "Alt",
+             "queries": [[q.sequence, q.max_mismatches]
+                         for q in QUERIES]},
+            {"op": "design", "id": 2, "enzyme": "Alt", "chrom": chrom,
+             "start": 0, "end": 400, "mismatches": 2, "top": 5,
+             "estimator": "cfd"}]
+        lines = [json.dumps(r).encode("ascii") + b"\n"
+                 for r in requests]
+        expected = converse(backend.host, backend.port, *lines)
+        routed = converse(router.host, router.port, *lines)
+        assert [json.dumps(a) for a in routed] == \
+            [json.dumps(a) for a in expected]
+        query, design = expected
+        assert query["ok"] and any(query["hits"])
+        assert design["ok"] and design["pattern"] == "NNNNNNGG"
+        assert design["reports"]
+
+    def test_unknown_enzyme_is_bad_request(self, alt_fleet):
+        _, router, _ = alt_fleet
+        with ServiceClient(router.host, router.port) as client:
+            with pytest.raises(ServiceError,
+                               match="bad-request.*unknown enzyme"):
+                raw_query(client, enzyme="Nope")
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +1034,6 @@ class TestSubprocessAcceptance:
                 host, port = ready.read_text().split()
                 addrs.append(f"{host}:{port}")
 
-            from repro.genome.synthetic import synthetic_assembly
             assembly = synthetic_assembly(
                 "hg19", scale=scale, seed=seed, chromosomes=order)
             ref_index = GenomeSiteIndex.build(assembly, PATTERN)
