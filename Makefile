@@ -18,9 +18,9 @@ service:
 		--clients 4 --duration 5
 
 # Routing-tier tests plus the fleet smoke: 3 subprocess backends, one
-# induced SIGKILL, one zero-downtime rollover, graceful SIGTERM drain;
-# byte-identity against a single-process server and zero leaked
-# processes/ready files are asserted throughout.
+# induced SIGKILL, graceful SIGTERM drain; byte-identity against a
+# single-process server and zero leaked processes/ready files are
+# asserted throughout.
 router:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_router.py
 	PYTHONPATH=src $(PYTHON) -m repro.service.router --smoke --duration 6

@@ -25,8 +25,8 @@ python -m repro.design --smoke
 # end to end.
 python -m repro.variants --smoke
 # Routing-tier smoke: 3 subprocess backends behind a router, one
-# SIGKILLed mid-load, one zero-downtime rollover, SIGTERM drain of the
-# survivors; asserts byte-identity against a single-process server and
-# a routed `design` and `variant` request checked before and after the
-# rollover.
+# SIGKILLed mid-load, SIGTERM drain of the survivors; asserts
+# byte-identity against a single-process server, with a routed
+# `design`, `variant` and `Alt`-enzyme `query` and `design` checked
+# just before and just after the SIGKILL.
 python -m repro.service.router --smoke --duration 6

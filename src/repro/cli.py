@@ -563,13 +563,11 @@ def _run_serve(argv: List[str]) -> int:
         # gracefully first.
         signal.signal(signal.SIGTERM,
                       lambda signum, frame: sys.exit(0))
-    reloader = _make_reloader(args, assembly, index.pattern,
-                              manifest_path)
     try:
         server = OffTargetServer(
             index, host=args.host, port=args.port,
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue, reloader=reloader,
+            max_queue=args.max_queue,
             request_fault_plan=args.request_fault_inject,
             drain_s=args.drain_s,
             enzymes=enzymes or None)
@@ -580,31 +578,6 @@ def _run_serve(argv: List[str]) -> int:
           f"max_wait_ms={args.max_wait_ms:g})", file=sys.stderr)
     server.run(duration_s=args.duration_s, ready_file=args.ready_file)
     return 0
-
-
-def _make_reloader(args: argparse.Namespace, assembly: Assembly,
-                   pattern: str, manifest_path: Optional[str]):
-    """The ``reload`` op's index factory for this serve invocation.
-
-    Prefers re-loading from ``--index-dir`` (so an external builder can
-    drop a fresh fingerprinted index there and the rollover picks it
-    up); falls back to rebuilding from the serve arguments.  Build
-    fault plans deliberately do not re-fire on reload.
-    """
-    def reloader():
-        from .service import GenomeSiteIndex, SiteIndexError
-        index = None
-        if manifest_path and os.path.exists(manifest_path):
-            try:
-                index = GenomeSiteIndex.load(args.index_dir, assembly)
-            except SiteIndexError:
-                index = None  # stale/corrupt on disk: rebuild
-        if index is None:
-            index = GenomeSiteIndex.build(
-                assembly, pattern, max_retries=args.max_retries)
-        return index
-
-    return reloader
 
 
 def build_route_parser() -> argparse.ArgumentParser:

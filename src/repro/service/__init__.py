@@ -8,10 +8,10 @@ many-per-query asymmetry:
 * :mod:`repro.service.index` — :class:`~repro.service.index.
   GenomeSiteIndex` runs the finder once over each chromosome and keeps
   its candidate-site arrays memory-resident (with versioned save/load,
-  fingerprinted by genome and pattern, so a server can warm-start
-  without rescanning).  It takes no chunk size: the paper's host
-  program chunks a chromosome to fit device memory, and the index has
-  no device;
+  fingerprinted by genome bytes and pattern, so a server can
+  warm-start without rescanning).  It takes no chunk size: the paper's
+  host program chunks a chromosome to fit device memory, and the index
+  has no device.  A server's index is fixed when the server is built;
 * :mod:`repro.service.scheduler` — a bounded request queue with
   micro-batching that stacks concurrent requests' guides into a single
   batched comparer launch over the resident index (the
@@ -22,10 +22,11 @@ many-per-query asymmetry:
   (``JsonLinesServer``), plus a blocking client and a load generator;
 * :mod:`repro.service.router` — :class:`~repro.service.router.
   OffTargetRouter` partitions the genome by *chromosome* across N
-  backend servers, on one host or many, with health probing and
-  ejection, hedged reads, bounded retry against replicas,
-  zero-downtime index rollover, and responses kept byte-identical to
-  one server's by a stable merge on chromosome rank.
+  backend servers, on one host or many, with health probing,
+  ejection and readmission (how a restarted backend with a new index
+  rejoins), hedged reads, bounded retry against replicas, and
+  responses kept byte-identical to one server's by a stable merge on
+  chromosome rank.
 
 The serving layer runs on plain numpy, off the simulated OpenCL/SYCL
 runtime that reproduces the paper's tables: the index's finder is the

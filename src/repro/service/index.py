@@ -44,9 +44,9 @@ themselves, so the variant layer builds no hit objects.
 
 Persistence: ``save`` writes a versioned ``index.json`` header
 carrying the index fingerprint (SHA-256 over the format version, the
-genome's name, chromosome names and lengths, and the pattern) plus a
-SHA-256 digest of the site arrays and row table; ``load`` refuses an
-index built for a different genome or pattern
+genome's name, each chromosome's name, length and bytes, and the
+pattern) plus a SHA-256 digest of the site arrays and row table;
+``load`` refuses an index built for a different genome or pattern
 (:class:`SiteIndexMismatchError`), detects corrupted site payloads
 (:class:`SiteIndexError`), and rejects other on-disk format versions
 with :class:`SiteIndexVersionError` so callers (the ``serve`` CLI)
@@ -85,12 +85,14 @@ INDEX_MANIFEST_NAME = "index.json"
 #: directory.
 SITES_NAME = "sites.npz"
 
-#: Bumped on any change to the on-disk layout.  Version 6 stores one
-#: entry per chromosome holding candidates, and the index-wide row
-#: table (:class:`~repro.core.pipeline.PackedSites`) in served order,
-#: ``ceil(plen / 32)`` words per row; its header carries no chunk size.
-#: The seed lists are derived from the table, not stored.
-INDEX_VERSION = 6
+#: Bumped on any change to the on-disk layout or the fingerprint.
+#: Version 6 stores one entry per chromosome holding candidates, and
+#: the index-wide row table (:class:`~repro.core.pipeline.PackedSites`)
+#: in served order, ``ceil(plen / 32)`` words per row; its header
+#: carries no chunk size.  The seed lists are derived from the table,
+#: not stored.  Version 7 folds each chromosome's bytes into the
+#: fingerprint.
+INDEX_VERSION = 7
 
 
 class SiteIndexError(RuntimeError):
@@ -141,6 +143,7 @@ class GenomeSiteIndex:
         self._entries: List[ResidentChunk] = []
         self._table: Optional[PackedSites] = None
         self._seeds: Tuple[SeedList, ...] = ()
+        self._fingerprint: Optional[str] = None
         self._stats_lock = threading.Lock()
         self._batches = 0
         self._queries_total = 0
@@ -153,23 +156,30 @@ class GenomeSiteIndex:
     def fingerprint(self) -> str:
         """SHA-256 identity of this index.
 
-        Hashes the on-disk format version, the genome's name, its
-        chromosome names and lengths, and the pattern: everything the
-        finder's output depends on.  Two indexes with equal
-        fingerprints therefore produce identical wire responses — the
-        property the zero-downtime rollover path checks before and
-        after a swap.
+        Hashes the on-disk format version, the genome's name, each
+        chromosome's name, length and SHA-256 of its bytes, and the
+        pattern: everything the finder's output depends on.  Two
+        indexes with equal fingerprints therefore produce identical
+        wire responses, and :meth:`load` refuses an index saved for
+        other genome bytes, even at the same names and lengths.
+        Hashed once per index, since ``health`` reports it on every
+        router probe.
         """
-        identity = {
-            "version": INDEX_VERSION,
-            "genome": self.assembly.name,
-            "chromosomes": [[chrom.name, len(chrom)]
-                            for chrom in self.assembly.chromosomes],
-            "pattern": self.pattern,
-        }
-        canonical = json.dumps(identity, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        if self._fingerprint is None:
+            identity = {
+                "version": INDEX_VERSION,
+                "genome": self.assembly.name,
+                "chromosomes": [
+                    [chrom.name, len(chrom), hashlib.sha256(
+                        np.ascontiguousarray(chrom.sequence)).hexdigest()]
+                    for chrom in self.assembly.chromosomes],
+                "pattern": self.pattern,
+            }
+            canonical = json.dumps(identity, sort_keys=True,
+                                   separators=(",", ":"))
+            self._fingerprint = hashlib.sha256(
+                canonical.encode("ascii")).hexdigest()
+        return self._fingerprint
 
     @property
     def chromosomes(self) -> Tuple[str, ...]:

@@ -113,17 +113,6 @@ class BatchScheduler:
             queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
-        #: Guards the executing/inflight counters; notified whenever a
-        #: request settles so :meth:`drain` and :meth:`swap_index` can
-        #: wait without polling.
-        self._exec_cond = threading.Condition()
-        #: Batches currently inside ``_execute`` (0 or 1).
-        self._executing = 0
-        #: Admitted requests not yet settled (result/exception set).
-        self._inflight = 0
-        #: Serializes :meth:`swap_index` callers.
-        self._swap_lock = threading.Lock()
-        self._swaps = 0
         self._completed = 0
         self._rejected = 0
         self._expired = 0
@@ -175,7 +164,6 @@ class BatchScheduler:
                 pending.future.set_exception(
                     SchedulerClosed("scheduler closed before the "
                                     "request could be served"))
-            self._request_done()
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -236,15 +224,9 @@ class BatchScheduler:
             queries=queries, future=Future(), enqueued_perf=now,
             enqueued_wall=time.time(),
             deadline=None if deadline_s is None else now + deadline_s)
-        # Count the request in-flight *before* it becomes visible to
-        # the worker, so the counter can never dip negative even if the
-        # worker settles it immediately.
-        with self._exec_cond:
-            self._inflight += 1
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
-            self._request_done()
             with self._stats_lock:
                 self._rejected += 1
             tracing.instant("service_reject", cat="service",
@@ -272,27 +254,13 @@ class BatchScheduler:
         with self._stats_lock:
             self._requests_by_kind[kind] += 1
 
-    def _request_done(self, n: int = 1) -> None:
-        """Settle ``n`` in-flight requests and wake drain waiters."""
-        with self._exec_cond:
-            self._inflight -= n
-            self._exec_cond.notify_all()
-
     # -- worker ---------------------------------------------------------
 
     def _run(self) -> None:
         while not self._stop.is_set():
             batch = self._gather()
-            if not batch:
-                continue
-            with self._exec_cond:
-                self._executing += 1
-            try:
+            if batch:
                 self._execute(batch)
-            finally:
-                with self._exec_cond:
-                    self._executing -= 1
-                    self._exec_cond.notify_all()
 
     def _gather(self) -> List[_PendingRequest]:
         """Block for one request, then coalesce until flush."""
@@ -324,7 +292,6 @@ class BatchScheduler:
         live: List[_PendingRequest] = []
         for pending in batch:
             if not pending.future.set_running_or_notify_cancel():
-                self._request_done()
                 continue  # client cancelled while queued
             if pending.deadline is not None and now >= pending.deadline:
                 with self._stats_lock:
@@ -336,7 +303,6 @@ class BatchScheduler:
                     f"request expired after waiting "
                     f"{(now - pending.enqueued_perf) * 1000.0:.1f} ms "
                     f"in the queue"))
-                self._request_done()
                 continue
             live.append(pending)
         if not live:
@@ -351,7 +317,6 @@ class BatchScheduler:
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
             for pending in live:
                 pending.future.set_exception(exc)
-            self._request_done(len(live))
             return
         finished = time.perf_counter()
         finished_wall = time.time()
@@ -375,69 +340,6 @@ class BatchScheduler:
                     args={"queries": len(pending.queries),
                           "batch_queries": len(flat)}))
         tracing.merge(request_spans)
-        self._request_done(len(live))
-
-    # -- hot swap / drain -----------------------------------------------
-
-    def swap_index(self, new_index: GenomeSiteIndex,
-                   drain_timeout_s: float = 30.0) -> GenomeSiteIndex:
-        """Atomically swap the served index; returns the old one.
-
-        The worker reads ``self.index`` once per batch, so a plain
-        assignment is the swap; this method additionally waits (up to
-        ``drain_timeout_s``) for any batch already executing on the old
-        index to finish, so the caller may safely drop the returned
-        index.  Requests queued
-        at swap time run on the *new* index — zero downtime.
-
-        Raises ``ValueError`` when the new index serves a different
-        pattern (queued requests were validated against the old one),
-        and ``TimeoutError`` when an old-index batch is still running
-        after the budget — the swap itself has taken effect either
-        way.
-        """
-        old = self.index
-        if new_index.pattern != old.pattern:
-            raise ValueError(
-                f"cannot swap index serving pattern "
-                f"{new_index.pattern!r} in place of "
-                f"{old.pattern!r}: queued requests were validated "
-                f"against the served pattern")
-        with self._swap_lock:
-            self.index = new_index
-            deadline = time.perf_counter() + drain_timeout_s
-            with self._exec_cond:
-                while self._executing:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"a batch was still executing on the old "
-                            f"index after {drain_timeout_s:g}s; the "
-                            f"swap has taken effect but the old index "
-                            f"must not be released yet")
-                    self._exec_cond.wait(timeout=remaining)
-            with self._stats_lock:
-                self._swaps += 1
-        tracing.instant("scheduler_swap", cat="service",
-                        pattern=old.pattern)
-        return old
-
-    def drain(self, timeout_s: float) -> bool:
-        """Wait until every admitted request has settled.
-
-        Returns True when the scheduler went idle within ``timeout_s``
-        (queue empty *and* no batch executing), False on timeout — the
-        graceful-shutdown path uses this to bound how long a SIGTERM
-        waits for in-flight work.
-        """
-        deadline = time.perf_counter() + timeout_s
-        with self._exec_cond:
-            while self._inflight:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    return False
-                self._exec_cond.wait(timeout=remaining)
-        return True
 
     # -- introspection --------------------------------------------------
 
@@ -453,7 +355,6 @@ class BatchScheduler:
             histogram = dict(sorted(self._batch_sizes.items()))
             completed, rejected = self._completed, self._rejected
             expired, batches = self._expired, self._batches
-            swaps = self._swaps
             by_kind = dict(self._requests_by_kind)
         return {
             "comparer": self.index.comparer_stats(),
@@ -465,8 +366,6 @@ class BatchScheduler:
             "rejected": rejected,
             "expired": expired,
             "batches": batches,
-            "inflight": self._inflight,
-            "index_swaps": swaps,
             "requests_by_kind": by_kind,
             "batch_size_histogram": histogram,
             "latency_ms": {

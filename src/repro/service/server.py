@@ -30,24 +30,24 @@ object per line in each direction.  Requests carry an ``op`` —
 * ``stats``: scheduler counters, queue depth, batch-size histogram and
   latency percentiles (see :meth:`BatchScheduler.stats`);
 * ``health``: liveness plus index identity (genome, pattern, sites,
-  chromosome list, manifest fingerprint);
-* ``reload``: zero-downtime index rollover — a configured ``reloader``
-  callable builds/loads a fresh index off-loop, optional canary
-  queries warm it, then :meth:`BatchScheduler.swap_index` swaps it in
-  between batches and the old index is drained and released.  Any
-  failure (reloader error, pattern mismatch, canary failure) leaves
-  the old index serving untouched.
+  chromosome list, manifest fingerprint).
+
+A server's index is fixed when the server is built: the index is a
+function of the genome and the pattern, and both are fixed for the
+life of a ``serve`` process.  A new genome or index reaches a fleet by
+a supervisor restart (SIGTERM drain, then a new process), which the
+router sees as an ejection followed by a readmission.
 
 Responses echo the request's ``id`` (if any) and carry ``ok``; failures
 carry a machine-readable ``error`` code (``bad-json``, ``bad-request``,
-``unknown-op``, ``overloaded``, ``deadline``, ``closed``, ``internal``,
-``no-reloader``, ``reload-failed``) so clients can distinguish
-back-off-and-retry from bugs.  Handlers never build an error answer:
-they raise :class:`RequestError` (a code and a message) or let an
-exception escape, and :meth:`JsonLinesServer._respond` is the one place
-an exception becomes an answer — a scheduler refusal its own code, any
-other fault ``internal`` — so every request is answered and the
-connection keeps serving.
+``unknown-op``, ``overloaded``, ``deadline``, ``closed``, ``internal``)
+so clients can distinguish back-off-and-retry from bugs.  Handlers
+never build an error answer: they raise :class:`RequestError` (a code
+and a message) or let an exception escape, and
+:meth:`JsonLinesServer._respond` is the one place an exception becomes
+an answer — a scheduler refusal its own code, any other fault
+``internal`` — so every request is answered and the connection keeps
+serving.
 
 One front end serves both tiers: :class:`JsonLinesServer` holds the
 connection loop (line framing, ``bad-json``, ``id`` echo, the
@@ -89,8 +89,8 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.config import Query
 from ..core.records import OffTargetHit, hits_to_rows
@@ -514,7 +514,6 @@ class OffTargetServer(JsonLinesServer):
     def __init__(self, index: GenomeSiteIndex, host: str = "127.0.0.1",
                  port: int = 0, max_batch: int = 8,
                  max_wait_ms: float = 5.0, max_queue: int = 64,
-                 reloader: Optional[Callable[[], Any]] = None,
                  request_fault_plan: Optional[str] = None,
                  drain_s: float = 5.0,
                  enzymes: Optional[Sequence[
@@ -525,10 +524,6 @@ class OffTargetServer(JsonLinesServer):
                                         max_wait_ms=max_wait_ms,
                                         max_queue=max_queue)
         self._closed = False
-        #: Builds/loads a replacement index for the ``reload`` op.
-        self._reloader = reloader
-        self._reload_lock = threading.Lock()
-        self._reloads = 0
         #: Request-level fault plan (indices are query ordinals).
         self._request_injector = (
             faults.FaultInjector(faults.parse_fault_plan(
@@ -580,8 +575,6 @@ class OffTargetServer(JsonLinesServer):
             return response
         if op == "stats":
             return {"ok": True, "stats": self.scheduler.stats()}
-        if op == "reload":
-            return await self._handle_reload(request)
         if op == "enzymes":
             return self._handle_enzymes()
         if op == "variant":
@@ -612,8 +605,8 @@ class OffTargetServer(JsonLinesServer):
                     "hits": [hits_to_rows(per) for per in results]}
         raise RequestError(
             "unknown-op", f"unknown op {op!r}; expected query, design, "
-                          f"enumerate, variant, enzymes, stats, "
-                          f"health or reload")
+                          f"enumerate, variant, enzymes, stats or "
+                          f"health")
 
     # -- enzyme registry ------------------------------------------------
 
@@ -661,24 +654,18 @@ class OffTargetServer(JsonLinesServer):
         other connections and variant searches run one at a time.
         """
         with _bad_request():
-            _, _, scheduler = self._resolve_enzyme(request)
+            _, index, scheduler = self._resolve_enzyme(request)
             queries = _decode_queries(request.get("queries"))
             haplotypes = decode_haplotypes(request.get("haplotypes"))
             allowed = _decode_chromosomes(request.get("chromosomes"))
         loop = asyncio.get_running_loop()
         with _bad_request():  # a variant the assembly rejects
             result = await loop.run_in_executor(
-                self._variant_executor, self._variant_sync, scheduler,
-                queries, haplotypes, allowed)
+                self._variant_executor,
+                lambda: search_variants(index, queries, haplotypes,
+                                        chromosomes=allowed))
         scheduler.count_request("variant")
         return {"ok": True, **result.payload()}
-
-    def _variant_sync(self, scheduler: BatchScheduler,
-                      queries: List[Query], haplotypes: Sequence[Any],
-                      allowed: Optional[FrozenSet[str]]) -> Any:
-        # scheduler.index is the live (possibly reload-swapped) index.
-        return search_variants(scheduler.index, queries, haplotypes,
-                               chromosomes=allowed)
 
     # -- guide design ---------------------------------------------------
 
@@ -761,76 +748,6 @@ class OffTargetServer(JsonLinesServer):
             return False
         raise RequestError("internal",
                            f"injected fault on request {ordinal}")
-
-    async def _handle_reload(self, request: Dict[str, Any]
-                             ) -> Dict[str, Any]:
-        if self._reloader is None:
-            raise RequestError("no-reloader",
-                               "this server was started without a "
-                               "reloader; it cannot roll its index")
-        raw = request.get("canaries")
-        with _bad_request():
-            canaries = (_decode_queries(raw) if raw is not None
-                        else [])
-        loop = asyncio.get_running_loop()
-        try:
-            # Build + warm + swap off-loop: other connections keep
-            # being served by the old index the whole time.
-            summary = await loop.run_in_executor(
-                None, self._reload_sync, canaries)
-        except Exception as exc:  # noqa: BLE001 - old index kept
-            tracing.instant("index_reload_failed", cat="service",
-                            error=type(exc).__name__)
-            raise RequestError("reload-failed",
-                               f"{type(exc).__name__}: {exc}") from None
-        return {"ok": True, **summary}
-
-    def _reload_sync(self, canaries: Sequence[Query]
-                     ) -> Dict[str, Any]:
-        """Build, canary-warm and atomically swap a fresh index.
-
-        Runs in an executor thread.  Any exception propagates to
-        :meth:`_handle_reload` *before* the swap, so a failed reload
-        never interrupts serving on the old index.
-        """
-        with self._reload_lock:
-            old = self.scheduler.index
-            with tracing.span("index_reload", cat="service"):
-                new = self._reloader()
-                if new is None:
-                    raise RuntimeError("reloader returned no index")
-                plen = new.compiled_pattern.plen
-                for query in canaries:
-                    if len(query.sequence) != plen:
-                        raise ValueError(
-                            f"canary {query.sequence!r} has length "
-                            f"{len(query.sequence)}; the new index "
-                            f"requires {plen}")
-                if canaries:
-                    # Canary warm: run the new index end to end before
-                    # it can see real traffic.
-                    new.query_batch(list(canaries))
-                old_fp = old.fingerprint()
-                new_fp = new.fingerprint()
-                drained = True
-                try:
-                    self.scheduler.swap_index(new)
-                except TimeoutError:
-                    # Swap took effect; the old index is still running
-                    # one last batch.
-                    drained = False
-                self.index = new
-                self._reloads += 1
-            tracing.instant("index_reloaded", cat="service",
-                            fingerprint=new_fp, changed=new_fp != old_fp)
-            return {"swapped": True,
-                    "fingerprint": new_fp,
-                    "previous_fingerprint": old_fp,
-                    "changed": new_fp != old_fp,
-                    "sites": new.site_count,
-                    "canaries": len(canaries),
-                    "drained": drained,
-                    "reloads": self._reloads}
 
     def close(self) -> None:
         if not self._closed:

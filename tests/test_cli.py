@@ -341,15 +341,14 @@ class TestServiceSubcommands:
         assert main(argv) == 0
         manifest = index_dir / "index.json"
         header = json.loads(manifest.read_text())
-        header["version"] = 5
-        header["chunk_size"] = 1 << 15
+        header["version"] = 6
         manifest.write_text(json.dumps(header))
         capsys.readouterr()
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "stale index format" in err
         assert f"# index saved to {index_dir}" in err
-        assert json.loads(manifest.read_text())["version"] == 6
+        assert json.loads(manifest.read_text())["version"] == 7
         assert main(argv) == 0
         assert f"# loaded index from {index_dir}" in \
             capsys.readouterr().err

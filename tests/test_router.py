@@ -1,10 +1,10 @@
-"""Routing tier: byte-identity across faults, failover, rollover.
+"""Routing tier: byte-identity across faults, failover, readmission.
 
 The router's contract is the serving invariant one level up: a client
 must not be able to tell, from any response byte, whether it talked to
 one server over the whole genome or to a router over a partitioned,
 replicated, occasionally-crashing fleet — including *while* a backend
-dies, a hedge fires, or the fleet rolls its index.
+dies, a hedge fires, or a restarted backend rejoins.
 """
 
 from __future__ import annotations
@@ -234,6 +234,29 @@ class TestRoutedEquivalence:
             got = raw_query(client, queries)["hits"]
         assert got == expected
 
+    @pytest.mark.parametrize("extra", [
+        {"chromosomes": ["chrB"]},
+        {"chromosomes": ["chrD", "chrA"]},
+        {"chromosomes": ["chrZ"]},
+        {"chromosomes": "chrB"},
+        {"op": "design", "chrom": "chrA", "start": 0, "end": 400,
+         "mismatches": 2, "top": 5, "estimator": "cfd",
+         "chromosomes": ["chrB"]},
+    ], ids=["one", "across-partitions", "none-held", "malformed",
+            "design"])
+    def test_chromosome_filter_matches_single_server(
+            self, routed, reference, extra):
+        """A routed ``query`` keeps only the filter's chromosomes and
+        validates the filter as a server does; ``design`` ignores it
+        on both tiers."""
+        request = dict({"op": "query", "id": 1,
+                        "queries": [[q.sequence, q.max_mismatches]
+                                    for q in QUERIES]}, **extra)
+        line = json.dumps(request).encode("ascii") + b"\n"
+        expected = converse(reference.host, reference.port, line)
+        got = converse(routed.host, routed.port, line)
+        assert json.dumps(got) == json.dumps(expected)
+
     def test_health_reports_fleet(self, routed):
         with ServiceClient(routed.host, routed.port) as client:
             health = client._call({"op": "health"})
@@ -268,8 +291,9 @@ class TestRoutedEquivalence:
 
     def test_unknown_op_and_bad_request(self, routed):
         with ServiceClient(routed.host, routed.port) as client:
-            with pytest.raises(ServiceError, match="unknown-op"):
-                client._call({"op": "nope"})
+            for op in ("nope", "rollover"):
+                with pytest.raises(ServiceError, match="unknown-op"):
+                    client._call({"op": op})
             with pytest.raises(ServiceError, match="bad-request"):
                 client._call({"op": "query", "queries": []})
             with pytest.raises(ServiceError, match="bad-request"):
@@ -578,207 +602,6 @@ class TestHedging:
 
 
 # ---------------------------------------------------------------------------
-# Reload / rollover
-# ---------------------------------------------------------------------------
-
-class TestReload:
-    def make_server(self, assembly, reloader):
-        index = GenomeSiteIndex.build(assembly, PATTERN)
-        server = OffTargetServer(index, max_wait_ms=1.0,
-                                 reloader=reloader)
-        return server, server.start_background()
-
-    def test_reload_same_parameters_is_byte_stable(
-            self, wide_assembly, expected_wire):
-        # A refresh rebuild of one genome and pattern keeps the
-        # fingerprint and every response byte — the rollover-under-load
-        # contract.
-        reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, PATTERN)
-        server, handle = self.make_server(wide_assembly, reloader)
-        old_fp = server.index.fingerprint()
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                before = raw_query(client)["hits"]
-                summary = client._call({
-                    "op": "reload",
-                    "canaries": [["GACGTCNN", 3]]})
-                after = raw_query(client)["hits"]
-            assert summary["swapped"]
-            assert not summary["changed"]
-            assert summary["previous_fingerprint"] == old_fp
-            assert summary["fingerprint"] == old_fp
-            assert summary["canaries"] == 1
-            assert before == after == expected_wire
-        finally:
-            handle.stop()
-
-    def test_reload_without_reloader_is_typed(self, wide_assembly):
-        server, handle = self.make_server(wide_assembly, None)
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                with pytest.raises(ServiceError, match="no-reloader"):
-                    client._call({"op": "reload"})
-        finally:
-            handle.stop()
-
-    def test_failed_reload_keeps_old_index(self, wide_assembly,
-                                           expected_wire):
-        def exploding_reloader():
-            raise RuntimeError("disk full")
-        server, handle = self.make_server(wide_assembly,
-                                          exploding_reloader)
-        fp = server.index.fingerprint()
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                with pytest.raises(ServiceError,
-                                   match="reload-failed"):
-                    client._call({"op": "reload"})
-                assert raw_query(client)["hits"] == expected_wire
-            assert server.index.fingerprint() == fp
-        finally:
-            handle.stop()
-
-    def test_bad_canary_aborts_before_swap(self, wide_assembly,
-                                           expected_wire):
-        reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, PATTERN)
-        server, handle = self.make_server(wide_assembly, reloader)
-        fp = server.index.fingerprint()
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                with pytest.raises(ServiceError,
-                                   match="reload-failed"):
-                    client._call({"op": "reload",
-                                  "canaries": [["GACGTCNNAA", 1]]})
-                assert raw_query(client)["hits"] == expected_wire
-            assert server.index.fingerprint() == fp
-        finally:
-            handle.stop()
-
-    def test_pattern_change_is_refused(self, wide_assembly,
-                                       expected_wire):
-        reloader = lambda: GenomeSiteIndex.build(  # noqa: E731
-            wide_assembly, "NNNNNNNNGG")
-        server, handle = self.make_server(wide_assembly, reloader)
-        try:
-            with ServiceClient(handle.host, handle.port) as client:
-                with pytest.raises(ServiceError,
-                                   match="reload-failed"):
-                    client._call({"op": "reload"})
-                assert raw_query(client)["hits"] == expected_wire
-        finally:
-            handle.stop()
-
-
-class TestRollover:
-    def build_reloading_fleet(self, wide_assembly):
-        parts = partition_chromosomes(wide_assembly, 3)
-        held = replica_plan(parts, replication=2)
-        handles = []
-        for chroms in held:
-            sub = wide_assembly.subset(chroms)
-            # A fresh build of the same partition: the replacement
-            # index has the same fingerprint and wire bytes.
-            reloader = (lambda s=sub: GenomeSiteIndex.build(s, PATTERN))
-            index = GenomeSiteIndex.build(sub, PATTERN)
-            handles.append(OffTargetServer(
-                index, max_wait_ms=1.0,
-                reloader=reloader).start_background())
-        return handles
-
-    def test_fleet_rollover_one_backend_at_a_time(
-            self, wide_assembly, expected_wire):
-        handles = self.build_reloading_fleet(wide_assembly)
-        router_handle = start_router(handles, wide_assembly)
-        try:
-            with ServiceClient(router_handle.host, router_handle.port,
-                               retries=4) as client:
-                report = client._call({
-                    "op": "rollover",
-                    "canaries": [["GACGTCNN", 3]]})
-                assert report["complete"]
-                assert len(report["backends"]) == 3
-                for entry in report["backends"]:
-                    assert entry["ok"], entry
-                    assert entry["changed"] is False, \
-                        "one genome and pattern keep one fingerprint"
-                assert raw_query(client)["hits"] == expected_wire
-                topo = client._call({"op": "topology"})["topology"]
-                fingerprints = {b["fingerprint"]
-                                for b in topo["backends"]}
-                assert None not in fingerprints
-        finally:
-            router_handle.stop()
-            for handle in handles:
-                handle.stop()
-
-    def test_rollover_under_load_stays_byte_identical(
-            self, wide_assembly, expected_wire):
-        handles = self.build_reloading_fleet(wide_assembly)
-        router_handle = start_router(handles, wide_assembly)
-        mismatches = []
-        errors = []
-        stop = threading.Event()
-
-        def hammer():
-            with ServiceClient(router_handle.host, router_handle.port,
-                               retries=4) as client:
-                while not stop.is_set():
-                    try:
-                        if raw_query(client)["hits"] != expected_wire:
-                            mismatches.append(1)
-                    except ServiceError as exc:
-                        errors.append(exc)
-        try:
-            threads = [threading.Thread(target=hammer)
-                       for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            with ServiceClient(router_handle.host, router_handle.port,
-                               timeout_s=120.0) as client:
-                report = client._call({"op": "rollover"})
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert report["complete"]
-            assert not mismatches, \
-                f"{len(mismatches)} responses diverged mid-rollover"
-            assert not errors, errors
-        finally:
-            stop.set()
-            router_handle.stop()
-            for handle in handles:
-                handle.stop()
-
-    def test_dead_backend_reported_not_fatal(self, wide_assembly,
-                                             expected_wire):
-        handles = self.build_reloading_fleet(wide_assembly)
-        router_handle = start_router(handles, wide_assembly)
-        try:
-            client = ServiceClient(router_handle.host,
-                                   router_handle.port, retries=4)
-            handles[0].stop()
-            assert wait_until(
-                lambda: client._call({"op": "stats"})["stats"]
-                ["backends_alive"] == 2)
-            report = client._call({"op": "rollover"})
-            assert not report["complete"]
-            entries = {e["backend"]: e for e in report["backends"]}
-            down = [e for e in entries.values()
-                    if e.get("error") == "down"]
-            assert len(down) == 1
-            assert sum(1 for e in entries.values()
-                       if e.get("ok")) == 2
-            assert raw_query(client)["hits"] == expected_wire
-            client.close()
-        finally:
-            router_handle.stop()
-            for handle in handles[1:]:
-                handle.stop()
-
-
-# ---------------------------------------------------------------------------
 # Client reconnect
 # ---------------------------------------------------------------------------
 
@@ -940,8 +763,8 @@ class TestDrain:
         with ServiceClient(handle.host, handle.port) as client:
             raw_query(client)
             stats = client._call({"op": "stats"})["stats"]
-        assert stats["inflight"] == 0
-        assert stats["index_swaps"] == 0
+        assert stats["completed"] == 1
+        assert stats["queue_depth"] == 0
         handle.drain()
 
     @pytest.mark.slow

@@ -27,7 +27,7 @@ from repro.core.config import Query, SearchRequest
 from repro.core.patterns import compile_pattern
 from repro.core.pipeline import _BasePipeline, make_pipeline, search
 from repro.core.records import sort_hits
-from repro.genome.assembly import Chunk
+from repro.genome.assembly import Assembly, Chromosome, Chunk
 from repro.observability import tracing
 from repro.runtime import executor
 from repro.service import (BatchScheduler, DeadlineExceeded,
@@ -97,7 +97,7 @@ class TestGenomeSiteIndex:
             index.fingerprint()
         index.save(str(tmp_path))
         header = json.loads((tmp_path / "index.json").read_text())
-        assert header["version"] == 6
+        assert header["version"] == 7
         assert header["fingerprint"] == index.fingerprint()
         assert "chunk_size" not in header
 
@@ -123,6 +123,23 @@ class TestGenomeSiteIndex:
         index.save(str(tmp_path))
         with pytest.raises(SiteIndexMismatchError, match="different"):
             GenomeSiteIndex.load(str(tmp_path), tiny_assembly)
+
+    def test_load_rejects_masked_twin(self, index, small_assembly,
+                                      tmp_path):
+        """An index saved for other bases at the same chromosome names
+        and lengths is refused; its hits would differ."""
+        masked = Assembly(small_assembly.name, [
+            Chromosome(chrom.name, chrom.sequence.copy())
+            for chrom in small_assembly.chromosomes])
+        for chrom in masked.chromosomes:
+            chrom.sequence[100:400] = ord("N")
+        twin = GenomeSiteIndex.build(masked, PATTERN)
+        assert twin.site_count < index.site_count
+        twin.save(str(tmp_path))
+        with pytest.raises(SiteIndexMismatchError, match="different"):
+            GenomeSiteIndex.load(str(tmp_path), small_assembly)
+        assert GenomeSiteIndex.load(str(tmp_path), masked).fingerprint() \
+            == twin.fingerprint()
 
     def test_load_rejects_corrupt_sites(self, index, small_assembly,
                                         tmp_path):
@@ -430,11 +447,12 @@ class TestServer:
             "a taken port must not wait out the start timeout"
 
     def test_unknown_op_reported(self, served):
-        response = self._raw_call(
-            served, b'{"op": "shutdown", "id": 7}\n')
-        assert response["ok"] is False
-        assert response["error"] == "unknown-op"
-        assert response["id"] == 7
+        for op in (b'"shutdown"', b'"reload"'):
+            response = self._raw_call(
+                served, b'{"op": %s, "id": 7}\n' % op)
+            assert response["ok"] is False
+            assert response["error"] == "unknown-op"
+            assert response["id"] == 7
 
     def test_bad_query_payloads(self, served):
         for payload in (b'{"op": "query"}\n',
