@@ -410,8 +410,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="flush a micro-batch at this many queries")
     parser.add_argument("--max-wait-ms", type=_nonnegative_float,
                         default=5.0,
-                        help="flush a micro-batch after this long even "
-                             "if it is not full")
+                        help="flush a micro-batch after this long "
+                             "even if it is not full; applies only "
+                             "while some open connection has no "
+                             "request in the batch")
     parser.add_argument("--max-queue", type=_positive_int, default=64,
                         help="admission-control queue bound; beyond it "
                              "requests are rejected as overloaded")

@@ -10,6 +10,7 @@ boundary are found exactly once.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +36,12 @@ class Chromosome:
 
     def __len__(self) -> int:
         return self.sequence.size
+
+    def sha256(self) -> str:
+        """SHA-256 hex digest of the sequence bytes: the identity a
+        checkpoint manifest and an index fingerprint give the bases."""
+        return hashlib.sha256(
+            np.ascontiguousarray(self.sequence)).hexdigest()
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 A :class:`RunManifest` fingerprints everything that determines a
 search's chunk stream and results: the genome's identity (assembly name
-plus every chromosome's name and length), the PAM pattern, the queries
-with their mismatch thresholds, and the chunk size.  Two runs with the
-same fingerprint enumerate byte-identical chunks in the same order, so
-a per-chunk journal written by one run can be replayed by the other.
+plus every chromosome's name, length and SHA-256 of its bases), the PAM
+pattern, the queries with their mismatch thresholds, and the chunk
+size.  Two runs with the same fingerprint enumerate byte-identical
+chunks in the same order, so a per-chunk journal written by one run can
+be replayed by the other.
 
 A :class:`CheckpointSession` binds a manifest to a directory holding
 ``manifest.json`` and ``journal.jsonl``:
@@ -47,7 +48,9 @@ CHECKPOINT_ENV = "REPRO_CHECKPOINT_DIR"
 #: Manifest file name inside a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
 
-MANIFEST_VERSION = 1
+#: Version 2 added each chromosome's SHA-256; a version-1 checkpoint
+#: has another fingerprint, so a resume refuses it.
+MANIFEST_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -63,7 +66,8 @@ class RunManifest:
     """Fingerprintable description of one search's chunk stream."""
 
     genome: str
-    chromosomes: Tuple[Tuple[str, int], ...]
+    #: ``(name, length, SHA-256 of the bases)`` per chromosome.
+    chromosomes: Tuple[Tuple[str, int, str], ...]
     pattern: str
     queries: Tuple[Tuple[str, int], ...]
     chunk_size: int
@@ -80,7 +84,7 @@ class RunManifest:
         """
         return cls(
             genome=assembly.name,
-            chromosomes=tuple((chrom.name, len(chrom))
+            chromosomes=tuple((chrom.name, len(chrom), chrom.sha256())
                               for chrom in assembly.chromosomes),
             pattern=request.pattern,
             queries=tuple((q.sequence, q.max_mismatches)

@@ -170,8 +170,7 @@ class GenomeSiteIndex:
                 "version": INDEX_VERSION,
                 "genome": self.assembly.name,
                 "chromosomes": [
-                    [chrom.name, len(chrom), hashlib.sha256(
-                        np.ascontiguousarray(chrom.sequence)).hexdigest()]
+                    [chrom.name, len(chrom), chrom.sha256()]
                     for chrom in self.assembly.chromosomes],
                 "pattern": self.pattern,
             }

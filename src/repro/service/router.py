@@ -159,6 +159,7 @@ class _Backend:
         #: first discovery).
         self.ever_seen = False
         self.chromosomes: Tuple[str, ...] = ()
+        self.genome: Optional[str] = None
         self.pattern: Optional[str] = None
         self.fingerprint: Optional[str] = None
         self.consecutive_failures = 0
@@ -460,6 +461,7 @@ class OffTargetRouter(JsonLinesServer):
         chroms = tuple(response.get("chromosomes") or ())
         changed = (not backend.alive
                    or chroms != backend.chromosomes)
+        backend.genome = response.get("genome")
         backend.pattern = response.get("pattern")
         backend.fingerprint = response.get("fingerprint")
         backend.chromosomes = chroms
@@ -779,9 +781,13 @@ class OffTargetRouter(JsonLinesServer):
         owner = next((g for g in groups
                       if spec.chrom in g.chromosomes), None)
         if owner is None:
-            raise RequestError("bad-request",
-                               f"unknown chromosome {spec.chrom!r}: "
-                               f"no partition holds it")
+            # ``_routing`` found every chromosome in ``rank`` held, so
+            # this one is not in the genome: refuse it in the words of
+            # a server's ``enumerate``.
+            raise RequestError(
+                "bad-request", f"unknown chromosome {spec.chrom!r}; "
+                               f"assembly {groups[0].backends[0].genome!r}"
+                               f" has {sorted(rank)}")
         with tracing.span("route_design", cat="router",
                           chrom=spec.chrom, partitions=len(groups)):
             enum_response = await self._sub_request(

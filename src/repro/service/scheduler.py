@@ -4,11 +4,15 @@ Production inference servers coalesce whatever requests are waiting
 into one accelerator launch instead of running them one by one; the
 batched multi-query comparer gives this workload the same opportunity.
 :class:`BatchScheduler` owns a bounded queue and a worker thread that
-gathers requests into a micro-batch — flushed when either ``max_batch``
-queries have accumulated or the oldest request has waited
-``max_wait_ms``, whichever comes first — and runs the whole batch
-through a single :meth:`GenomeSiteIndex.query_batch` call, so the
-comparer launch count scales with batches, not requests.
+gathers requests into a micro-batch and runs the whole batch through a
+single :meth:`GenomeSiteIndex.query_batch` call, so the comparer launch
+count scales with batches, not requests.  A gather ends at the first
+of: ``max_batch`` queries have accumulated; the batch holds a request
+from every connection its server has open (the ``open_connections``
+hook), so no further request can arrive; or the oldest request has
+waited ``max_wait_ms``.  :meth:`stats` counts each ending under
+``flushes``.  A scheduler without the hook flushes on the first and
+the last only.
 
 Overload is handled at admission: when the queue is full, ``submit``
 raises a typed :class:`ServiceOverloaded` immediately instead of
@@ -33,7 +37,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import Query
 from ..core.records import OffTargetHit
@@ -93,11 +97,16 @@ class BatchScheduler:
     enqueue a known set of requests and then observe exactly how they
     coalesce (or exercise admission control deterministically); call
     :meth:`start` to begin draining.
+
+    ``open_connections`` is how a server reports the connections it
+    has open now; with it, a gather ends as soon as the batch holds
+    that many requests (see :meth:`_gather`).
     """
 
     def __init__(self, index: GenomeSiteIndex, max_batch: int = 8,
                  max_wait_ms: float = 5.0, max_queue: int = 64,
-                 start: bool = True):
+                 start: bool = True,
+                 open_connections: Optional[Callable[[], int]] = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not max_wait_ms >= 0:
@@ -109,6 +118,7 @@ class BatchScheduler:
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
         self.max_queue = int(max_queue)
+        self._open_connections = open_connections
         self._queue: "queue.Queue[Optional[_PendingRequest]]" = \
             queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
@@ -117,6 +127,9 @@ class BatchScheduler:
         self._rejected = 0
         self._expired = 0
         self._batches = 0
+        #: How each gather ended (see :meth:`_gather`).
+        self._flushes: Dict[str, int] = {"full": 0, "connections": 0,
+                                         "timer": 0}
         #: Admitted requests by workload kind (plain guide lookups,
         #: guide-design candidate sweeps, variant-overlay searches).
         #: query/design coalesce into the same micro-batches; variant
@@ -263,7 +276,13 @@ class BatchScheduler:
                 self._execute(batch)
 
     def _gather(self) -> List[_PendingRequest]:
-        """Block for one request, then coalesce until flush."""
+        """Block for one request, then coalesce until flush.
+
+        The batch flushes ``full`` at ``max_batch`` queries,
+        ``connections`` once it holds a request from every open
+        connection (whatever is already queued still joins), and
+        ``timer`` once ``max_wait_ms`` has passed.
+        """
         try:
             first = self._queue.get(timeout=0.1)
         except queue.Empty:
@@ -273,10 +292,25 @@ class BatchScheduler:
         batch = [first]
         total = len(first.queries)
         flush_at = time.perf_counter() + self.max_wait_s
+        ended = "timer"
         while total < self.max_batch:
-            remaining = flush_at - time.perf_counter()
-            if remaining <= 0:
-                break
+            # The server reads a connection's next line only after it
+            # wrote the answer to the previous one, so a connection has
+            # at most one request in flight.  Once the batch holds as
+            # many requests as there are open connections, waiting
+            # cannot add one.  An idle connection, one busy with
+            # another op or scheduler, or one that closes mid-gather
+            # leaves the batch short: it waits for the timer, as
+            # without the hook.
+            if ended == "timer" and self._open_connections is not None \
+                    and len(batch) >= self._open_connections():
+                ended = "connections"
+            if ended == "connections":
+                remaining = 0.0  # take only what is already queued
+            else:
+                remaining = flush_at - time.perf_counter()
+                if remaining <= 0:
+                    break
             try:
                 nxt = self._queue.get(timeout=remaining)
             except queue.Empty:
@@ -285,6 +319,10 @@ class BatchScheduler:
                 break
             batch.append(nxt)
             total += len(nxt.queries)
+        else:
+            ended = "full"
+        with self._stats_lock:
+            self._flushes[ended] += 1
         return batch
 
     def _execute(self, batch: List[_PendingRequest]) -> None:
@@ -355,6 +393,7 @@ class BatchScheduler:
             histogram = dict(sorted(self._batch_sizes.items()))
             completed, rejected = self._completed, self._rejected
             expired, batches = self._expired, self._batches
+            flushes = dict(self._flushes)
             by_kind = dict(self._requests_by_kind)
         return {
             "comparer": self.index.comparer_stats(),
@@ -366,6 +405,7 @@ class BatchScheduler:
             "rejected": rejected,
             "expired": expired,
             "batches": batches,
+            "flushes": flushes,
             "requests_by_kind": by_kind,
             "batch_size_histogram": histogram,
             "latency_ms": {

@@ -51,10 +51,11 @@ serving.
 
 One front end serves both tiers: :class:`JsonLinesServer` holds the
 connection loop (line framing, ``bad-json``, ``id`` echo, the
-in-flight count) and the process lifecycle (SIGTERM drain, ready file,
-background thread), and :class:`OffTargetServer` here and the routing
-tier's :class:`~repro.service.router.OffTargetRouter` supply only their
-op handlers.  A request line longer than :data:`MAX_LINE_BYTES` is read
+open-connection and in-flight counts) and the process lifecycle
+(SIGTERM drain, ready file, background thread), and
+:class:`OffTargetServer` here and the routing tier's
+:class:`~repro.service.router.OffTargetRouter` supply only their op
+handlers.  A request line longer than :data:`MAX_LINE_BYTES` is read
 through its newline, dropped and answered ``bad-request``, and a line
 too deeply nested for the JSON decoder is answered ``bad-json``; either
 way the connection keeps serving.
@@ -285,6 +286,9 @@ class JsonLinesServer:
         self.drain_s = float(drain_s)
         self._stop_event: Optional[asyncio.Event] = None
         self._draining = False
+        #: Connections open now.  Only the event loop writes it; the
+        #: batch schedulers' worker threads read it.
+        self._connections = 0
         self._inflight = 0
 
     async def _handle_request(self, request: Dict[str, Any]
@@ -334,6 +338,7 @@ class JsonLinesServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections += 1
         try:
             while True:
                 try:
@@ -361,6 +366,7 @@ class JsonLinesServer:
         except asyncio.CancelledError:
             pass  # server shutdown: drop the connection quietly
         finally:
+            self._connections -= 1
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -520,9 +526,10 @@ class OffTargetServer(JsonLinesServer):
                      Tuple[CasEnzyme, GenomeSiteIndex]]] = None):
         super().__init__(host, port, drain_s)
         self.index = index
-        self.scheduler = BatchScheduler(index, max_batch=max_batch,
-                                        max_wait_ms=max_wait_ms,
-                                        max_queue=max_queue)
+        settings = dict(max_batch=max_batch, max_wait_ms=max_wait_ms,
+                        max_queue=max_queue,
+                        open_connections=lambda: self._connections)
+        self.scheduler = BatchScheduler(index, **settings)
         self._closed = False
         #: Request-level fault plan (indices are query ordinals).
         self._request_injector = (
@@ -545,9 +552,7 @@ class OffTargetServer(JsonLinesServer):
                     f"{enzyme_index.pattern!r}")
             self._enzymes[enzyme.name] = (
                 enzyme, enzyme_index,
-                BatchScheduler(enzyme_index, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms,
-                               max_queue=max_queue))
+                BatchScheduler(enzyme_index, **settings))
         #: Runs every variant search off-loop on one thread.  A fixed
         #: thread keeps the searches' allocations in one malloc arena;
         #: a pool that sometimes grew a second thread made peak memory

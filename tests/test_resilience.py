@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ExecutionPolicy, Query, SearchRequest
 from repro.core.pipeline import _ChunkOutput, search
 from repro.core.records import sort_hits
+from repro.genome.assembly import Assembly, Chromosome
 from repro.observability import tracing
 from repro.resilience import (CHECKPOINT_ENV, CheckpointError,
                               CheckpointMismatchError, CheckpointSession,
@@ -310,6 +311,27 @@ class TestResumeEquivalence:
                                            resume=True, **resume_policy))
         assert resumed.hits == baseline.hits
         assert resumed.launches == []
+
+    def test_resume_refuses_masked_twin(self, tmp_path, tiny_assembly,
+                                        short_request):
+        """The manifest covers the bases: a twin with the same names
+        and lengths but bases 100-399 of each chromosome set to ``N``
+        cannot resume the original's checkpoint."""
+        directory = str(tmp_path / "ckpt")
+        search(tiny_assembly, short_request, chunk_size=CHUNK,
+               execution=_policy(streaming=False,
+                                 checkpoint_dir=directory))
+        masked = []
+        for chrom in tiny_assembly.chromosomes:
+            sequence = chrom.sequence.copy()
+            sequence[100:400] = ord("N")
+            masked.append(Chromosome(chrom.name, sequence))
+        twin = Assembly(tiny_assembly.name, masked)
+        with pytest.raises(CheckpointMismatchError, match="refusing"):
+            search(twin, short_request, chunk_size=CHUNK,
+                   execution=_policy(streaming=False,
+                                     checkpoint_dir=directory,
+                                     resume=True))
 
     def test_partial_journal_recomputes_only_missing(self, tmp_path,
                                                      tiny_assembly,

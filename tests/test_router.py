@@ -242,13 +242,16 @@ class TestRoutedEquivalence:
         {"op": "design", "chrom": "chrA", "start": 0, "end": 400,
          "mismatches": 2, "top": 5, "estimator": "cfd",
          "chromosomes": ["chrB"]},
+        {"op": "design", "chrom": "chrZ", "start": 0, "end": 400,
+         "mismatches": 2, "top": 5, "estimator": "cfd"},
     ], ids=["one", "across-partitions", "none-held", "malformed",
-            "design"])
+            "design", "design-unknown-chromosome"])
     def test_chromosome_filter_matches_single_server(
             self, routed, reference, extra):
         """A routed ``query`` keeps only the filter's chromosomes and
         validates the filter as a server does; ``design`` ignores it
-        on both tiers."""
+        on both tiers, and refuses a chromosome the genome lacks in
+        the server's words."""
         request = dict({"op": "query", "id": 1,
                         "queries": [[q.sequence, q.max_mismatches]
                                     for q in QUERIES]}, **extra)

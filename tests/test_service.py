@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core.config import Query, SearchRequest
 from repro.core.patterns import compile_pattern
 from repro.core.pipeline import _BasePipeline, make_pipeline, search
 from repro.core.records import sort_hits
+from repro.enzymes import CasEnzyme
 from repro.genome.assembly import Assembly, Chromosome, Chunk
 from repro.observability import tracing
 from repro.runtime import executor
@@ -508,6 +510,127 @@ class TestServer:
                 thread.join(timeout=30)
             handle.stop()
         assert len(results) == 2
+
+
+class TestGather:
+    """A served gather ends once the batch holds a request from every
+    open connection.  ``max_wait_ms`` is 10 s unless a test says
+    otherwise, so only that rule can answer within 2 s."""
+
+    QUERY = {"op": "query", "queries": [["GACGTCNN", 3]]}
+
+    @contextmanager
+    def _connections(self, index, count, max_wait_ms=10_000.0,
+                     **server_kw):
+        """A server and ``count`` connections to it, each through one
+        ``health`` round trip, so the server has counted all of them."""
+        server = OffTargetServer(index, max_wait_ms=max_wait_ms,
+                                 **server_kw)
+        handle = server.start_background()
+        conns = []
+        try:
+            for _ in range(count):
+                sock = socket.create_connection(
+                    (handle.host, handle.port), timeout=30)
+                conns.append((sock, sock.makefile("rb")))
+                sock.sendall(HEALTH_LINE)
+                assert json.loads(conns[-1][1].readline())["ok"]
+            yield server, conns
+        finally:
+            for sock, stream in conns:
+                stream.close()
+                sock.close()
+            handle.stop()
+
+    def _send(self, conn, request):
+        conn[0].sendall(json.dumps(request).encode("ascii") + b"\n")
+
+    def _answer(self, conn):
+        answer = json.loads(conn[1].readline())
+        assert answer["ok"], answer
+
+    @pytest.mark.parametrize("enzyme", [None, "Alt"])
+    def test_lone_connection_runs_at_once(self, index, small_assembly,
+                                          enzyme):
+        alt = CasEnzyme("Alt", 6, "GG", "3prime", "mit", "NNNNNNGG")
+        enzymes = [(alt, GenomeSiteIndex.build(small_assembly,
+                                               alt.pattern))]
+        with self._connections(index, 1, enzymes=enzymes) as (
+                server, (conn,)):
+            began = time.perf_counter()
+            self._send(conn, dict(self.QUERY, enzyme=enzyme))
+            self._answer(conn)
+            assert time.perf_counter() - began < 2.0
+        scheduler = (server.scheduler if enzyme is None
+                     else server._enzymes[enzyme][2])
+        assert scheduler.stats()["flushes"] == {
+            "full": 0, "connections": 1, "timer": 0}
+
+    def test_every_connection_rides_one_batch(self, index):
+        with self._connections(index, 2) as (server, conns):
+            began = time.perf_counter()
+            for conn in conns:
+                self._send(conn, self.QUERY)
+            for conn in conns:
+                self._answer(conn)
+            assert time.perf_counter() - began < 2.0
+        stats = server.scheduler.stats()
+        assert stats["batch_size_histogram"] == {2: 1}
+        assert stats["flushes"]["connections"] == 1
+
+    def test_idle_connection_holds_the_batch_open(self, index):
+        with self._connections(index, 2, max_wait_ms=300.0) as (
+                server, conns):
+            began = time.perf_counter()
+            self._send(conns[0], self.QUERY)
+            self._answer(conns[0])
+            assert time.perf_counter() - began >= 0.25
+        assert server.scheduler.stats()["flushes"] == {
+            "full": 0, "connections": 0, "timer": 1}
+
+    def test_count_settles_under_concurrent_connections(
+            self, index, small_assembly):
+        """More client threads than cores connect, query and close at
+        once under a short switch interval: every answer is right,
+        every batch's gather is counted once, and the connection count
+        returns to 0."""
+        expected = offline_hits(small_assembly, QUERIES[:1])
+        results, errors = [], []
+
+        def _client(server):
+            try:
+                with ServiceClient(server.host, server.port) as client:
+                    for _ in range(10):
+                        results.append(sort_hits(
+                            client.query(QUERIES[:1])[0]))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._connections(index, 0, max_wait_ms=20.0) as (
+                    server, _):
+                threads = [threading.Thread(target=_client,
+                                            args=(server,))
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                deadline = time.monotonic() + 10
+                while server._connections and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert server._connections == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 60
+        assert all(got == expected for got in results)
+        stats = server.scheduler.stats()
+        assert sum(stats["flushes"].values()) == stats["batches"]
 
 
 class _StallingIndex:
