@@ -27,7 +27,8 @@ search, as a one-process-per-query deployment would.
 All sides serve identical single-guide requests drawn round-robin
 from the same pool.  The report lands in ``BENCH_SERVICE.json`` with
 throughput, latency percentiles and the server's own stats snapshot
-(queue depth, batch-size histogram).  Run from the repo root::
+(queue depth, batch-size histogram), its counters covering each
+concurrency level alone.  Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_service.py
 """
@@ -171,12 +172,45 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     }
 
 
+#: ``stats`` fields that only count up, on a server or a router; every
+#: other field is a gauge.
+COUNTERS = ("completed", "rejected", "expired", "batches", "flushes",
+            "requests_by_kind", "batch_size_histogram", "comparer",
+            "requests", "retries", "hedges")
+
+
+def _delta(after, before):
+    if isinstance(after, dict):
+        return {key: _delta(value, before.get(key, 0))
+                for key, value in after.items()}
+    return after - before
+
+
+def _level_stats(before: dict, after: dict) -> dict:
+    """One load level's share of a long-lived server's ``stats``:
+    counters as the level's delta, gauges as read after it."""
+    level = dict(after)
+    for key in COUNTERS:
+        if key in after:
+            level[key] = _delta(after[key], before[key])
+    if "batch_size_histogram" in level:
+        level["batch_size_histogram"] = {
+            size: count
+            for size, count in level["batch_size_histogram"].items()
+            if count}
+    return level
+
+
 def _service_load(handle, queries_by_client, duration_s: float) -> dict:
     """Like run_load, but each client thread sends its own query list.
 
     A client thread that fails ends; once every thread has joined, the
-    first such exception re-raises.
+    first such exception re-raises.  The server outlives the level, so
+    ``server_stats`` reports the level's own counters
+    (:func:`_level_stats`).
     """
+    with ServiceClient(handle.host, handle.port) as client:
+        stats_before = client.stats()
     results = []
     failures = []
     lock = threading.Lock()
@@ -217,7 +251,7 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
         raise failures[0]
 
     with ServiceClient(handle.host, handle.port) as client:
-        server_stats = client.stats()
+        server_stats = _level_stats(stats_before, client.stats())
 
     completed = sum(r[0] for r in results)
     latencies = sorted(ms for r in results for ms in r[1])
@@ -322,7 +356,8 @@ def run_router_bench(scale: float, duration_s: float,
         "service_single": single,
         "service_routed": routed,
         "speedup_routed": speedup_routed,
-        # hedges + sub-request latency tail: the hedged p99 story.
+        # hedges + sub-request latency tail over the whole routed
+        # pass: the hedged p99 story.
         "router_stats": router_stats,
     }
 
@@ -383,7 +418,7 @@ def main(argv=None) -> int:
         hedges = section["router_stats"]["hedges"]
         sub = section["router_stats"]["subrequest_latency_ms"]
         print(f"hedges: {hedges['launched']} launched, "
-              f"{hedges['won']} won, {hedges['deduped']} deduped | "
+              f"{hedges['won']} won | "
               f"sub-request p99 {sub['p99']:.1f} ms over "
               f"{sub['count']} samples")
         print(section["caveat"])

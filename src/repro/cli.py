@@ -417,14 +417,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-queue", type=_positive_int, default=64,
                         help="admission-control queue bound; beyond it "
                              "requests are rejected as overloaded")
-    parser.add_argument("--max-retries", type=_nonnegative_int,
-                        default=2,
-                        help="per-chromosome retries during the index "
-                             "build")
-    parser.add_argument("--fault-inject", default=None, metavar="PLAN",
-                        help="deterministic fault plan exercised during "
-                             "the index build (indices are ordinals of "
-                             "the chromosomes scanned)")
     parser.add_argument("--duration-s", type=_positive_float,
                         default=None,
                         help="serve for this long then exit (smoke "
@@ -516,9 +508,7 @@ def _run_serve(argv: List[str]) -> int:
                 "available to load")
         assembly = _serve_assembly(args)
         try:
-            index = GenomeSiteIndex.build(
-                assembly, args.pattern, fault_plan=args.fault_inject,
-                max_retries=args.max_retries)
+            index = GenomeSiteIndex.build(assembly, args.pattern)
         except (SiteIndexError, ValueError) as exc:
             raise SystemExit(f"error: {exc}") from None
         print(f"# built index: {index.chunk_count} chromosomes, "

@@ -131,10 +131,11 @@ def _process_pool_run(index: int, chunk: Chunk, pattern_text: str,
                       queries: Sequence[Query], batched: bool):
     """Run both kernels for one chunk inside a worker process.
 
-    Patterns recompile per process through the LRU cache, so the cost is
-    paid once per worker, not per chunk.  Returns the chunk output, the
-    launch records it generated (the pipeline is long-lived, so only
-    the new slice is shipped back) and any trace spans recorded.
+    The pattern and queries arrive as text and are compiled again for
+    every chunk, a few tens of microseconds each, small next to the
+    chunk's kernels.  Returns the chunk output, the launch records it
+    generated (the pipeline is long-lived, so only the new slice is
+    shipped back) and any trace spans recorded.
     """
     pipeline = _worker_pipeline
     if _worker_injector is not None:

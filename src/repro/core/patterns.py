@@ -21,6 +21,11 @@ are implemented here:
   ``chr=='C' || chr=='T'``).  Positions where the query holds ``N`` are
   skipped entirely via the ``comp_index`` array.
 
+:func:`compile_pattern` lays a pattern or query out as Listing 1's
+``comp``/``comp_index`` arrays.  A search compiles its pattern and
+queries once and shares the read-only result with every chunk, so
+compilation keeps no cache.
+
 Note: Listing 1 as printed in the paper is partially OCR-corrupted (its
 line for pattern ``'A'`` counts a *match* as a mismatch, and a code
 ``'P'`` appears); the rules here are the correct IUPAC semantics the
@@ -32,13 +37,11 @@ lines (``R``, ``Y``, ``M``, ``W``, ``H``, ``B``, ``V``, ``D``, ``G``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from ..genome.fasta import sequence_to_array
-from ..observability import tracing
 
 #: 4-bit base masks: A=1, C=2, G=4, T=8.
 IUPAC_MASKS: Dict[str, int] = {
@@ -175,52 +178,11 @@ def compile_pattern(sequence: Union[str, bytes, np.ndarray]
                     ) -> CompiledPattern:
     """Compile a pattern/query into the device layout described above.
 
-    Compilation results are memoized per pattern string: every chunk of
-    every search re-uses the same pattern and query layouts, so repeated
-    compilation is pure overhead.  Array inputs bypass the cache (they
-    are unhashable and rare).  The returned object is shared — callers
-    must treat its arrays as read-only, which all kernels do.
+    The arrays are read-only: a compiled pattern is shared across
+    chunks and threads (the serving index keeps one for its whole
+    life), so an accidental write fails loudly instead of corrupting
+    every later comparison.
     """
-    if isinstance(sequence, bytes):
-        sequence = sequence.decode("ascii")
-    if isinstance(sequence, str):
-        if tracing.active() is None:
-            return _compile_pattern_cached(sequence)
-        # Hit/miss attribution is approximate under concurrent
-        # compilation (another thread may land a miss between the two
-        # cache_info() reads); good enough for trace annotation.
-        before = _compile_pattern_cached.cache_info().hits
-        compiled = _compile_pattern_cached(sequence)
-        hit = _compile_pattern_cached.cache_info().hits > before
-        tracing.instant("pattern_cache", cat="cache", pattern=sequence,
-                        hit=hit)
-        return compiled
-    return _compile_pattern_uncached(sequence)
-
-
-@lru_cache(maxsize=256)
-def _compile_pattern_cached(sequence: str) -> CompiledPattern:
-    compiled = _compile_pattern_uncached(sequence)
-    # The cached object is shared across searches and threads; freeze the
-    # arrays so accidental mutation fails loudly instead of corrupting
-    # every later search for the same pattern.
-    for array in (compiled.sequence, compiled.rc_sequence, compiled.comp,
-                  compiled.comp_index):
-        array.setflags(write=False)
-    return compiled
-
-
-def compile_pattern_cache_info():
-    """Hit/miss statistics of the pattern-compilation cache."""
-    return _compile_pattern_cached.cache_info()
-
-
-def clear_pattern_cache() -> None:
-    _compile_pattern_cached.cache_clear()
-
-
-def _compile_pattern_uncached(sequence: Union[str, bytes, np.ndarray]
-                              ) -> CompiledPattern:
     fwd = validate_iupac(sequence)
     plen = fwd.size
     if plen == 0:
@@ -232,5 +194,7 @@ def _compile_pattern_uncached(sequence: Union[str, bytes, np.ndarray]
     rc_checked = np.flatnonzero(rc != _N)
     comp_index[:fwd_checked.size] = fwd_checked
     comp_index[plen:plen + rc_checked.size] = rc_checked
+    for array in (fwd, rc, comp, comp_index):
+        array.setflags(write=False)
     return CompiledPattern(sequence=fwd, rc_sequence=rc, comp=comp,
                            comp_index=comp_index, plen=plen)

@@ -79,10 +79,6 @@ class PatternAnatomy:
     def plen(self) -> int:
         return self.guide_length + len(self.pam)
 
-    @property
-    def pam_length(self) -> int:
-        return len(self.pam)
-
 
 def pattern_anatomy(pattern: str,
                     guide_length: Optional[int] = None) -> PatternAnatomy:

@@ -28,8 +28,8 @@ summation — the same property the query op's byte-identity rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core import scoring
 from ..core.config import Query
@@ -308,18 +308,15 @@ def design_guides(index, chrom: str, start: int, end: int,
                   guide_length: Optional[int] = None,
                   gc_min: float = DEFAULT_GC_MIN,
                   gc_max: float = DEFAULT_GC_MAX,
-                  max_homopolymer: int = DEFAULT_MAX_HOMOPOLYMER,
-                  querier: Optional[Callable[[List[Query]],
-                                             List[List[OffTargetHit]]]]
-                  = None) -> DesignResult:
+                  max_homopolymer: int = DEFAULT_MAX_HOMOPOLYMER
+                  ) -> DesignResult:
     """Enumerate, scan once, rank: the guide-design workflow.
 
     ``index`` is a :class:`~repro.service.index.GenomeSiteIndex` or
     anything with its ``pattern``, ``assembly`` and ``query_batch``.
     All unique candidate queries go through exactly one
-    ``querier`` call (default ``index.query_batch``): one batched
-    comparer pass over the resident index for the entire candidate
-    set.
+    ``index.query_batch`` call: one batched comparer pass over the
+    resident index for the entire candidate set.
     """
     spec = DesignSpec(chrom=chrom, start=start, end=end,
                       max_mismatches=max_mismatches, top_n=top_n,
@@ -330,10 +327,9 @@ def design_guides(index, chrom: str, start: int, end: int,
     chosen = get_estimator(estimator, scoring_guide_length(anatomy))
     hits_by_query: Dict[str, List[OffTargetHit]] = {}
     if queries:
-        run = querier if querier is not None else index.query_batch
-        results = run([Query(sequence=query,
-                             max_mismatches=max_mismatches)
-                       for query in queries])
+        results = index.query_batch(
+            [Query(sequence=query, max_mismatches=max_mismatches)
+             for query in queries])
         hits_by_query = dict(zip(queries, results))
     reports = rank_candidates(candidates, hits_by_query, chosen, top_n)
     return DesignResult(anatomy=anatomy, estimator=chosen,

@@ -18,9 +18,10 @@ declarative:
   tables / an ``"enzymes"`` list) with typed :class:`EnzymeError`
   validation naming the file and field, so a malformed config fails at
   startup, not at query time;
-* :class:`EnzymeRegistry` holds the validated set; the serving tier
-  builds one separately-fingerprinted site index per registered enzyme
-  and routes requests carrying an ``"enzyme"`` field to it.
+* ``serve --enzyme-config`` loads them and the server builds one
+  separately-fingerprinted site index per enzyme, routing requests
+  carrying an ``"enzyme"`` field to it; the server refuses two enzymes
+  with one name.
 
 Only 3'-PAM enzymes admit guide *design* (the design layer enumerates
 into a degenerate prefix); 5'-PAM enzymes are searchable but the server
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping
 
 try:
     import tomllib  # Python 3.11+
@@ -43,7 +44,7 @@ from .core.patterns import PatternError, validate_iupac
 
 
 class EnzymeError(ValueError):
-    """A malformed enzyme definition or an unknown enzyme name."""
+    """A malformed enzyme definition or enzyme config file."""
 
 
 #: Where the PAM sits relative to the protospacer.
@@ -240,43 +241,6 @@ def load_enzymes(path: str) -> List[CasEnzyme]:
             for i, entry in enumerate(entries)]
 
 
-class EnzymeRegistry:
-    """Validated, name-keyed set of enzymes a server can serve."""
-
-    def __init__(self, enzymes: Sequence[CasEnzyme] = ()):
-        self._by_name: Dict[str, CasEnzyme] = {}
-        for enzyme in enzymes:
-            self.add(enzyme)
-
-    def add(self, enzyme: CasEnzyme) -> None:
-        if enzyme.name in self._by_name:
-            raise EnzymeError(
-                f"duplicate enzyme name {enzyme.name!r} in registry")
-        self._by_name[enzyme.name] = enzyme
-
-    def get(self, name: str) -> CasEnzyme:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise EnzymeError(
-                f"unknown enzyme {name!r}; registry has "
-                f"{sorted(self._by_name) or 'no enzymes'}") from None
-
-    @property
-    def names(self) -> List[str]:
-        """Registration order, the order indexes are built in."""
-        return list(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __iter__(self) -> Iterator[CasEnzyme]:
-        return iter(self._by_name.values())
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
 #: Built-in definitions, usable without any config file.  SpCas9's PAM
 #: is written NRG (its leading N merges into the guide run textually);
 #: Cas12a's TTTV PAM sits 5' of a 23-nt spacer.
@@ -290,8 +254,3 @@ CAS12A = CasEnzyme(
     scoring="mit", pattern=derive_pattern(23, "TTTV", "5prime"),
     description="Cas12a (Cpf1); 23-nt spacer, 5' TTTV PAM")
 
-BUILTIN_ENZYMES = (SPCAS9, CAS12A)
-
-
-def builtin_registry() -> EnzymeRegistry:
-    return EnzymeRegistry(BUILTIN_ENZYMES)

@@ -75,7 +75,7 @@ from ..core.pipeline import (PackedSites, ResidentChunk, Triples,
                              empty_triples)
 from ..core.records import OffTargetHit
 from ..genome.assembly import Assembly, Chunk
-from ..observability import faults, tracing
+from ..observability import tracing
 from ..resilience.checkpoint import _atomic_write_json
 
 #: Header file inside an index directory.
@@ -226,27 +226,18 @@ class GenomeSiteIndex:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, assembly: Assembly, pattern: str,
-              fault_plan: Optional[str] = None,
-              max_retries: int = 2) -> "GenomeSiteIndex":
+    def build(cls, assembly: Assembly, pattern: str) -> "GenomeSiteIndex":
         """Scan each chromosome through the finder once.
 
         Each chromosome of at least the pattern's length is one finder
         call over its whole sequence (the finder walks it in kernel
-        blocks), and its candidates are its resident entry.
-        ``fault_plan`` accepts the same deterministic spec the streaming
-        engine uses (:mod:`repro.observability.faults`), its ordinals
-        counting scanned chromosomes; an injected failure on a
-        chromosome is retried up to ``max_retries`` times, so a
-        transient fault during the build never changes the index
-        contents — the serving-equivalence tests pin this down.  The
-        index drives no modeled device, so a device-scoped plan entry
-        (``MI60!raise@0``) fires here too.  After the last finder
-        pass, every candidate window is packed into the resident row
-        table.
+        blocks), and its candidates are its resident entry.  The finder
+        is a pure function of genome and pattern, so a failure would
+        recur on a second try: it raises :class:`SiteIndexError`
+        naming the chromosome at once.  After the last finder pass,
+        every candidate window is packed into the resident row table.
         """
         index = cls(assembly, pattern)
-        injector = faults.resolve_injector(fault_plan)
         started = time.perf_counter()
         plen = index.compiled_pattern.plen
         scanned = [c for c in assembly.chromosomes if len(c) >= plen]
@@ -254,28 +245,15 @@ class GenomeSiteIndex:
             chunk = Chunk(chrom=chromosome.name, start=0,
                           data=chromosome.sequence,
                           scan_length=len(chromosome) - plen + 1)
-            attempts = max_retries + 1
-            for attempt in range(attempts):
-                try:
-                    with tracing.span("index_chunk", cat="index",
-                                      chunk=number, attempt=attempt):
-                        if injector is not None:
-                            injector.inject(number)
-                        _count, loci, flags = \
-                            index.pipeline.find_candidates(
-                                chunk, index.compiled_pattern)
-                    break
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:
-                    tracing.instant("index_chunk_retry", cat="fault",
-                                    chunk=number, attempt=attempt,
-                                    error=type(exc).__name__)
-                    if attempt + 1 >= attempts:
-                        raise SiteIndexError(
-                            f"index build failed on chromosome "
-                            f"{chunk.chrom!r} (ordinal {number}) after "
-                            f"{attempts} attempt(s): {exc!r}") from exc
+            try:
+                with tracing.span("index_chunk", cat="index",
+                                  chunk=number):
+                    _count, loci, flags = index.pipeline.find_candidates(
+                        chunk, index.compiled_pattern)
+            except Exception as exc:
+                raise SiteIndexError(
+                    f"index build failed on chromosome "
+                    f"{chunk.chrom!r}: {exc!r}") from exc
             if loci.size:
                 index._entries.append(
                     _chromosome_entry(assembly, chunk.chrom, plen, loci,
@@ -319,7 +297,8 @@ class GenomeSiteIndex:
     def query_batch_with_extras(
             self, queries: Sequence[Query],
             extras: Sequence[ResidentChunk],
-    ) -> Tuple[List[Tuple[ResidentChunk, Triples]], List[Triples]]:
+    ) -> Tuple[List[Tuple[ResidentChunk, Triples]], List[Triples],
+               List[CompiledPattern]]:
         """One comparer batch over resident entries *plus* extras.
 
         ``extras`` are ephemeral, request-scoped resident entries —
@@ -329,13 +308,14 @@ class GenomeSiteIndex:
         moves by exactly one), which is the whole point: searching K
         haplotypes costs one batch, not K+1.
 
-        Returns ``(reference, extra_triples)``: every resident entry
-        paired with its comparer triples (one ``(mm_loci, mm_count,
-        direction)`` array triple per query, loci relative to the
-        entry), then the triples of each extra entry in ``extras``
-        order (in that extra's own coordinate frame).  No hit
-        objects are built: the variant layer diffs the triples and
-        renders site text only for the rows it reports.
+        Returns ``(reference, extra_triples, compiled)``: every
+        resident entry paired with its comparer triples (one
+        ``(mm_loci, mm_count, direction)`` array triple per query, loci
+        relative to the entry), then the triples of each extra entry in
+        ``extras`` order (in that extra's own coordinate frame), then
+        the batch's compiled queries, so the caller compiles none
+        again.  No hit objects are built: the variant layer diffs the
+        triples and renders site text only for the rows it reports.
         """
         if not queries:
             raise ValueError(
@@ -356,7 +336,7 @@ class GenomeSiteIndex:
                 queries, compiled)
             extra_triples = [found.get(number, empty)
                              for number in range(len(extras))]
-        return reference, extra_triples
+        return reference, extra_triples, compiled
 
     def _compile_batch(self, queries: Sequence[Query]
                        ) -> List[CompiledPattern]:

@@ -30,9 +30,8 @@ server's request-level fault plans (``crash`` / ``disconnect`` /
 * **Hedged reads** — when a sub-request has not answered within a
   delay derived from the observed p95 sub-request latency (or a fixed
   ``hedge_ms``), the same sub-request (same id) is re-issued to a
-  replica and the first answer wins; the loser is reaped in the
-  background — its connection survives for reuse — and a late answer
-  from it is counted (``hedges.deduped``), never sent to the client.
+  replica and the first answer wins; the losing leg is cancelled and
+  its connection closed, so its answer never reaches the client.
 * **Bounded retry with backoff** — connection loss and typed
   ``overloaded`` rejections retry against the partition's replicas
   with capped exponential backoff up to ``max_attempts``; ``deadline``
@@ -47,8 +46,9 @@ hits.  A sub-request is the client's request with only its routing
 fields replaced (``id`` and ``chromosomes``; a routed ``design`` also
 sets each stage's ``op`` and ``queries``), so ``enzyme``,
 ``deadline_s`` and the design filters reach the backends as sent.  A
-client's own ``chromosomes`` filter on ``query`` or ``variant`` is
-intersected with each partition's chromosomes.
+client's own ``chromosomes`` filter on ``query``, ``variant`` or
+``enzymes`` is intersected with each partition's chromosomes, and a
+routed ``enzymes`` listing sums its partitions' site and entry counts.
 
 Clients reach the router through the backends' own front end
 (:class:`~repro.service.server.JsonLinesServer`: line framing, SIGTERM
@@ -334,7 +334,6 @@ class OffTargetRouter(JsonLinesServer):
         self._hedges_launched = 0
         self._hedges_won = 0
         self._hedges_lost = 0
-        self._hedges_deduped = 0
         self._retries = 0
         self._seq = 0
         self._flow_seq = 0
@@ -532,34 +531,15 @@ class OffTargetRouter(JsonLinesServer):
         # the tail the hedge exists to cut.
         return min(1.0, max(0.01, p95 * 1.5 / 1000.0))
 
-    def _reap(self, task: "asyncio.Task", rid: str) -> None:
-        """Await a losing hedge in the background.
-
-        Not cancelling the loser keeps its connection usable (a
-        cancelled read would have to discard it); a well-formed late
-        answer is counted as a duplicate of ``rid`` and dropped.
-        """
-        async def _await_loser() -> None:
-            try:
-                await task
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    ValueError, json.JSONDecodeError):
-                return
-            except asyncio.CancelledError:
-                return
-            self._hedges_deduped += 1
-            tracing.instant("hedge_deduped", cat="router", id=rid)
-
-        asyncio.ensure_future(_await_loser())
-
     async def _hedged_rpc(self, primary: _Backend,
                           hedge_pool: Sequence[_Backend],
                           payload: Dict[str, Any]) -> Dict[str, Any]:
         """Issue to ``primary``; re-issue to a replica if it lags.
 
-        First well-formed answer wins (the duplicate is reaped); a
-        transport failure on one leg waits for the other before the
-        whole call fails.
+        The first well-formed answer wins and the losing leg is
+        cancelled (:meth:`_rpc` discards its connection); a transport
+        failure on one leg waits for the other before the whole call
+        fails.
         """
         rid = payload["id"]
         flow_id = self._flow_seq = self._flow_seq + 1
@@ -605,7 +585,7 @@ class OffTargetRouter(JsonLinesServer):
                 tracing.flow("route_subrequest", flow_id, cat="router",
                              end=True)
                 for loser in tasks:
-                    self._reap(loser, rid)
+                    loser.cancel()
                 return response
         assert last_exc is not None
         raise last_exc
@@ -929,15 +909,45 @@ class OffTargetRouter(JsonLinesServer):
 
     async def _handle_enzymes(self, request: Dict[str, Any]
                               ) -> Dict[str, Any]:
-        """Forward the registry listing to any live backend."""
+        """The ``enzymes`` op, routed: each partition counts its own
+        chromosomes, the router sums ``sites`` and ``chunks`` per
+        enzyme.
+
+        A routed entry carries no ``fingerprint``: no backend's index
+        covers the whole genome, and ``topology`` lists each backend's.
+        """
+        with _bad_request():
+            allowed = _decode_chromosomes(request.get("chromosomes"))
         groups, _ = self._routing()
-        response = await self._sub_request(
-            groups[0], request,
-            validate=lambda r: (
-                None if isinstance(r.get("enzymes"), list)
-                else "sent a malformed enzymes response"))
-        response.pop("id", None)
-        return response
+        plans = (_plan(groups, allowed)
+                 or [(groups[0], request["chromosomes"])])
+        results = await _gather(
+            self._sub_request(
+                group, dict(request, chromosomes=chroms),
+                validate=lambda r: (
+                    None if isinstance(r.get("enzymes"), list)
+                    else "sent a malformed enzymes response"))
+            for group, chroms in plans)
+        merged: Dict[str, Dict[str, Any]] = {}
+        try:
+            hosted = [[e["name"] for e in r["enzymes"]] for r in results]
+            if any(names != hosted[0] for names in hosted):
+                raise ValueError(f"backends host different enzymes: "
+                                 f"{hosted}")
+            for response in results:
+                for entry in response["enzymes"]:
+                    total = merged.setdefault(
+                        entry["name"], dict(entry, sites=0, chunks=0))
+                    total.pop("fingerprint", None)
+                    total["sites"] += int(entry["sites"])
+                    total["chunks"] += int(entry["chunks"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RequestError("internal",
+                               f"malformed enzymes response: "
+                               f"{type(exc).__name__}: {exc}") from None
+        return {"ok": True,
+                "default_pattern": results[0].get("default_pattern"),
+                "enzymes": list(merged.values())}
 
     def _topology(self) -> Dict[str, Any]:
         return {
@@ -962,7 +972,6 @@ class OffTargetRouter(JsonLinesServer):
                 "launched": self._hedges_launched,
                 "won": self._hedges_won,
                 "lost": self._hedges_lost,
-                "deduped": self._hedges_deduped,
             },
             "routing_epoch": self._routing_epoch,
             "partitions": len(self._groups),

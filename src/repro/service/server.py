@@ -23,7 +23,9 @@ object per line in each direction.  Requests carry an ``op`` —
   :mod:`repro.variants`): only the windows its variants can change
   are re-scanned, and the patches ride the resident index through one
   batched comparer pass;
-* ``enzymes``: the declarative Cas enzyme registry this server hosts;
+* ``enzymes``: the declarative Cas enzyme registry this server hosts,
+  each enzyme's sites and entries counted over an optional
+  ``"chromosomes"`` filter;
   ``query``/``design``/``enumerate``/``variant`` take an optional
   ``"enzyme": name`` field to run against that enzyme's own resident
   index instead of the default;
@@ -525,6 +527,17 @@ class OffTargetServer(JsonLinesServer):
                  enzymes: Optional[Sequence[
                      Tuple[CasEnzyme, GenomeSiteIndex]]] = None):
         super().__init__(host, port, drain_s)
+        enzymes = list(enzymes or ())
+        names = [enzyme.name for enzyme, _ in enzymes]
+        for enzyme, enzyme_index in enzymes:
+            if names.count(enzyme.name) > 1:
+                raise ValueError(
+                    f"duplicate enzyme {enzyme.name!r}")
+            if enzyme_index.pattern != enzyme.pattern:
+                raise ValueError(
+                    f"enzyme {enzyme.name!r} declares pattern "
+                    f"{enzyme.pattern!r} but its index was built for "
+                    f"{enzyme_index.pattern!r}")
         self.index = index
         settings = dict(max_batch=max_batch, max_wait_ms=max_wait_ms,
                         max_queue=max_queue,
@@ -540,19 +553,10 @@ class OffTargetServer(JsonLinesServer):
         #: Alternate enzymes: name -> (enzyme, index, scheduler).
         #: Requests naming no enzyme keep hitting the default index.
         self._enzymes: Dict[str, Tuple[CasEnzyme, GenomeSiteIndex,
-                                       BatchScheduler]] = {}
-        for enzyme, enzyme_index in (enzymes or ()):
-            if enzyme.name in self._enzymes:
-                raise ValueError(
-                    f"duplicate enzyme {enzyme.name!r}")
-            if enzyme_index.pattern != enzyme.pattern:
-                raise ValueError(
-                    f"enzyme {enzyme.name!r} declares pattern "
-                    f"{enzyme.pattern!r} but its index was built for "
-                    f"{enzyme_index.pattern!r}")
-            self._enzymes[enzyme.name] = (
-                enzyme, enzyme_index,
-                BatchScheduler(enzyme_index, **settings))
+                                       BatchScheduler]] = {
+            enzyme.name: (enzyme, enzyme_index,
+                          BatchScheduler(enzyme_index, **settings))
+            for enzyme, enzyme_index in enzymes}
         #: Runs every variant search off-loop on one thread.  A fixed
         #: thread keeps the searches' allocations in one malloc arena;
         #: a pool that sometimes grew a second thread made peak memory
@@ -581,7 +585,7 @@ class OffTargetServer(JsonLinesServer):
         if op == "stats":
             return {"ok": True, "stats": self.scheduler.stats()}
         if op == "enzymes":
-            return self._handle_enzymes()
+            return self._handle_enzymes(request)
         if op == "variant":
             return await self._handle_variant(request)
         if op == "enumerate":
@@ -636,14 +640,24 @@ class OffTargetServer(JsonLinesServer):
                 f"unknown enzyme {name!r}; this server hosts: {known}")
         return entry
 
-    def _handle_enzymes(self) -> Dict[str, Any]:
-        """Declarative registry listing — the ``enzymes`` op."""
+    def _handle_enzymes(self, request: Dict[str, Any]
+                        ) -> Dict[str, Any]:
+        """Declarative registry listing — the ``enzymes`` op.
+
+        ``sites`` and ``chunks`` count each enzyme's index over the
+        request's optional ``chromosomes`` filter, so a router can sum
+        its partitions' counts.
+        """
+        with _bad_request():
+            allowed = _decode_chromosomes(request.get("chromosomes"))
         entries = []
         for name in sorted(self._enzymes):
             enzyme, enzyme_index, _ = self._enzymes[name]
+            held = [entry for entry in enzyme_index.entries
+                    if allowed is None or entry.chrom in allowed]
             entries.append({**enzyme.to_payload(),
-                            "sites": enzyme_index.site_count,
-                            "chunks": enzyme_index.chunk_count,
+                            "sites": sum(e.loci.size for e in held),
+                            "chunks": len(held),
                             "fingerprint": enzyme_index.fingerprint()})
         return {"ok": True, "default_pattern": self.index.pattern,
                 "enzymes": entries}

@@ -50,7 +50,7 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Sequence,
 import numpy as np
 
 from ..core.config import Query
-from ..core.patterns import CompiledPattern, compile_pattern
+from ..core.patterns import CompiledPattern
 from ..core.pipeline import ResidentChunk
 from ..core.records import render_sites, site_strings
 from ..genome.assembly import Chunk
@@ -563,7 +563,8 @@ def search_variants(index: Any, queries: Sequence[Query],
     ``index`` is a :class:`~repro.service.index.GenomeSiteIndex` or
     anything duck-typing its surface: it must expose ``assembly``,
     ``pattern``, ``compiled_pattern``, ``pipeline`` and
-    ``query_batch_with_extras``.
+    ``query_batch_with_extras``, whose compiled queries the diff
+    reuses, so each query is compiled once per search.
 
     Only the variant windows — the site starts a run of nearby
     variants can change, plus one position past it — are re-fetched,
@@ -589,7 +590,7 @@ def search_variants(index: Any, queries: Sequence[Query],
     plen = index.compiled_pattern.plen
 
     patches, layers = _build_patches(index, haplotypes, allowed)
-    reference, patch_triples = index.query_batch_with_extras(
+    reference, patch_triples, compiled = index.query_batch_with_extras(
         queries, [patch.entry for patch in patches])
     if chromosomes is not None:
         # A routed partition reports only its own chromosomes, so the
@@ -597,7 +598,6 @@ def search_variants(index: Any, queries: Sequence[Query],
         # totals.
         reference = [(entry, triples) for entry, triples in reference
                      if entry.chrom in chromosomes]
-    compiled = [compile_pattern(q.sequence) for q in queries]
 
     patch_of_layer: Dict[Tuple[int, str], List[int]] = {}
     for pi, patch in enumerate(patches):

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from repro.core.config import ExecutionPolicy, Query, SearchRequest
 from repro.core.engine import ChunkShardView, StreamingEngine, streaming_search
 from repro.core.multidevice import multi_device_search
-from repro.core.patterns import (clear_pattern_cache, compile_pattern,
-                                 compile_pattern_cache_info)
+from repro.core.patterns import compile_pattern
 from repro.core.pipeline import make_pipeline, search
 from repro.kernels.variants import VARIANT_ORDER
 
@@ -364,16 +363,6 @@ class TestFaultInjectedEquivalence:
 
 
 class TestPatternCache:
-    def test_compile_pattern_is_memoized(self):
-        clear_pattern_cache()
-        first = compile_pattern("NNNNNNRG")
-        info = compile_pattern_cache_info()
-        assert info.misses >= 1
-        before_hits = info.hits
-        second = compile_pattern("NNNNNNRG")
-        assert compile_pattern_cache_info().hits == before_hits + 1
-        assert second is first
-
     def test_cached_arrays_are_immutable(self):
         compiled = compile_pattern("NNNNNNRG")
         with pytest.raises(ValueError):

@@ -321,16 +321,6 @@ class TestEngineRecovery:
 
 
 class TestCacheInstants:
-    def test_pattern_cache_instants(self):
-        from repro.core.patterns import clear_pattern_cache, compile_pattern
-        clear_pattern_cache()
-        with tracing.recording() as recorder:
-            compile_pattern("NNNNNNRG")
-            compile_pattern("NNNNNNRG")
-        instants = [s for s in recorder.spans()
-                    if s.name == "pattern_cache"]
-        assert [s.args["hit"] for s in instants] == [False, True]
-
     def test_genome_cache_instants(self, tmp_path, monkeypatch):
         from repro.genome.synthetic import (CACHE_DIR_ENV, CACHE_ENV,
                                             synthetic_assembly)

@@ -288,8 +288,7 @@ class TestRoutedEquivalence:
             stats = client._call({"op": "stats"})["stats"]
         assert stats["requests"] >= 1
         assert stats["backends_total"] == 3
-        assert set(stats["hedges"]) == {"launched", "won", "lost",
-                                        "deduped"}
+        assert set(stats["hedges"]) == {"launched", "won", "lost"}
         assert stats["subrequest_latency_ms"]["count"] >= 1
 
     def test_unknown_op_and_bad_request(self, routed):
@@ -369,22 +368,30 @@ class TestRoutedEnzyme:
 
     @pytest.fixture(scope="class")
     def alt_fleet(self):
-        """One backend hosting an extra ``Alt`` enzyme behind a router,
-        over the router smoke's genome."""
+        """The router smoke's fleet: three backends (replication 2)
+        hosting an extra ``Alt`` enzyme behind a router, and a
+        reference server hosting it over the whole genome."""
         assembly = synthetic_assembly("hg19", scale=0.00005, seed=7)
         alt = CasEnzyme("Alt", 6, "GG", "3prime", "mit", "NNNNNNGG")
-        backend = OffTargetServer(
-            GenomeSiteIndex.build(assembly, PATTERN), max_wait_ms=1.0,
-            enzymes=[(alt, GenomeSiteIndex.build(assembly,
-                                                 alt.pattern))]
-        ).start_background()
-        router = start_router([backend], assembly)
-        yield backend, router, assembly.chromosomes[0].name
+
+        def serve(genome):
+            return OffTargetServer(
+                GenomeSiteIndex.build(genome, PATTERN), max_wait_ms=1.0,
+                enzymes=[(alt, GenomeSiteIndex.build(genome,
+                                                     alt.pattern))]
+            ).start_background()
+
+        reference = serve(assembly)
+        held = replica_plan(partition_chromosomes(assembly, 3), 2)
+        backends = [serve(assembly.subset(chroms)) for chroms in held]
+        router = start_router(backends, assembly)
+        yield reference, router, assembly.chromosomes[0].name
         router.stop()
-        backend.stop()
+        for handle in [reference, *backends]:
+            handle.stop()
 
     def test_routed_enzyme_requests_match_the_server(self, alt_fleet):
-        backend, router, chrom = alt_fleet
+        reference, router, chrom = alt_fleet
         requests = [
             {"op": "query", "id": 1, "enzyme": "Alt",
              "queries": [[q.sequence, q.max_mismatches]
@@ -394,7 +401,7 @@ class TestRoutedEnzyme:
              "estimator": "cfd"}]
         lines = [json.dumps(r).encode("ascii") + b"\n"
                  for r in requests]
-        expected = converse(backend.host, backend.port, *lines)
+        expected = converse(reference.host, reference.port, *lines)
         routed = converse(router.host, router.port, *lines)
         assert [json.dumps(a) for a in routed] == \
             [json.dumps(a) for a in expected]
@@ -402,6 +409,23 @@ class TestRoutedEnzyme:
         assert query["ok"] and any(query["hits"])
         assert design["ok"] and design["pattern"] == "NNNNNNGG"
         assert design["reports"]
+
+    def test_routed_enzymes_count_the_whole_genome(self, alt_fleet):
+        # Every partition counts its own chromosomes and the router
+        # sums them, with or without a client filter; no backend's
+        # fingerprint stands for the whole genome, so none is sent.
+        reference, router, chrom = alt_fleet
+        lines = [json.dumps(r).encode("ascii") + b"\n" for r in (
+            {"op": "enzymes"},
+            {"op": "enzymes", "chromosomes": [chrom, "chrX"]})]
+        expected = converse(reference.host, reference.port, *lines)
+        routed = converse(router.host, router.port, *lines)
+        whole, filtered = expected
+        for entry in whole["enzymes"] + filtered["enzymes"]:
+            del entry["fingerprint"]
+        assert routed == expected
+        assert 0 < filtered["enzymes"][0]["sites"] \
+            < whole["enzymes"][0]["sites"]
 
     def test_unknown_enzyme_is_bad_request(self, alt_fleet):
         _, router, _ = alt_fleet
@@ -550,48 +574,26 @@ class TestHedging:
             for handle in handles:
                 handle.stop()
 
-    def test_losing_hedge_is_deduplicated(
+    def test_losing_hedge_is_cancelled(
             self, part_indexes, wide_assembly, expected_wire):
         # With an aggressive 1 ms hedge nearly every sub-request
-        # hedges; the duplicate answers must be absorbed (counted,
-        # never sent to the client) and responses stay identical.
+        # hedges; the losing leg is cancelled, never answers the
+        # client, and every hedge is counted won or lost.
         handles = start_fleet(part_indexes)
         router_handle = start_router(handles, wide_assembly,
                                      hedge_ms=1.0)
         try:
-            client = ServiceClient(router_handle.host,
-                                   router_handle.port, retries=4)
-            for _ in range(10):
-                assert raw_query(client)["hits"] == expected_wire
-
-            def deduped():
-                stats = client._call({"op": "stats"})["stats"]
-                hedges = stats["hedges"]
-                return hedges["launched"] >= 1 and \
-                    hedges["deduped"] >= 1
-            assert wait_until(deduped), \
-                "duplicate hedge responses were never deduplicated"
-            client.close()
+            with ServiceClient(router_handle.host, router_handle.port,
+                               retries=4) as client:
+                for _ in range(10):
+                    assert raw_query(client)["hits"] == expected_wire
+                hedges = client._call({"op": "stats"})["stats"]["hedges"]
+            assert hedges["launched"] >= 1
+            assert hedges["won"] + hedges["lost"] == hedges["launched"]
         finally:
             router_handle.stop()
             for handle in handles:
                 handle.stop()
-
-    def test_every_late_loser_answer_is_counted(self):
-        # Any losing sub-request that later answers well-formed is a
-        # duplicate, however many sub-requests settled in between.
-        router = OffTargetRouter(["127.0.0.1:1"])
-
-        async def reap():
-            loop = asyncio.get_running_loop()
-            answered, failed = loop.create_future(), loop.create_future()
-            answered.set_result({"ok": True, "id": "r1"})
-            failed.set_exception(ConnectionResetError("gone"))
-            router._reap(answered, "r1")
-            router._reap(failed, "r2")
-            await asyncio.sleep(0.01)
-        asyncio.run(reap())
-        assert router._stats()["hedges"]["deduped"] == 1
 
     def test_auto_hedge_delay_tracks_p95(self, wide_assembly):
         router = OffTargetRouter(["127.0.0.1:1"], hedge_ms=None)

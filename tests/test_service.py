@@ -31,6 +31,7 @@ from repro.core.records import sort_hits
 from repro.enzymes import CasEnzyme
 from repro.genome.assembly import Assembly, Chromosome, Chunk
 from repro.observability import tracing
+from repro.observability.faults import FAULT_ENV
 from repro.runtime import executor
 from repro.service import (BatchScheduler, DeadlineExceeded,
                            GenomeSiteIndex, OffTargetServer,
@@ -204,33 +205,34 @@ def test_find_candidates_matches_finder_kernels(seed, pattern, extra,
                 assert out.flags.tolist() == flags.tolist(), (api, mode)
 
 
-@pytest.mark.fault
-class TestFaultInjectedBuild:
-    def test_build_equivalent_under_faults(self, small_assembly):
-        """Transient finder faults retried during the build must not
-        change the served hits.  Fault ordinals count the scanned
-        chromosomes (chrA, chrB)."""
-        faulted = GenomeSiteIndex.build(
-            small_assembly, PATTERN, fault_plan="raise@0,raise@1x2",
-            max_retries=2)
-        per_query = faulted.query_batch(QUERIES)
-        got = sort_hits([h for per in per_query for h in per])
-        assert got == offline_hits(small_assembly)
+class TestBuild:
+    def test_engine_fault_plan_does_not_reach_the_build(
+            self, index, small_assembly, monkeypatch):
+        """The offline engine's fault plan drills its chunk retries;
+        the index build retries nothing, so the plan must not fail
+        it, device-scoped entries included."""
+        monkeypatch.setenv(FAULT_ENV, "MI60!raise@0x9")
+        built = GenomeSiteIndex.build(small_assembly, PATTERN)
+        assert built.fingerprint() == index.fingerprint()
+        assert built.query_batch(QUERIES) == index.query_batch(QUERIES)
 
-    def test_build_fails_when_retries_exhausted(self, small_assembly):
-        with pytest.raises(SiteIndexError,
-                           match="chromosome 'chrB' \\(ordinal 1\\)"):
-            GenomeSiteIndex.build(small_assembly, PATTERN,
-                                  fault_plan="raise@1x5",
-                                  max_retries=1)
+    def test_finder_failure_names_the_chromosome(self, small_assembly,
+                                                 monkeypatch):
+        """A finder failure fails the build on its first attempt,
+        naming the chromosome."""
+        find = _BasePipeline.find_candidates
+        scanned = []
 
-    def test_retries_are_traced(self, small_assembly):
-        with tracing.recording() as recorder:
-            GenomeSiteIndex.build(small_assembly, PATTERN,
-                                  fault_plan="raise@0", max_retries=1)
-        names = [s.name for s in recorder.spans()]
-        assert "index_chunk_retry" in names
-        assert "index_built" in names
+        def failing(self, chunk, pattern):
+            scanned.append(chunk.chrom)
+            if chunk.chrom == "chrB":
+                raise RuntimeError("finder failed")
+            return find(self, chunk, pattern)
+
+        monkeypatch.setattr(_BasePipeline, "find_candidates", failing)
+        with pytest.raises(SiteIndexError, match="chromosome 'chrB'"):
+            GenomeSiteIndex.build(small_assembly, PATTERN)
+        assert scanned == ["chrA", "chrB"]
 
 
 class TestBatchScheduler:

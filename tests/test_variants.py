@@ -27,17 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Query
-from repro.enzymes import (BUILTIN_ENZYMES, CAS12A, SPCAS9,
-                           EnzymeError, EnzymeRegistry, builtin_registry,
-                           derive_pattern, enzyme_from_mapping,
-                           load_enzymes)
+from repro.core.patterns import compile_pattern
+from repro.enzymes import (CAS12A, SPCAS9, EnzymeError, derive_pattern,
+                           enzyme_from_mapping, load_enzymes)
 from repro.genome.assembly import Assembly, Chromosome
+from repro.service import index as index_module
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes)
 from repro.variants import (EVENT_FIELDS, Haplotype, HaplotypeOverlay,
                             Variant, VariantError, decode_haplotypes,
                             search_variants)
+from repro.variants import overlay as overlay_module
 
 from .conftest import random_sequence
 
@@ -385,9 +386,6 @@ class TestEnzymes:
         assert SPCAS9.pattern == "N" * 20 + "NRG"
         assert CAS12A.pattern == "TTTV" + "N" * 23
         assert SPCAS9.designable and not CAS12A.designable
-        registry = builtin_registry()
-        assert set(registry.names) == \
-            {e.name for e in BUILTIN_ENZYMES}
 
     def test_derive_pattern_sides(self):
         assert derive_pattern(4, "NGG", "3prime") == "NNNNNGG"
@@ -426,12 +424,19 @@ class TestEnzymes:
                  "pam_side": "3prime", "scoring": "mit",
                  "pattern": "NNNNNNGG"})
 
-    def test_registry_duplicate_and_unknown(self):
-        registry = EnzymeRegistry([SPCAS9])
-        with pytest.raises(EnzymeError, match="duplicate"):
-            registry.add(SPCAS9)
-        with pytest.raises(EnzymeError, match="SpCas9"):
-            registry.get("NoSuchCas")
+    @pytest.mark.parametrize("names, index_pattern, message", [
+        (["MiniCas", "MiniCas"], PATTERN, "duplicate enzyme 'MiniCas'"),
+        (["MiniCas"], "NNNNNNGG", "built for 'NNNNNNGG'"),
+    ], ids=["duplicate-name", "other-pattern"])
+    def test_server_refuses_inconsistent_enzymes(
+            self, variant_index, small_assembly, names, index_pattern,
+            message):
+        index = GenomeSiteIndex.build(small_assembly, index_pattern)
+        enzymes = [(enzyme_from_mapping({"name": name, "guide_length": 6,
+                                         "pam": "RG"}), index)
+                   for name in names]
+        with pytest.raises(ValueError, match=message):
+            OffTargetServer(variant_index, enzymes=enzymes)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +534,22 @@ class TestSearchVariants:
         assert after["batches"] - before["batches"] == 1
         assert after["entries_scanned"] - before["entries_scanned"] \
             == result.reference_chunks + result.patched_chunks
+
+    def test_each_query_compiles_once(self, variant_index,
+                                      small_assembly, monkeypatch):
+        compiled = []
+
+        def counting(sequence):
+            compiled.append(sequence)
+            return compile_pattern(sequence)
+
+        monkeypatch.setattr(index_module, "compile_pattern", counting)
+        monkeypatch.setattr(overlay_module, "compile_pattern", counting,
+                            raising=False)
+        haps = decode_haplotypes([{"name": "h", "variants": [
+            snv_row(small_assembly, "chrA", 600)]}])
+        search_variants(variant_index, QUERIES, haps)
+        assert compiled == [q.sequence for q in QUERIES]
 
     def test_shift_only_indel_produces_no_events(self, variant_index,
                                                  small_assembly):
