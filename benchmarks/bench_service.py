@@ -28,7 +28,9 @@ All sides serve identical single-guide requests drawn round-robin
 from the same pool.  The report lands in ``BENCH_SERVICE.json`` with
 throughput, latency percentiles and the server's own stats snapshot
 (queue depth, batch-size histogram), its counters covering each
-concurrency level alone.  Run from the repo root::
+concurrency level alone; a routed level adds each backend's
+``flushes``, ``batch_size_histogram`` and ``comparer`` counters for
+that level (``backend_stats``).  Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_service.py
 """
@@ -201,16 +203,29 @@ def _level_stats(before: dict, after: dict) -> dict:
     return level
 
 
-def _service_load(handle, queries_by_client, duration_s: float) -> dict:
+#: Each routed backend's gather and comparer counters, reported per
+#: load level under ``backend_stats``.
+BACKEND_COUNTERS = ("flushes", "batch_size_histogram", "comparer")
+
+
+def _stats(handle) -> dict:
+    with ServiceClient(handle.host, handle.port) as client:
+        return client.stats()
+
+
+def _service_load(handle, queries_by_client, duration_s: float,
+                  backends=()) -> dict:
     """Like run_load, but each client thread sends its own query list.
 
     A client thread that fails ends; once every thread has joined, the
     first such exception re-raises.  The server outlives the level, so
     ``server_stats`` reports the level's own counters
-    (:func:`_level_stats`).
+    (:func:`_level_stats`), and ``backend_stats`` the level's
+    :data:`BACKEND_COUNTERS` of each of ``backends`` (the servers
+    behind a router).
     """
-    with ServiceClient(handle.host, handle.port) as client:
-        stats_before = client.stats()
+    stats_before = _stats(handle)
+    backends_before = [_stats(backend) for backend in backends]
     results = []
     failures = []
     lock = threading.Lock()
@@ -250,8 +265,12 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
     if failures:
         raise failures[0]
 
-    with ServiceClient(handle.host, handle.port) as client:
-        server_stats = _level_stats(stats_before, client.stats())
+    server_stats = _level_stats(stats_before, _stats(handle))
+    backend_stats = []
+    for backend, before in zip(backends, backends_before):
+        level = _level_stats(before, _stats(backend))
+        backend_stats.append({key: level[key]
+                              for key in BACKEND_COUNTERS})
 
     completed = sum(r[0] for r in results)
     latencies = sorted(ms for r in results for ms in r[1])
@@ -270,6 +289,7 @@ def _service_load(handle, queries_by_client, duration_s: float) -> dict:
             "max": latencies[-1] if latencies else None,
         },
         "server_stats": server_stats,
+        **({"backend_stats": backend_stats} if backends else {}),
     }
 
 
@@ -321,7 +341,8 @@ def run_router_bench(scale: float, duration_s: float,
             queries_by_client = [[QUERY_POOL[i % len(QUERY_POOL)]]
                                  for i in range(clients)]
             routed[str(clients)] = _service_load(
-                router_handle, queries_by_client, duration_s)
+                router_handle, queries_by_client, duration_s,
+                backends=backend_handles)
         with ServiceClient(router_handle.host,
                            router_handle.port) as client:
             router_stats = client._call({"op": "stats"})["stats"]

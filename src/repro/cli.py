@@ -413,7 +413,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="flush a micro-batch after this long "
                              "even if it is not full; applies only "
                              "while some open connection has no "
-                             "request in the batch")
+                             "request in the batch (a connection "
+                             "that closes ends the wait)")
     parser.add_argument("--max-queue", type=_positive_int, default=64,
                         help="admission-control queue bound; beyond it "
                              "requests are rejected as overloaded")
@@ -476,6 +477,25 @@ def _refuse_leftover_ready_file(path: Optional[str], role: str) -> None:
             f"remove it to proceed")
 
 
+def _load_enzyme_configs(paths: List[str]) -> list:
+    """Every enzyme of every ``--enzyme-config``, read before any index
+    is built; a name that appears twice, in one file or across files,
+    is refused."""
+    from .enzymes import EnzymeError, load_enzymes
+    loaded = []
+    for config_path in paths:
+        try:
+            loaded.extend(load_enzymes(config_path))
+        except EnzymeError as exc:
+            raise SystemExit(f"error: {exc}") from None
+    names = [enzyme.name for enzyme in loaded]
+    for name in names:
+        if names.count(name) > 1:
+            raise SystemExit(f"error: enzyme {name!r} is declared more "
+                             f"than once in --enzyme-config")
+    return loaded
+
+
 def _run_serve(argv: List[str]) -> int:
     from .service import (GenomeSiteIndex, OffTargetServer,
                           SiteIndexError, SiteIndexVersionError)
@@ -483,6 +503,7 @@ def _run_serve(argv: List[str]) -> int:
 
     args = build_serve_parser().parse_args(argv)
     _refuse_leftover_ready_file(args.ready_file, "server")
+    loaded_enzymes = _load_enzyme_configs(args.enzyme_configs)
     index = None
     manifest_path = (os.path.join(args.index_dir, INDEX_MANIFEST_NAME)
                      if args.index_dir else None)
@@ -519,32 +540,15 @@ def _run_serve(argv: List[str]) -> int:
             print(f"# index saved to {args.index_dir}",
                   file=sys.stderr)
     enzymes = []
-    if args.enzyme_configs:
-        from .enzymes import EnzymeError, load_enzymes
-        seen = set()
-        for config_path in args.enzyme_configs:
-            try:
-                loaded = load_enzymes(config_path)
-            except EnzymeError as exc:
-                raise SystemExit(f"error: {exc}") from None
-            for enzyme in loaded:
-                if enzyme.name in seen:
-                    raise SystemExit(
-                        f"error: enzyme {enzyme.name!r} appears in "
-                        f"more than one --enzyme-config")
-                seen.add(enzyme.name)
-                try:
-                    enzyme_index = GenomeSiteIndex.build(
-                        assembly, enzyme.pattern)
-                except (SiteIndexError, ValueError) as exc:
-                    raise SystemExit(
-                        f"error: enzyme {enzyme.name!r}: "
-                        f"{exc}") from None
-                print(f"# enzyme {enzyme.name}: "
-                      f"pattern={enzyme.pattern} "
-                      f"{enzyme_index.site_count} sites",
-                      file=sys.stderr)
-                enzymes.append((enzyme, enzyme_index))
+    for enzyme in loaded_enzymes:
+        try:
+            enzyme_index = GenomeSiteIndex.build(assembly, enzyme.pattern)
+        except (SiteIndexError, ValueError) as exc:
+            raise SystemExit(
+                f"error: enzyme {enzyme.name!r}: {exc}") from None
+        print(f"# enzyme {enzyme.name}: pattern={enzyme.pattern} "
+              f"{enzyme_index.site_count} sites", file=sys.stderr)
+        enzymes.append((enzyme, enzyme_index))
     import signal
     import threading
     if threading.current_thread() is threading.main_thread():

@@ -274,25 +274,33 @@ class GenomeSiteIndex:
         Returns one hit list per query, in input order.  All queries of
         a micro-batch — potentially from many concurrent requests —
         ride in a single comparer pass over the resident row table,
-        which is the continuous-batching payoff.  Each list is in the
-        served hit order (:mod:`repro.core.records`).  Hits are built
-        only for the entries that hold some.
+        which is the continuous-batching payoff.  Each distinct query
+        (sequence and mismatch budget) is compiled and compared once;
+        a repeat gets its own copy of the same hits.  Each list is in
+        the served hit order (:mod:`repro.core.records`).  Hits are
+        built only for the entries that hold some.
         """
         if not queries:
             return []
-        queries = list(queries)
-        compiled = self._compile_batch(queries)
-        found = self._compare(self._table, queries, compiled, self._seeds)
-        hits: List[List[OffTargetHit]] = [[] for _ in queries]
+        slots: Dict[Query, int] = {}
+        order = [slots.setdefault(query, len(slots)) for query in queries]
+        distinct = list(slots)
+        compiled = self._compile_batch(distinct)
+        found = self._compare(self._table, distinct, compiled,
+                              self._seeds)
+        hits: List[List[OffTargetHit]] = [[] for _ in distinct]
         for number, per_query in found.items():
             # Through the module, so a wrapper installed on it (the
             # perfbench spans) sees every call.
             for qi, query_hits in enumerate(_pipeline.build_entry_hits(
-                    self._entries[number], queries, compiled, per_query)):
+                    self._entries[number], distinct, compiled,
+                    per_query)):
                 hits[qi].extend(query_hits)
         with self._stats_lock:
             self._entries_scanned += len(self._entries)
-        return hits
+        if len(distinct) == len(order):
+            return hits
+        return [list(hits[slot]) for slot in order]
 
     def query_batch_with_extras(
             self, queries: Sequence[Query],
@@ -382,9 +390,10 @@ class GenomeSiteIndex:
             rows_compared = self._rows_compared
         return {
             # One ``query_batch`` call == one batched comparer pass over
-            # the resident table.  ``queries_total / batches`` therefore
-            # proves how many guides shared each launch pass — the
-            # design op's no-per-guide-rescan evidence.
+            # the resident table.  ``queries_total`` counts the distinct
+            # queries compared, so ``queries_total / batches`` proves
+            # how many guides shared each launch pass — the design op's
+            # no-per-guide-rescan evidence.
             "batches": batches,
             "queries_total": queries_total,
             # Entries (resident chromosomes + ephemeral variant patches)

@@ -20,13 +20,23 @@ server's request-level fault plans (``crash`` / ``disconnect`` /
 ``stall`` in :mod:`repro.observability.faults`):
 
 * **Health probing** — a background task probes every backend's
-  ``health`` op; ``eject_after`` consecutive failures ejects it from
-  the routing table, a later successful probe readmits it (and
+  ``health`` op, each probe on a connection of its own that it closes
+  after the answer; ``eject_after`` consecutive failures ejects it
+  from the routing table, a later successful probe readmits it (and
   refreshes its chromosome set, which may have changed across a
   restart).  This is how a new genome or index reaches the fleet: a
   backend's index is fixed for the life of its process, so a
   supervisor restarts it (SIGTERM drain, then a new process) while
   its replicas serve its chromosomes.
+* **A pool no larger than its sub-requests** — a sub-request takes
+  the most recently released pooled connection, and each probe round
+  first closes every pooled connection no sub-request has released
+  since the previous round began, so the surplus a hedge, retry or
+  departed client leaves goes within two probe intervals.  A backend
+  then holds about one connection per sub-request in flight, and its
+  batch runs as soon as every one of them is in (the connection rule
+  of :mod:`repro.service.scheduler`).  A pooled connection its backend
+  has closed (a restart) is dropped, not used.
 * **Hedged reads** — when a sub-request has not answered within a
   delay derived from the observed p95 sub-request latency (or a fixed
   ``hedge_ms``), the same sub-request (same id) is re-issued to a
@@ -94,10 +104,7 @@ from .server import (MAX_LINE_BYTES, JsonLinesServer, RequestError,
                      _bad_request, _decode_chromosomes, _decode_deadline,
                      _decode_queries)
 
-#: Idle pooled connections kept per backend.
-POOL_MAX_IDLE = 8
-
-#: Seconds a backend may take to answer a ``health`` probe.
+#: Seconds a ``health`` probe may take, connecting included.
 PROBE_TIMEOUT_S = 2.0
 
 #: Retry backoff: the first delay, doubled per attempt up to the cap.
@@ -168,7 +175,9 @@ class _Backend:
         self.probes_ok = 0
         self.probes_failed = 0
         self.requests = 0
-        self.idle: Deque[_Conn] = deque()
+        #: Pooled connections, each with the probe round it was last
+        #: released in; the most recently released is last.
+        self.idle: Deque[Tuple[_Conn, int]] = deque()
 
     @property
     def label(self) -> str:
@@ -339,19 +348,31 @@ class OffTargetRouter(JsonLinesServer):
         self._flow_seq = 0
         self._sub_latencies_ms: Deque[float] = deque(maxlen=512)
         self._probe_task: Optional[asyncio.Task] = None
+        #: Probe rounds begun; stamps each released connection.
+        self._probe_round = 0
 
     # -- connection pool ------------------------------------------------
 
     async def _acquire(self, backend: _Backend) -> _Conn:
+        """The most recently released pooled connection, or a new one.
+
+        Taking the latest first leaves a surplus idle, for
+        :meth:`_evict_idle` to close.  A pooled connection its backend
+        has closed (at end of stream) is dropped.
+        """
         while backend.idle:
-            reader, writer = backend.idle.popleft()
-            if writer.is_closing():
+            conn, _ = backend.idle.pop()
+            if conn[1].is_closing() or conn[0].at_eof():
+                self._discard(conn)
                 continue
-            return reader, writer
-        return await asyncio.wait_for(
-            asyncio.open_connection(backend.host, backend.port,
-                                    limit=BACKEND_LINE_BYTES),
-            timeout=CONNECT_TIMEOUT_S)
+            return conn
+        return await asyncio.wait_for(self._connect(backend),
+                                      timeout=CONNECT_TIMEOUT_S)
+
+    @staticmethod
+    async def _connect(backend: _Backend) -> _Conn:
+        return await asyncio.open_connection(backend.host, backend.port,
+                                             limit=BACKEND_LINE_BYTES)
 
     @staticmethod
     def _discard(conn: _Conn) -> None:
@@ -361,46 +382,68 @@ class OffTargetRouter(JsonLinesServer):
             pass
 
     def _release(self, backend: _Backend, conn: _Conn) -> None:
-        if conn[1].is_closing() or len(backend.idle) >= POOL_MAX_IDLE:
+        if conn[1].is_closing():
             self._discard(conn)
         else:
-            backend.idle.append(conn)
+            backend.idle.append((conn, self._probe_round))
+
+    def _evict_idle(self) -> None:
+        """Begin a probe round: close every pooled connection no
+        sub-request has released since the previous round began."""
+        for backend in self._backends:
+            while backend.idle and \
+                    backend.idle[0][1] < self._probe_round:
+                self._discard(backend.idle.popleft()[0])
+        self._probe_round += 1
 
     def _close_pools(self) -> None:
         for backend in self._backends:
             while backend.idle:
-                self._discard(backend.idle.popleft())
+                self._discard(backend.idle.popleft()[0])
 
     # -- one RPC --------------------------------------------------------
 
-    async def _rpc(self, backend: _Backend, payload: Dict[str, Any],
-                   timeout_s: Optional[float]) -> Dict[str, Any]:
+    @staticmethod
+    async def _exchange(backend: _Backend, conn: _Conn,
+                        payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one request line on ``conn`` and read its answer.
+
+        Raises ``ConnectionError`` (or ``ValueError``) when the
+        backend closed the connection or answered another request.
+        """
+        reader, writer = conn
+        writer.write(json.dumps(payload).encode("ascii") + b"\n")
+        await writer.drain()
+        line = await reader.readline()
+        if not line:
+            raise ConnectionResetError(
+                f"backend {backend.label} closed the connection")
+        response = json.loads(line)
+        if not isinstance(response, dict):
+            raise ValueError("backend response is not an object")
+        # An answer with no id is one to a line the backend could not
+        # read (the client accepts those too).
+        rid = payload.get("id")
+        if rid is not None and response.get("id") not in (None, rid):
+            raise ConnectionResetError(
+                f"backend {backend.label} answered id "
+                f"{response.get('id')!r} for request {rid!r}")
+        return response
+
+    async def _rpc(self, backend: _Backend, payload: Dict[str, Any]
+                   ) -> Dict[str, Any]:
         """One request/response on a pooled connection.
 
-        Raises ``ConnectionError`` (or ``asyncio.TimeoutError``) on any
-        transport failure; the connection is returned to the pool only
-        after a well-formed response with a matching id.
+        Raises ``ConnectionError`` (or ``asyncio.TimeoutError`` past
+        :data:`TASK_TIMEOUT_S`) on any transport failure; the
+        connection is returned to the pool only after a well-formed
+        response with a matching id.
         """
         conn = await self._acquire(backend)
-        reader, writer = conn
         try:
-            writer.write(json.dumps(payload).encode("ascii") + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=timeout_s)
-            if not line:
-                raise ConnectionResetError(
-                    f"backend {backend.label} closed the connection")
-            response = json.loads(line)
-            if not isinstance(response, dict):
-                raise ValueError("backend response is not an object")
-            # An answer with no id is one to a line the backend could
-            # not read (the client accepts those too).
-            rid = payload.get("id")
-            if rid is not None and response.get("id") not in (None, rid):
-                raise ConnectionResetError(
-                    f"backend {backend.label} answered id "
-                    f"{response.get('id')!r} for request {rid!r}")
+            response = await asyncio.wait_for(
+                self._exchange(backend, conn, payload),
+                timeout=TASK_TIMEOUT_S)
         except BaseException:
             self._discard(conn)
             raise
@@ -412,7 +455,7 @@ class OffTargetRouter(JsonLinesServer):
         """RPC plus liveness accounting and latency sampling."""
         began = time.perf_counter()
         try:
-            response = await self._rpc(backend, payload, TASK_TIMEOUT_S)
+            response = await self._rpc(backend, payload)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 ValueError, json.JSONDecodeError):
             self._note_failure(backend)
@@ -439,12 +482,21 @@ class OffTargetRouter(JsonLinesServer):
                             failures=backend.consecutive_failures)
             self._rebuild_routing()
 
-    async def _probe(self, backend: _Backend) -> bool:
-        self._seq += 1
+    async def _health(self, backend: _Backend) -> Dict[str, Any]:
+        """One ``health`` round trip on a connection of its own, closed
+        after the answer: a probe never takes or adds a pooled one."""
+        conn = await self._connect(backend)
         try:
-            response = await self._rpc(
-                backend, {"op": "health", "id": f"p{self._seq}"},
-                timeout_s=PROBE_TIMEOUT_S)
+            self._seq += 1
+            return await self._exchange(
+                backend, conn, {"op": "health", "id": f"p{self._seq}"})
+        finally:
+            self._discard(conn)
+
+    async def _probe(self, backend: _Backend) -> bool:
+        try:
+            response = await asyncio.wait_for(self._health(backend),
+                                              timeout=PROBE_TIMEOUT_S)
             ok = bool(response.get("ok")) and \
                 response.get("status") in ("serving", "degraded")
         except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -478,6 +530,7 @@ class OffTargetRouter(JsonLinesServer):
     async def _probe_loop(self) -> None:
         while True:
             await asyncio.sleep(self.probe_interval_s)
+            self._evict_idle()
             await asyncio.gather(
                 *(self._probe(b) for b in self._backends),
                 return_exceptions=True)

@@ -10,9 +10,11 @@ count scales with batches, not requests.  A gather ends at the first
 of: ``max_batch`` queries have accumulated; the batch holds a request
 from every connection its server has open (the ``open_connections``
 hook), so no further request can arrive; or the oldest request has
-waited ``max_wait_ms``.  :meth:`stats` counts each ending under
-``flushes``.  A scheduler without the hook flushes on the first and
-the last only.
+waited ``max_wait_ms``.  A server calls :meth:`BatchScheduler.wake`
+when a connection closes, so a waiting gather reads the count again
+and a batch the closed connection was holding open runs at once.
+:meth:`stats` counts each ending under ``flushes``.  A scheduler
+without the hook flushes on the first and the last only.
 
 Overload is handled at admission: when the queue is full, ``submit``
 raises a typed :class:`ServiceOverloaded` immediately instead of
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import time
 from collections import deque
@@ -100,7 +101,8 @@ class BatchScheduler:
 
     ``open_connections`` is how a server reports the connections it
     has open now; with it, a gather ends as soon as the batch holds
-    that many requests (see :meth:`_gather`).
+    that many requests (see :meth:`_gather`), and :meth:`wake` makes a
+    waiting gather read the count again.
     """
 
     def __init__(self, index: GenomeSiteIndex, max_batch: int = 8,
@@ -119,8 +121,10 @@ class BatchScheduler:
         self.max_wait_s = float(max_wait_ms) / 1000.0
         self.max_queue = int(max_queue)
         self._open_connections = open_connections
-        self._queue: "queue.Queue[Optional[_PendingRequest]]" = \
-            queue.Queue(maxsize=max_queue)
+        #: Admitted requests not yet in a batch; ``_ready`` guards it
+        #: and is notified on every submit, :meth:`wake` and close.
+        self._queue: "deque[_PendingRequest]" = deque()
+        self._ready = threading.Condition()
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
         self._completed = 0
@@ -159,20 +163,14 @@ class BatchScheduler:
         if self._stop.is_set():
             return
         self._stop.set()
-        try:
-            self._queue.put_nowait(None)  # wake a blocked get()
-        except queue.Full:
-            pass
+        self.wake()
         if self._worker is not None and self._worker.is_alive():
             self._worker.join(timeout=10.0)
         # Fail whatever is still queued so no client hangs forever.
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if pending is None:
-                continue
+        with self._ready:
+            left = list(self._queue)
+            self._queue.clear()
+        for pending in left:
             if pending.future.set_running_or_notify_cancel():
                 pending.future.set_exception(
                     SchedulerClosed("scheduler closed before the "
@@ -237,16 +235,19 @@ class BatchScheduler:
             queries=queries, future=Future(), enqueued_perf=now,
             enqueued_wall=time.time(),
             deadline=None if deadline_s is None else now + deadline_s)
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
+        with self._ready:
+            full = len(self._queue) >= self.max_queue
+            if not full:
+                self._queue.append(pending)
+                self._ready.notify()
+        if full:
             with self._stats_lock:
                 self._rejected += 1
             tracing.instant("service_reject", cat="service",
-                            queue_depth=self._queue.qsize())
+                            queue_depth=self.max_queue)
             raise ServiceOverloaded(
                 f"request queue is full ({self.max_queue} waiting); "
-                f"retry with backoff") from None
+                f"retry with backoff")
         with self._stats_lock:
             self._requests_by_kind[kind] += 1
         return pending.future
@@ -267,6 +268,16 @@ class BatchScheduler:
         with self._stats_lock:
             self._requests_by_kind[kind] += 1
 
+    def wake(self) -> None:
+        """Have a waiting gather read the open-connection count again.
+
+        A server calls this when a connection closes.  It takes no
+        queue slot, so it can never make :meth:`submit` refuse a
+        request.
+        """
+        with self._ready:
+            self._ready.notify()
+
     # -- worker ---------------------------------------------------------
 
     def _run(self) -> None:
@@ -283,44 +294,40 @@ class BatchScheduler:
         connection (whatever is already queued still joins), and
         ``timer`` once ``max_wait_ms`` has passed.
         """
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return []
-        if first is None:
-            return []
-        batch = [first]
-        total = len(first.queries)
-        flush_at = time.perf_counter() + self.max_wait_s
-        ended = "timer"
-        while total < self.max_batch:
-            # The server reads a connection's next line only after it
-            # wrote the answer to the previous one, so a connection has
-            # at most one request in flight.  Once the batch holds as
-            # many requests as there are open connections, waiting
-            # cannot add one.  An idle connection, one busy with
-            # another op or scheduler, or one that closes mid-gather
-            # leaves the batch short: it waits for the timer, as
-            # without the hook.
-            if ended == "timer" and self._open_connections is not None \
-                    and len(batch) >= self._open_connections():
-                ended = "connections"
-            if ended == "connections":
-                remaining = 0.0  # take only what is already queued
-            else:
-                remaining = flush_at - time.perf_counter()
-                if remaining <= 0:
+        with self._ready:
+            if not self._ready.wait_for(
+                    lambda: self._queue or self._stop.is_set(),
+                    timeout=0.1) or self._stop.is_set():
+                return []
+            first = self._queue.popleft()
+            batch = [first]
+            total = len(first.queries)
+            flush_at = time.perf_counter() + self.max_wait_s
+            ended = "timer"
+            while total < self.max_batch:
+                if self._queue:
+                    nxt = self._queue.popleft()
+                    batch.append(nxt)
+                    total += len(nxt.queries)
+                    continue
+                # The server reads a connection's next line only after
+                # it wrote the answer to the previous one, so a
+                # connection has at most one request in flight.  Once
+                # the batch holds as many requests as there are open
+                # connections, waiting cannot add one.  An idle
+                # connection, or one busy with another op or scheduler,
+                # leaves the batch short: it waits for the timer, as
+                # without the hook, unless it closes first (``wake``).
+                if self._open_connections is not None \
+                        and len(batch) >= self._open_connections():
+                    ended = "connections"
                     break
-            try:
-                nxt = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if nxt is None:
-                break
-            batch.append(nxt)
-            total += len(nxt.queries)
-        else:
-            ended = "full"
+                remaining = flush_at - time.perf_counter()
+                if remaining <= 0 or self._stop.is_set():
+                    break
+                self._ready.wait(remaining)
+            else:
+                ended = "full"
         with self._stats_lock:
             self._flushes[ended] += 1
         return batch
@@ -397,7 +404,7 @@ class BatchScheduler:
             by_kind = dict(self._requests_by_kind)
         return {
             "comparer": self.index.comparer_stats(),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._queue),
             "max_queue": self.max_queue,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_s * 1000.0,

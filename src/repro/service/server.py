@@ -53,7 +53,8 @@ serving.
 
 One front end serves both tiers: :class:`JsonLinesServer` holds the
 connection loop (line framing, ``bad-json``, ``id`` echo, the
-open-connection and in-flight counts) and the process lifecycle
+open-connection and in-flight counts, and the wake of its batch
+schedulers when a connection closes) and the process lifecycle
 (SIGTERM drain, ready file, background thread), and
 :class:`OffTargetServer` here and the routing tier's
 :class:`~repro.service.router.OffTargetRouter` supply only their op
@@ -292,6 +293,10 @@ class JsonLinesServer:
         #: batch schedulers' worker threads read it.
         self._connections = 0
         self._inflight = 0
+        #: Batch schedulers that read the count; each is woken when a
+        #: connection closes, so a gather that connection held open
+        #: ends at once.
+        self._schedulers: List[BatchScheduler] = []
 
     async def _handle_request(self, request: Dict[str, Any]
                               ) -> Optional[Dict[str, Any]]:
@@ -369,6 +374,8 @@ class JsonLinesServer:
             pass  # server shutdown: drop the connection quietly
         finally:
             self._connections -= 1
+            for scheduler in self._schedulers:
+                scheduler.wake()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -543,6 +550,7 @@ class OffTargetServer(JsonLinesServer):
                         max_queue=max_queue,
                         open_connections=lambda: self._connections)
         self.scheduler = BatchScheduler(index, **settings)
+        self._schedulers.append(self.scheduler)
         self._closed = False
         #: Request-level fault plan (indices are query ordinals).
         self._request_injector = (
@@ -557,6 +565,8 @@ class OffTargetServer(JsonLinesServer):
             enzyme.name: (enzyme, enzyme_index,
                           BatchScheduler(enzyme_index, **settings))
             for enzyme, enzyme_index in enzymes}
+        self._schedulers.extend(
+            scheduler for _, _, scheduler in self._enzymes.values())
         #: Runs every variant search off-loop on one thread.  A fixed
         #: thread keeps the searches' allocations in one malloc arena;
         #: a pool that sometimes grew a second thread made peak memory
@@ -771,7 +781,6 @@ class OffTargetServer(JsonLinesServer):
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self.scheduler.close()
-            for _, _, scheduler in self._enzymes.values():
+            for scheduler in self._schedulers:
                 scheduler.close()
             self._variant_executor.shutdown(wait=False)

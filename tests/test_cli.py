@@ -374,6 +374,22 @@ class TestServiceSubcommands:
         assert not ready.exists(), \
             "a stopped server must stop announcing its port"
 
+    def test_serve_refuses_repeated_enzyme_before_building(self,
+                                                          tmp_path,
+                                                          capsys):
+        """A name repeated inside one --enzyme-config is refused
+        before any enzyme index is built."""
+        config = tmp_path / "enzymes.toml"
+        config.write_text("".join(
+            f'[[enzymes]]\nname = "Alt"\nguide_length = 6\n'
+            f'pam = "{pam}"\n' for pam in ("GG", "RG")))
+        with pytest.raises(SystemExit, match="'Alt'"):
+            main(["serve", "--pattern", "NNNNNNRG", "--synthetic",
+                  "hg19", "--scale", "0.00005", "--seed", "7",
+                  "--port", "0", "--duration-s", "1",
+                  "--enzyme-config", str(config)])
+        assert "# enzyme Alt:" not in capsys.readouterr().err
+
     def test_query_bad_spec_rejected(self):
         with pytest.raises(SystemExit, match="SEQ:MM"):
             main(["query", "GACGTCNN", "--port", "1"])

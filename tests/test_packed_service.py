@@ -424,6 +424,24 @@ class TestStats:
         index.query_batch([guide])
         assert index.comparer_stats()["queries_seeded"] == 1
 
+    def test_repeated_query_is_compared_once(self, small_assembly):
+        """A batch compares each distinct query (sequence and budget)
+        once; a repeat gets an equal list of its own."""
+        index = GenomeSiteIndex.build(small_assembly, PATTERN)
+        a, b = QUERIES
+        alone = index.query_batch([a])[0]
+        before = index.comparer_stats()["queries_total"]
+        got = index.query_batch([a, b, a])
+        assert index.comparer_stats()["queries_total"] == before + 2
+        assert alone and got[0] == got[2] == alone
+        assert got[0] is not got[2]
+        assert got[1] == index.query_batch([b])[0]
+        # The same sequence at another budget is another query.
+        other = Query(a.sequence, a.max_mismatches - 1)
+        before = index.comparer_stats()["queries_total"]
+        index.query_batch([a, other])
+        assert index.comparer_stats()["queries_total"] == before + 2
+
     def test_scheduler_stats_carry_comparer_section(self,
                                                     small_assembly):
         index = GenomeSiteIndex.build(small_assembly, PATTERN)

@@ -503,6 +503,39 @@ class TestFailover:
             for handle in handles[1:]:
                 handle.stop()
 
+    def test_fast_restart_leaves_no_stale_pooled_connection(
+            self, part_indexes, wide_assembly, expected_wire):
+        """A backend restarted on its address within one probe
+        interval: the router drops the old process's pooled
+        connections instead of retrying on them and ejecting it."""
+        handles = start_fleet(part_indexes)
+        router_handle = start_router(handles, wide_assembly,
+                                     probe_interval_s=30.0, hedge_ms=0)
+        client = ServiceClient(router_handle.host, router_handle.port)
+        replacement = None
+        try:
+            for _ in range(3):
+                assert raw_query(client)["hits"] == expected_wire
+            freed_port = handles[0].port
+            handles[0].stop()
+            replacement = OffTargetServer(
+                part_indexes[0][1], port=freed_port,
+                max_wait_ms=1.0).start_background()
+            for _ in range(3):
+                assert raw_query(client)["hits"] == expected_wire
+            stats = client._call({"op": "stats"})["stats"]
+            backend0 = client._call(
+                {"op": "topology"})["topology"]["backends"][0]
+            assert stats["retries"] == 0
+            assert backend0["alive"] and backend0["ejections"] == 0
+        finally:
+            client.close()
+            router_handle.stop()
+            if replacement is not None:
+                replacement.stop()
+            for handle in handles[1:]:
+                handle.stop()
+
     def test_half_open_disconnects_retry_byte_identically(
             self, part_indexes, wide_assembly, expected_wire):
         # Backend 0 drops the connection without responding on its
@@ -604,6 +637,106 @@ class TestHedging:
         assert router._hedge_delay_s() == pytest.approx(0.03)
         router = OffTargetRouter(["127.0.0.1:1"], hedge_ms=0)
         assert router._hedge_delay_s() is None, "0 disables hedging"
+
+
+# ---------------------------------------------------------------------------
+# Connection pool
+# ---------------------------------------------------------------------------
+
+def _flushes(handle) -> dict:
+    """How a backend's gathers ended, read in process: a client
+    connection to the backend would itself hold its gathers open."""
+    return dict(handle._server.scheduler.stats()["flushes"])
+
+
+class TestPool:
+    """A backend runs a batch once it holds a request from every open
+    connection, so the router's pool must keep no connection its
+    sub-requests leave idle.  Under chained replication backend 0 is
+    the primary of two partitions, backend 1 of one."""
+
+    def test_probe_adds_no_pooled_connection(
+            self, part_indexes, wide_assembly, expected_wire):
+        # Backend 0 stalls both sub-requests of the first routed query
+        # for six probe intervals, so probes land while both of its
+        # pooled connections are busy.
+        handles = start_fleet(part_indexes, per_backend_kw={
+            0: {"max_wait_ms": 2000.0,
+                "request_fault_plan": "stall@0:0.6,stall@1:0.6"}})
+        router_handle = start_router(handles, wide_assembly,
+                                     hedge_ms=0, probe_interval_s=0.1)
+        try:
+            with ServiceClient(router_handle.host,
+                               router_handle.port) as client:
+                began = time.perf_counter()
+                assert raw_query(client)["hits"] == expected_wire
+                assert time.perf_counter() - began >= 0.6
+                before = _flushes(handles[0])
+                for _ in range(3):
+                    assert raw_query(client)["hits"] == expected_wire
+                after = _flushes(handles[0])
+        finally:
+            router_handle.stop()
+            for handle in handles:
+                handle.stop()
+        assert after["timer"] == before["timer"]
+        assert after["connections"] >= before["connections"] + 3
+
+    def test_departed_clients_leave_no_surplus(
+            self, part_indexes, wide_assembly, expected_wire):
+        """Three clients drive routed queries and two leave: within
+        two probe intervals every gather of backends 0 and 1 ends on
+        the connection rule again."""
+        interval = 0.2
+        handles = start_fleet(part_indexes, per_backend_kw={
+            i: {"max_wait_ms": 300.0} for i in range(3)})
+        router_handle = start_router(handles, wide_assembly, hedge_ms=0,
+                                     probe_interval_s=interval)
+        router = router_handle._server
+        clients = [ServiceClient(router_handle.host, router_handle.port)
+                   for _ in range(3)]
+        stop = threading.Event()
+        errors = []
+
+        def drive(client):
+            try:
+                while not stop.is_set():
+                    assert raw_query(client)["hits"] == expected_wire
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=drive, args=(client,))
+                       for client in clients]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert errors == []
+            assert len(router._backends[0].idle) > 2, \
+                "three clients should have grown backend 0's pool"
+            for client in clients[1:]:
+                client.close()
+            settle_at = time.perf_counter() + 2.5 * interval
+            while time.perf_counter() < settle_at:
+                assert raw_query(clients[0])["hits"] == expected_wire
+            before = [_flushes(handle) for handle in handles[:2]]
+            for _ in range(5):
+                assert raw_query(clients[0])["hits"] == expected_wire
+            after = [_flushes(handle) for handle in handles[:2]]
+        finally:
+            stop.set()
+            for client in clients:
+                client.close()
+            router_handle.stop()
+            for handle in handles:
+                handle.stop()
+        for old, new in zip(before, after):
+            assert new["timer"] == old["timer"]
+            assert new["connections"] >= old["connections"] + 5
 
 
 # ---------------------------------------------------------------------------

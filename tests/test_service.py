@@ -590,6 +590,40 @@ class TestGather:
         assert server.scheduler.stats()["flushes"] == {
             "full": 0, "connections": 0, "timer": 1}
 
+    def test_closing_connection_ends_the_wait(self, index):
+        """A second connection that closes while the first one's
+        request is gathering ends that gather at once."""
+        with self._connections(index, 2) as (server, conns):
+            began = time.perf_counter()
+            self._send(conns[0], self.QUERY)
+            deadline = time.monotonic() + 10
+            while (server.scheduler.stats()["requests_by_kind"]["query"]
+                   < 1 or server.scheduler.stats()["queue_depth"]):
+                assert time.monotonic() < deadline, \
+                    "the request never reached the gather"
+                time.sleep(0.01)
+            time.sleep(0.05)  # the gather is waiting on conns[1]
+            conns[1][1].close()
+            conns[1][0].close()
+            self._answer(conns[0])
+            assert time.perf_counter() - began < 2.0
+        assert server.scheduler.stats()["flushes"] == {
+            "full": 0, "connections": 1, "timer": 0}
+
+    def test_wake_takes_no_queue_slot(self, index):
+        """A wake with the queue one short of full leaves room for the
+        next request."""
+        scheduler = BatchScheduler(index, max_queue=2, start=False)
+        try:
+            scheduler.submit([QUERIES[0]])
+            scheduler.wake()
+            scheduler.submit([QUERIES[0]])
+            with pytest.raises(ServiceOverloaded):
+                scheduler.submit([QUERIES[0]])
+            assert scheduler.stats()["rejected"] == 1
+        finally:
+            scheduler.close()
+
     def test_count_settles_under_concurrent_connections(
             self, index, small_assembly):
         """More client threads than cores connect, query and close at
